@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import POLE_FLOOR, check_times, scalar_or_array
 from ._rng import accumulate_chunks, realization_normals
 from .errors import DomainError, PoleError
 from .states import BlochVector
-
-POLE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,24 +72,17 @@ class MonteCarloEstimate:
             raise DomainError("standard errors must be nonnegative")
 
 
-def _check_time(t):
-    arr = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise DomainError("time must be finite and nonnegative")
-    return arr
-
-
 def polarization_factor(noise: IsotropicGaussianNoise, t):
     """Ensemble-averaged Bloch contraction f(t); f(0) = 1, f(inf) = 1/3."""
-    tt = _check_time(t)
+    tt = check_times(t)
     u = 2.0 * (noise.coupling * noise.sigma * tt) ** 2
     f = (1.0 + 2.0 * (1.0 - 2.0 * u) * np.exp(-u)) / 3.0
-    return float(f) if np.isscalar(t) or tt.ndim == 0 else f
+    return scalar_or_array(f, tt)
 
 
 def classical_decay_rate(noise: IsotropicGaussianNoise, t):
     """gamma(t) = -f'(t)/f(t) from the analytic derivative of f."""
-    tt = _check_time(t)
+    tt = check_times(t)
     gs2 = (noise.coupling * noise.sigma) ** 2
     u = 2.0 * gs2 * tt**2
     f = (1.0 + 2.0 * (1.0 - 2.0 * u) * np.exp(-u)) / 3.0
@@ -99,7 +91,7 @@ def classical_decay_rate(noise: IsotropicGaussianNoise, t):
     # f'(t) = (2/3) e^{-u} (2u - 3) du/dt, du/dt = 4 gs2 t
     df = (2.0 / 3.0) * np.exp(-u) * (2.0 * u - 3.0) * 4.0 * gs2 * tt
     rate = -df / f
-    return float(rate) if np.isscalar(t) or tt.ndim == 0 else rate
+    return scalar_or_array(rate, tt)
 
 
 def rotate_bloch(sample: NoiseSample, coupling, t, start: BlochVector) -> BlochVector:
@@ -109,7 +101,7 @@ def rotate_bloch(sample: NoiseSample, coupling, t, start: BlochVector) -> BlochV
     handled analytically (returns ``start``).  Matches
     :func:`qchan.exact.unitary_noise_conjugation` to 1e-12.
     """
-    tt = float(_check_time(t))
+    tt = float(check_times(t))
     xi = sample.as_array()
     s0 = start.as_array()
     gt = float(coupling) * tt
@@ -158,7 +150,7 @@ def monte_carlo_polarization(
     counter-based stream keyed by (seed, j), and partial sums are combined
     in fixed chunk order regardless of the worker count.
     """
-    times = _check_time(t_grid)
+    times = check_times(t_grid)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("t_grid must be a nonempty 1-d array")
     if np.any(np.diff(times) < 0):

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import classical_field, damping, dephasing, exact, rates, spin_bath
+from ._common import POLE_FLOOR
 from .errors import DomainError, QChanError
 from .states import BlochVector, state_from_bloch
 
@@ -70,8 +71,13 @@ def _parse_vector(text, what: str) -> np.ndarray:
         raise DomainError(f"non-numeric {what} {text!r}") from exc
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Defaults, overridden by the JSON config file, overridden by flags."""
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """Defaults, overridden by the JSON config file, overridden by flags.
+
+    A config-file value for a numeric flag must be a number, or a string
+    that the flag itself would accept.
+    """
+    defaults = args.defaults
     cfg = dict(defaults)
     path = getattr(args, "config", None)
     if path:
@@ -88,21 +94,27 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
             norm = key.replace("-", "_")
             if norm not in defaults:
                 raise DomainError(f"unknown config key {key!r} in {path}")
+            kind = args.kinds.get(norm)
+            unset = value is None and defaults[norm] is None
+            if kind and not unset and not isinstance(value, (int, float)):
+                try:
+                    value = kind(value)
+                except (TypeError, ValueError) as exc:
+                    raise DomainError(
+                        f"config key {key!r} in {path} must be a number, got {value!r}"
+                    ) from exc
             cfg[norm] = value
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    return cfg
-
-
-def _validate_run(cfg: dict) -> None:
-    if not float(cfg["t_max"]) > 0:
+    if "t_max" in cfg and not float(cfg["t_max"]) > 0:
         raise DomainError(f"t-max must be > 0, got {cfg['t_max']}")
-    if int(cfg["steps"]) < 5:
+    if "steps" in cfg and int(cfg["steps"]) < 5:
         raise DomainError(f"steps must be >= 5, got {cfg['steps']}")
-    if cfg["format"] not in ("csv", "json"):
+    if "format" in cfg and cfg["format"] not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {cfg['format']!r}")
+    return cfg
 
 
 def _grid(cfg: dict) -> np.ndarray:
@@ -157,6 +169,20 @@ def _rate_columns_from_gamma(times: np.ndarray, gamma: np.ndarray):
     return rs.values, rs.error
 
 
+def _columns(times, factor, p, gamma, gamma_err, flags=None) -> dict:
+    """The base columns; every point is unflagged unless ``flags`` is given."""
+    if flags is None:
+        flags = [""] * times.size
+    return dict(zip(_BASE_COLUMNS, (times, factor, p, gamma, gamma_err, flags)))
+
+
+def _dephasing_columns(times: np.ndarray, exponent: np.ndarray) -> dict:
+    """Columns of a dephasing channel with decoherence exponent Gamma(t)."""
+    rate, rate_err = _rate_columns_from_gamma(times, exponent)
+    coherence = np.exp(-exponent)
+    return _columns(times, coherence, 1.0 - coherence, rate, rate_err)
+
+
 # ---------------------------------------------------------------- spin bath
 
 _SPINBATH_DEFAULTS = {
@@ -193,27 +219,25 @@ def _build_ensemble(cfg: dict):
         raw = cfg["components"]
         if raw is None:
             raise DomainError("custom ensemble requires --components")
-        data = json.loads(raw) if isinstance(raw, str) else raw
-        return spin_bath.CustomEnsemble(tuple(tuple(row) for row in data))
+        try:
+            data = json.loads(raw) if isinstance(raw, str) else raw
+            rows = tuple((l, float(g), float(q)) for l, g, q in data)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"components must be [[l, g, weight], ...], got {raw!r}") from exc
+        return spin_bath.CustomEnsemble(rows)
     raise DomainError(f"unknown ensemble {kind!r}")
 
 
-def _run_depol_spinbath(cfg: dict) -> None:
+def _run_depol_spinbath(cfg: dict, _args=None) -> None:
     ensemble = _build_ensemble(cfg)
     times = _grid(cfg)
     factor = spin_bath.bloch_factor(ensemble, times)
-    ok = factor > spin_bath.RATE_FLOOR
+    ok = factor > POLE_FLOOR
     gamma = np.full_like(times, np.nan)
     if np.any(ok):
         gamma[ok] = spin_bath.decay_rate(ensemble, times[ok])
-    columns = {
-        "t": times,
-        "f_or_coherence": factor,
-        "p": 1.0 - factor,
-        "gamma": gamma,
-        "gamma_err": np.zeros_like(times),
-        "flags": ["" if good else "pole" for good in ok],
-    }
+    flags = ["" if good else "pole" for good in ok]
+    columns = _columns(times, factor, 1.0 - factor, gamma, np.zeros_like(times), flags)
     _write_output("depol-spinbath", cfg, columns)
 
 
@@ -231,19 +255,12 @@ _CLASSICAL_DEFAULTS = {
 }
 
 
-def _run_depol_classical(cfg: dict) -> None:
+def _run_depol_classical(cfg: dict, _args=None) -> None:
     noise = classical_field.IsotropicGaussianNoise(cfg["g"], cfg["sigma"])
     times = _grid(cfg)
     factor = classical_field.polarization_factor(noise, times)
     gamma = classical_field.classical_decay_rate(noise, times)
-    columns = {
-        "t": times,
-        "f_or_coherence": factor,
-        "p": 1.0 - factor,
-        "gamma": gamma,
-        "gamma_err": np.zeros_like(times),
-        "flags": [""] * times.size,
-    }
+    columns = _columns(times, factor, 1.0 - factor, gamma, np.zeros_like(times))
     if int(cfg["mc"]) > 0:
         estimate = classical_field.monte_carlo_polarization(
             noise, times, int(cfg["mc"]), int(cfg["seed"])
@@ -314,19 +331,9 @@ def _dephasing_gamma_series(cfg: dict, times: np.ndarray) -> dephasing.Decoheren
     return dephasing.DecoherenceFunction(times, values, "quadrature")
 
 
-def _run_dephasing_quantum(cfg: dict) -> None:
+def _run_dephasing_quantum(cfg: dict, _args=None) -> None:
     times = _grid(cfg)
-    gamma_exponent = _dephasing_gamma_series(cfg, times).values
-    rate, rate_err = _rate_columns_from_gamma(times, gamma_exponent)
-    coherence = np.exp(-gamma_exponent)
-    columns = {
-        "t": times,
-        "f_or_coherence": coherence,
-        "p": 1.0 - coherence,
-        "gamma": rate,
-        "gamma_err": rate_err,
-        "flags": [""] * times.size,
-    }
+    columns = _dephasing_columns(times, _dephasing_gamma_series(cfg, times).values)
     _write_output("dephasing-quantum", cfg, columns)
 
 
@@ -346,7 +353,7 @@ _DEPHASING_C_DEFAULTS = {
 }
 
 
-def _run_dephasing_classical(cfg: dict) -> None:
+def _run_dephasing_classical(cfg: dict, _args=None) -> None:
     if (cfg["white_noise"] is not None) == (cfg["cosine"] is not None):
         raise DomainError("pick exactly one of --white-noise or --cosine")
     if cfg["white_noise"] is not None:
@@ -358,17 +365,7 @@ def _run_dephasing_classical(cfg: dict) -> None:
     exponent = dephasing.DecoherenceFunction(
         times, dephasing.gamma_classical(process, coupling, times), "closed-form"
     )
-    gamma_exponent = exponent.values
-    rate, rate_err = _rate_columns_from_gamma(times, gamma_exponent)
-    coherence = np.exp(-gamma_exponent)
-    columns = {
-        "t": times,
-        "f_or_coherence": coherence,
-        "p": 1.0 - coherence,
-        "gamma": rate,
-        "gamma_err": rate_err,
-        "flags": [""] * times.size,
-    }
+    columns = _dephasing_columns(times, exponent.values)
     if int(cfg["mc"]) > 0:
         if not isinstance(process, dephasing.CosineSumProcess):
             raise DomainError("Monte Carlo validation needs a cosine process")
@@ -395,7 +392,7 @@ _DAMPING_DEFAULTS = {
 }
 
 
-def _run_amp_damping(cfg: dict) -> None:
+def _run_amp_damping(cfg: dict, _args=None) -> None:
     omega = float(cfg["omega"])
     if cfg["modes"] is not None:
         modes = _parse_pairs(cfg["modes"], "mode")
@@ -404,16 +401,15 @@ def _run_amp_damping(cfg: dict) -> None:
     spec = damping.AmplitudeKernelSpec(omega, modes)
     solution = damping.solve_amplitude(spec, float(cfg["t_max"]), int(cfg["steps"]) - 1)
     rate, rate_err = _rate_columns_from_gamma(solution.times, solution.gamma)
-    coherence = np.exp(-0.5 * solution.gamma)
-    columns = {
-        "t": solution.times,
-        "f_or_coherence": coherence,
-        "p": 1.0 - np.exp(-solution.gamma),
-        "gamma": rate,
-        "gamma_err": rate_err,
-        "flags": ["capped" if c else "" for c in solution.capped],
-        "omega_phase": solution.phase,
-    }
+    columns = _columns(
+        solution.times,
+        np.exp(-0.5 * solution.gamma),
+        1.0 - np.exp(-solution.gamma),
+        rate,
+        rate_err,
+        ["capped" if c else "" for c in solution.capped],
+    )
+    columns["omega_phase"] = solution.phase
     _write_output("amp-damping", cfg, columns)
 
 
@@ -443,8 +439,11 @@ def read_series_csv(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
     t_vals, c_vals = [], []
     for ln in lines[1:]:
         cells = ln.split(",")
-        t_vals.append(float(cells[it]))
-        c_vals.append(float(cells[ic]))
+        try:
+            t_vals.append(float(cells[it]))
+            c_vals.append(float(cells[ic]))
+        except (IndexError, ValueError) as exc:
+            raise DomainError(f"{path}: malformed data row {ln!r}") from exc
     return np.array(t_vals), np.array(c_vals)
 
 
@@ -457,10 +456,10 @@ def _classification_report(verdict: rates.MarkovClass) -> dict:
     return report
 
 
-def _run_analyze(cfg: dict, path: str) -> None:
+def _run_analyze(cfg: dict, args: argparse.Namespace) -> None:
     if cfg["col"] not in _COL_MEANINGS:
         raise DomainError(f"--col must be one of {sorted(_COL_MEANINGS)}, got {cfg['col']!r}")
-    times, values = read_series_csv(path, _COL_NAMES[cfg["col"]])
+    times, values = read_series_csv(args.file, _COL_NAMES[cfg["col"]])
     series = rates.TimeSeries(times, values, _COL_MEANINGS[cfg["col"]])
     eps_abs = None if cfg["eps_abs"] is None else float(cfg["eps_abs"])
     verdict = rates.classify(rates.rate_from_series(series), eps_abs, float(cfg["eps_rel"]))
@@ -486,43 +485,39 @@ _REPRODUCE_DEFAULTS = {
     "format": "csv",
 }
 
-FIG1_CONFIG = {"g": 1.0, "sigma": 1.0, "t_max": 4.0, "steps": 400}
-FIG2_SINGLE_MODE = {"omega": 0.5, "weight": 4.0, "beta": "inf", "t_max": 25.0, "steps": 251}
-FIG2_OHMIC = {"ohmic_amplitude": 8.0 * math.pi, "cutoff": 1.0, "t_max": 25.0, "steps": 251}
+_FIG2_OHMIC = {"ohmic_amplitude": 8.0 * math.pi, "cutoff": 1.0, "t_max": 25.0, "steps": 251}
+
+# figure -> (runner, defaults, overrides, file stem) of each dataset it emits
+_FIGURES = {
+    "fig1": (
+        (_run_depol_classical, _CLASSICAL_DEFAULTS,
+         {"g": 1.0, "sigma": 1.0, "t_max": 4.0, "steps": 400}, "fig1_polarization_factor"),
+    ),
+    "fig2": (
+        (_run_dephasing_quantum, _DEPHASING_Q_DEFAULTS,
+         {"single_mode": True, "omega": 0.5, "weight": 4.0, "beta": "inf", "t_max": 25.0,
+          "steps": 251}, "fig2_single_mode"),
+        (_run_dephasing_quantum, _DEPHASING_Q_DEFAULTS,
+         {**_FIG2_OHMIC, "beta": "inf"}, "fig2_ohmic_zero_temperature"),
+        (_run_dephasing_quantum, _DEPHASING_Q_DEFAULTS,
+         {**_FIG2_OHMIC, "beta": 1.0}, "fig2_ohmic_beta_tau"),
+    ),
+}
 
 
-def _run_reproduce(cfg: dict, which: str) -> None:
+def _run_reproduce(cfg: dict, args: argparse.Namespace) -> None:
     out_dir = cfg["out_dir"].rstrip("/")
-    if which == "fig1":
-        sub = dict(_CLASSICAL_DEFAULTS)
-        sub.update(FIG1_CONFIG)
-        sub["mc"] = int(cfg["mc"])
-        sub["seed"] = int(cfg["seed"])
-        sub["format"] = cfg["format"]
-        sub["out"] = f"{out_dir}/fig1_polarization_factor.{cfg['format']}"
-        _run_depol_classical(sub)
-        return
-    if which == "fig2":
-        single = dict(_DEPHASING_Q_DEFAULTS)
-        single.update(FIG2_SINGLE_MODE)
-        single["single_mode"] = True
-        single["format"] = cfg["format"]
-        single["out"] = f"{out_dir}/fig2_single_mode.{cfg['format']}"
-        _run_dephasing_quantum(single)
-        for tag, beta in (("zero_temperature", "inf"), ("beta_tau", 1.0)):
-            cont = dict(_DEPHASING_Q_DEFAULTS)
-            cont.update(FIG2_OHMIC)
-            cont["beta"] = beta
-            cont["format"] = cfg["format"]
-            cont["out"] = f"{out_dir}/fig2_ohmic_{tag}.{cfg['format']}"
-            _run_dephasing_quantum(cont)
-        return
-    raise DomainError(f"unknown figure {which!r}")
+    fmt = cfg["format"]
+    for runner, defaults, overrides, stem in _FIGURES[args.figure]:
+        sub = {**defaults, **overrides, "format": fmt, "out": f"{out_dir}/{stem}.{fmt}"}
+        # the Monte Carlo settings of ``reproduce`` reach the figures that sample
+        sub.update({key: int(cfg[key]) for key in ("mc", "seed") if key in defaults})
+        runner(sub)
 
 
 # ------------------------------------------------------------------- oracle
 
-def _run_oracle(args: argparse.Namespace) -> None:
+def _run_oracle(_cfg: dict, args: argparse.Namespace) -> None:
     model = args.model
     if model == "spin-bath":
         bloch = _parse_vector(args.bloch, "--bloch")
@@ -652,16 +647,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-abs", dest="eps_abs", type=float)
     p.add_argument("--eps-rel", dest="eps_rel", type=float)
     p.add_argument("--out", help="optional JSON report path")
-    p.set_defaults(defaults=_ANALYZE_DEFAULTS)
+    p.set_defaults(defaults=_ANALYZE_DEFAULTS, runner=_run_analyze)
 
     p = sub.add_parser("reproduce", help="emit figure-reproduction datasets")
-    p.add_argument("figure", choices=["fig1", "fig2"])
+    p.add_argument("figure", choices=sorted(_FIGURES))
     p.add_argument("--config", help="JSON config file mirroring the flag names")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--mc", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=["csv", "json"])
-    p.set_defaults(defaults=_REPRODUCE_DEFAULTS)
+    p.set_defaults(defaults=_REPRODUCE_DEFAULTS, runner=_run_reproduce)
 
     p = sub.add_parser("oracle", help="query the brute-force reference simulators")
     p.add_argument(
@@ -680,49 +675,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default="1:1")
     p.add_argument("--xi", default="0,0,1")
     p.add_argument("--bloch", default="0,0,1")
-    p.set_defaults(defaults=None)
+    p.set_defaults(defaults={}, runner=_run_oracle)
 
+    # config-file values for numeric flags are parsed like the flags
+    for p in sub.choices.values():
+        p.set_defaults(kinds={a.dest: a.type for a in p._actions if a.type in (int, float)})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "oracle":
-            cfg = None
-        elif args.command == "analyze":
-            cfg = _resolve_config(args, _ANALYZE_DEFAULTS)
-        elif args.command == "reproduce":
-            cfg = _resolve_config(args, _REPRODUCE_DEFAULTS)
-            if cfg["format"] not in ("csv", "json"):
-                raise DomainError(f"format must be csv or json, got {cfg['format']!r}")
-        else:
-            cfg = _resolve_config(args, args.defaults)
-            _validate_run(cfg)
-    except (DomainError, QChanError) as exc:
-        print(f"qchan: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "oracle":
-            _run_oracle(args)
-        elif args.command == "analyze":
-            _run_analyze(cfg, args.file)
-        elif args.command == "reproduce":
-            _run_reproduce(cfg, args.figure)
-        else:
-            args.runner(cfg)
-    except DomainError as exc:
+        args.runner(_resolve_config(args), args)
+    except (DomainError, OSError) as exc:
         print(f"qchan: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QChanError as exc:
         print(f"qchan: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"qchan: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     return EXIT_OK
 
 

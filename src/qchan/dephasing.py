@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import check_times, scalar_or_array
 from ._quadrature import integrate_adaptive
 from ._rng import accumulate_chunks, realization_normals
 from .errors import DomainError, UnsupportedQueryError
@@ -116,7 +117,10 @@ def load_tabulated(path) -> TabulatedDensity:
     Columns are (omega, J) separated by whitespace, ascending in omega;
     lines starting with ``#`` are comments.
     """
-    data = np.loadtxt(path, comments="#", ndmin=2)
+    try:
+        data = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"cannot parse spectral file {path}: {exc}") from exc
     if data.shape[1] != 2:
         raise DomainError(f"expected two columns (omega, J) in {path}, got {data.shape[1]}")
     return TabulatedDensity(data[:, 0], data[:, 1])
@@ -184,13 +188,6 @@ class DecoherenceFunction:
         object.__setattr__(self, "values", g)
 
 
-def _check_time(t):
-    arr = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise DomainError("time must be finite and nonnegative")
-    return arr
-
-
 def _coth(x):
     """coth(x) for x > 0, with x = inf -> 1."""
     return 1.0 / np.tanh(x)
@@ -201,16 +198,14 @@ def gamma_discrete(bath: DiscreteBosonBath, t):
 
     Gamma(t) = (1/4) sum_k |c_k|^2 (1 - cos(w_k t)) coth(beta w_k / 2) / w_k^2.
     """
-    tt = _check_time(t)
-    scalar = np.isscalar(t) or tt.ndim == 0
-    tt = np.atleast_1d(tt)
+    tt = check_times(t)
     total = np.zeros_like(tt)
     for c, w in bath.modes:
         weight = abs(c) ** 2 / w**2
         if math.isfinite(bath.beta):
             weight *= _coth(0.5 * bath.beta * w)
         total += 0.25 * weight * 2.0 * np.sin(0.5 * w * tt) ** 2
-    return float(total[0]) if scalar else total
+    return scalar_or_array(total, tt)
 
 
 def _continuum_integrand(density: SpectralDensity, beta: float, t: float):
@@ -290,9 +285,7 @@ def gamma_continuum(
         raise DomainError(f"beta must be > 0 (or inf), got {beta}")
     if not tol > 0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    t = float(t)
-    if not np.isfinite(t) or t < 0:
-        raise DomainError("time must be finite and nonnegative")
+    t = float(check_times(t))
     if t == 0.0:
         return 0.0
 
@@ -328,9 +321,7 @@ def gamma_classical(process: StationaryProcess, coupling, t):
     noise gives the linear (constant-rate) 2 g^2 sigma2 t.
     """
     g = float(coupling)
-    tt = _check_time(t)
-    scalar = np.isscalar(t) or tt.ndim == 0
-    tt = np.atleast_1d(tt)
+    tt = check_times(t)
     if isinstance(process, WhiteNoiseProcess):
         out = 2.0 * g**2 * process.intensity * tt
     elif isinstance(process, CosineSumProcess):
@@ -339,7 +330,7 @@ def gamma_classical(process: StationaryProcess, coupling, t):
             out += 4.0 * g**2 * sigma**2 * 2.0 * np.sin(0.5 * w * tt) ** 2 / w**2
     else:
         raise DomainError(f"unknown process type {type(process).__name__}")
-    return float(out[0]) if scalar else out
+    return scalar_or_array(out, tt)
 
 
 def correlation(process: StationaryProcess, dt):
@@ -356,7 +347,7 @@ def correlation(process: StationaryProcess, dt):
     out = np.zeros_like(dd)
     for sigma, w in process.components:
         out = out + sigma**2 * np.cos(w * dd)
-    return float(out) if np.isscalar(dt) or dd.ndim == 0 else out
+    return scalar_or_array(out, dd)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,7 +400,7 @@ def monte_carlo_coherence(
     """
     if not isinstance(process, CosineSumProcess):
         raise DomainError("Monte Carlo coherence requires a cosine-sum process")
-    times = _check_time(t_grid)
+    times = check_times(t_grid)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("t_grid must be a nonempty 1-d array")
     n = int(realizations)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import POLE_FLOOR
 from .errors import DomainError, UnclassifiableError
 
 MEANING_BLOCH_FACTOR = "bloch-factor"
@@ -32,7 +33,6 @@ MEANINGS = (
     MEANING_DAMPING_GAMMA,
 )
 
-POLE_FLOOR = 1e-12
 DEFAULT_EPS_REL = 1e-6
 
 

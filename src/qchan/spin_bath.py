@@ -5,25 +5,33 @@ mixed) contracts its Bloch vector isotropically by
 
     F(t) = [4l^2 + 4l + 3 + 8l(l+1) cos((2l+1) g t / 2)] / [3 (2l+1)^2],
 
-so the evolution is a depolarizing channel with p(t) = 1 - F(t).  Averaging
-the cosine over a distribution of coupling constants g (Gaussian,
-Lorentzian, uniform, ...) or over the angular-momentum sectors of a spin
-star yields the other ensembles.  Decay rates gamma(t) = -F'(t)/F(t) are
-computed from the analytic derivative of each closed form.
+so the evolution is a depolarizing channel with p(t) = 1 - F(t).  Every
+ensemble is a mixture of sectors k with spin l_k, weight q_k and a coupling
+law for g, and obeys one rule:
+
+    F(t) = sum_k q_k [a(l_k) + b(l_k) phi_k(t)] / d(l_k),
+    a = 4l^2 + 4l + 3,  b = 8l(l+1),  d = 3 (2l+1)^2,
+
+where phi_k(t) = E_g[cos((2l_k+1) g t / 2)] is the characteristic function
+of the sector's coupling law.  A sharp coupling (fixed, spin-star and custom
+sectors) gives the cosine itself; Gaussian, Lorentzian and uniform laws give
+their closed-form averages.  Decay rates gamma(t) = -F'(t)/F(t) come from
+the analytic derivative F'(t) = sum_k q_k b(l_k) phi_k'(t) / d(l_k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Union
 
 import numpy as np
 
+from ._common import POLE_FLOOR, check_times, scalar_or_array
 from .errors import DomainError, PoleError
 
-RATE_FLOOR = 1e-12
 _WEIGHT_TOL = 1e-12
 
 
@@ -49,8 +57,23 @@ def _positive_spin(value) -> Fraction:
     return spin
 
 
+def _sharp(g: float, m: float, t: np.ndarray):
+    """Envelope of a sharp coupling g: cos(m g t / 2) and its time derivative."""
+    half_freq = m * g / 2.0
+    theta = half_freq * t
+    return np.cos(theta), -half_freq * np.sin(theta)
+
+
+class _SingleSpin:
+    """One bath spin whose coupling follows a law; ``_envelope(m, t)`` returns
+    the law's phi = E_g[cos(m g t / 2)] and phi' for m = 2l + 1."""
+
+    def _sectors(self):
+        return ((self.spin, 1.0, self._envelope),)
+
+
 @dataclass(frozen=True)
-class FixedCoupling:
+class FixedCoupling(_SingleSpin):
     """Single bath spin with a sharp coupling constant."""
 
     spin: object
@@ -60,9 +83,12 @@ class FixedCoupling:
         object.__setattr__(self, "spin", _positive_spin(self.spin))
         object.__setattr__(self, "coupling", float(self.coupling))
 
+    def _envelope(self, m, t):
+        return _sharp(self.coupling, m, t)
+
 
 @dataclass(frozen=True)
-class GaussianCoupling:
+class GaussianCoupling(_SingleSpin):
     """Coupling constant normally distributed with the given mean and sigma."""
 
     spin: object
@@ -76,9 +102,19 @@ class GaussianCoupling:
             raise DomainError(f"sigma must be > 0, got {self.sigma}")
         object.__setattr__(self, "sigma", float(self.sigma))
 
+    def _envelope(self, m, t):
+        decay = np.exp(-(m**2) * self.sigma**2 * t**2 / 8.0)
+        phase = m * self.mean / 2.0
+        env = decay * np.cos(phase * t)
+        denv = decay * (
+            -(m**2) * self.sigma**2 * t / 4.0 * np.cos(phase * t)
+            - phase * np.sin(phase * t)
+        )
+        return env, denv
+
 
 @dataclass(frozen=True)
-class LorentzianCoupling:
+class LorentzianCoupling(_SingleSpin):
     """Coupling constant Lorentzian-distributed around zero."""
 
     spin: object
@@ -90,9 +126,14 @@ class LorentzianCoupling:
             raise DomainError(f"half_width must be > 0, got {self.half_width}")
         object.__setattr__(self, "half_width", float(self.half_width))
 
+    def _envelope(self, m, t):
+        rate = m * self.half_width / 2.0
+        env = np.exp(-rate * t)
+        return env, -rate * env
+
 
 @dataclass(frozen=True)
-class UniformCoupling:
+class UniformCoupling(_SingleSpin):
     """Coupling constant uniform on [low, high]."""
 
     spin: object
@@ -105,6 +146,18 @@ class UniformCoupling:
             raise DomainError(f"need low < high, got [{self.low}, {self.high}]")
         object.__setattr__(self, "low", float(self.low))
         object.__setattr__(self, "high", float(self.high))
+
+    def _envelope(self, m, t):
+        # average of cos(kappa g t) over g in [low, high]:
+        #   cos(kappa mid t) * sinc(kappa halfspan t)
+        kappa = m / 2.0
+        mid = 0.5 * (self.low + self.high)
+        halfspan = 0.5 * (self.high - self.low)
+        u = kappa * mid * t
+        v = kappa * halfspan * t
+        env = np.cos(u) * _sinc(v)
+        denv = -kappa * mid * np.sin(u) * _sinc(v) + kappa * halfspan * np.cos(u) * _sinc_prime(v)
+        return env, denv
 
 
 @dataclass(frozen=True)
@@ -119,6 +172,12 @@ class SpinStar:
             raise DomainError(f"spin-star size must be a positive integer, got {self.size}")
         object.__setattr__(self, "size", int(self.size))
         object.__setattr__(self, "coupling", float(self.coupling))
+
+    def _sectors(self):
+        envelope = partial(_sharp, self.coupling)
+        return tuple(
+            (row.spin, float(row.weight), envelope) for row in sector_weights(self.size).rows
+        )
 
 
 @dataclass(frozen=True)
@@ -143,6 +202,9 @@ class CustomEnsemble:
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"custom ensemble weights sum to {total}, expected 1")
         object.__setattr__(self, "components", comps)
+
+    def _sectors(self):
+        return tuple((l, q, partial(_sharp, g)) for (l, g, q) in self.components)
 
 
 CouplingEnsemble = Union[
@@ -223,15 +285,6 @@ def max_depolarization(spin) -> Fraction:
     return 8 * l * (l + 1) / (3 * (2 * l + 1) ** 2)
 
 
-def _as_times(t):
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("time must be finite")
-    if np.any(arr < 0):
-        raise DomainError("time must be nonnegative")
-    return arr
-
-
 def _sinc(x):
     return np.sinc(x / np.pi)
 
@@ -245,84 +298,21 @@ def _sinc_prime(x):
     return out
 
 
-def _fixed_terms(l: Fraction, g: float, t: np.ndarray):
-    """(F, dF/dt) for a sharp (spin, coupling) sector; l = 0 is allowed here
-    (inert sector of a spin star)."""
-    a = float(4 * l * l + 4 * l + 3)
-    b = float(8 * l * (l + 1))
-    denom = float(3 * (2 * l + 1) ** 2)
-    half_freq = float(2 * l + 1) * g / 2.0
-    theta = half_freq * t
-    f = (a + b * np.cos(theta)) / denom
-    df = -b * half_freq * np.sin(theta) / denom
-    return f, df
-
-
 def _factor_and_slope(ensemble: CouplingEnsemble, t: np.ndarray):
-    if isinstance(ensemble, FixedCoupling):
-        return _fixed_terms(ensemble.spin, ensemble.coupling, t)
-
-    if isinstance(ensemble, GaussianCoupling):
-        l = ensemble.spin
+    """(F, dF/dt) by the mixture rule of the module docstring."""
+    sectors = getattr(ensemble, "_sectors", None)
+    if sectors is None:
+        raise DomainError(f"unknown ensemble type {type(ensemble).__name__}")
+    f = np.zeros_like(t)
+    df = np.zeros_like(t)
+    for l, q, envelope in sectors():
         a = float(4 * l * l + 4 * l + 3)
         b = float(8 * l * (l + 1))
-        denom = float(3 * (2 * l + 1) ** 2)
-        m = float(2 * l + 1)
-        decay = np.exp(-(m**2) * ensemble.sigma**2 * t**2 / 8.0)
-        phase = m * ensemble.mean / 2.0
-        env = decay * np.cos(phase * t)
-        denv = decay * (
-            -(m**2) * ensemble.sigma**2 * t / 4.0 * np.cos(phase * t)
-            - phase * np.sin(phase * t)
-        )
-        return (a + b * env) / denom, b * denv / denom
-
-    if isinstance(ensemble, LorentzianCoupling):
-        l = ensemble.spin
-        a = float(4 * l * l + 4 * l + 3)
-        b = float(8 * l * (l + 1))
-        denom = float(3 * (2 * l + 1) ** 2)
-        rate = float(2 * l + 1) * ensemble.half_width / 2.0
-        env = np.exp(-rate * t)
-        return (a + b * env) / denom, -b * rate * env / denom
-
-    if isinstance(ensemble, UniformCoupling):
-        l = ensemble.spin
-        a = float(4 * l * l + 4 * l + 3)
-        b = float(8 * l * (l + 1))
-        denom = float(3 * (2 * l + 1) ** 2)
-        kappa = float(2 * l + 1) / 2.0
-        mid = 0.5 * (ensemble.low + ensemble.high)
-        halfspan = 0.5 * (ensemble.high - ensemble.low)
-        # average of cos(kappa g t) over g in [low, high]:
-        #   cos(kappa mid t) * sinc(kappa halfspan t)
-        u = kappa * mid * t
-        v = kappa * halfspan * t
-        env = np.cos(u) * _sinc(v)
-        denv = -kappa * mid * np.sin(u) * _sinc(v) + kappa * halfspan * np.cos(u) * _sinc_prime(v)
-        return (a + b * env) / denom, b * denv / denom
-
-    if isinstance(ensemble, SpinStar):
-        table = sector_weights(ensemble.size)
-        f = np.zeros_like(t)
-        df = np.zeros_like(t)
-        for row in table.rows:
-            w = float(row.weight)
-            fk, dfk = _fixed_terms(row.spin, ensemble.coupling, t)
-            f = f + w * fk
-            df = df + w * dfk
-        return f, df
-
-    if isinstance(ensemble, CustomEnsemble):
-        f = np.zeros_like(t)
-        df = np.zeros_like(t)
-        for l, g, q in ensemble.components:
-            fk, dfk = _fixed_terms(l, g, t)
-            f = f + q * fk
-            df = df + q * dfk
-        return f, df
-
-    raise DomainError(f"unknown ensemble type {type(ensemble).__name__}")
+        d = float(3 * (2 * l + 1) ** 2)
+        phi, dphi = envelope(float(2 * l + 1), t)
+        f = f + q * ((a + b * phi) / d)
+        df = df + q * (b * dphi / d)
+    return f, df
 
 
 def bloch_factor(ensemble: CouplingEnsemble, t):
@@ -330,9 +320,9 @@ def bloch_factor(ensemble: CouplingEnsemble, t):
 
     ``t`` may be a scalar or an array of nonnegative times.
     """
-    times = _as_times(t)
+    times = check_times(t)
     f, _ = _factor_and_slope(ensemble, times)
-    return float(f) if np.isscalar(t) or times.ndim == 0 else f
+    return scalar_or_array(f, times)
 
 
 def depolarization_probability(ensemble: CouplingEnsemble, t):
@@ -348,11 +338,11 @@ def decay_rate(ensemble: CouplingEnsemble, t):
     :class:`PoleError` wherever F(t) is at or below the rate floor
     (rate undefined at full depolarization).
     """
-    times = _as_times(t)
+    times = check_times(t)
     f, df = _factor_and_slope(ensemble, times)
-    if np.any(f <= RATE_FLOOR):
+    if np.any(f <= POLE_FLOOR):
         raise PoleError(
-            f"Bloch factor at or below {RATE_FLOOR}; decay rate undefined there"
+            f"Bloch factor at or below {POLE_FLOOR}; decay rate undefined there"
         )
     rate = -df / f
-    return float(rate) if np.isscalar(t) or times.ndim == 0 else rate
+    return scalar_or_array(rate, times)

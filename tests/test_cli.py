@@ -136,11 +136,35 @@ def test_unknown_config_key_is_config_error(tmp_path):
     assert main(["depol-classical", "--config", str(cfg)]) == 2
 
 
-def test_bad_parameters_exit_2(tmp_path):
+def test_bad_parameters_exit_2(tmp_path, capsys):
     assert main(["depol-classical", "--sigma", "-1", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["depol-spinbath", "--l", "0.3", "--out", str(tmp_path / "y.csv")]) == 2
     assert main(["analyze", str(tmp_path / "missing.csv")]) == 2
     assert main(["depol-classical", "--steps", "3", "--out", str(tmp_path / "z.csv")]) == 2
+
+    # malformed input files and config values
+    files = {
+        "non_numeric.csv": "t,f_or_coherence,p\n0,1,0\n0.1,abc,0\n",
+        "short_row.csv": "t,f_or_coherence,p\n0,1,0\n0.1\n",
+        "spectral.txt": "0 1\n1 x\n",
+        "steps.json": json.dumps({"steps": "abc"}),
+        "mc.json": json.dumps({"mc": "x"}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = str(tmp_path / "w.csv")
+    commands = [
+        ["analyze", str(tmp_path / "non_numeric.csv")],
+        ["analyze", str(tmp_path / "short_row.csv")],
+        ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral.txt"), "--out", out],
+        ["depol-classical", "--config", str(tmp_path / "steps.json"), "--out", out],
+        ["reproduce", "fig1", "--config", str(tmp_path / "mc.json"), "--out-dir", str(tmp_path)],
+        ["depol-spinbath", "--ensemble", "custom", "--components", "[[1]]", "--out", out],
+    ]
+    capsys.readouterr()
+    for argv in commands:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("qchan: configuration error:"), argv
 
 
 def test_numerical_failure_exits_3(tmp_path):

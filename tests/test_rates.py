@@ -5,6 +5,7 @@ import pytest
 
 from qchan import (
     CosineSumProcess,
+    CustomEnsemble,
     DomainError,
     FixedCoupling,
     GaussianCoupling,
@@ -12,8 +13,10 @@ from qchan import (
     MarkovClass,
     MarkovKind,
     RateSeries,
+    SpinStar,
     TimeSeries,
     UnclassifiableError,
+    UniformCoupling,
     WhiteNoiseProcess,
     bloch_factor,
     classify,
@@ -62,9 +65,21 @@ def test_fourth_order_convergence():
         assert order == pytest.approx(4.0, abs=0.5)
 
 
-def test_finite_difference_matches_analytic_rate():
-    ensemble = FixedCoupling(1, 1.0)
-    t = np.linspace(0.0, 1.5, 1501)  # F > 0.4 on this window
+@pytest.mark.parametrize(
+    "ensemble, t_max, steps",
+    [
+        (FixedCoupling(1, 1.0), 1.5, 1501),  # F > 0.03 on each window
+        (GaussianCoupling(1.5, 0.8, 0.6), 6.0, 1501),  # F > 0.28
+        (LorentzianCoupling(1, 0.8), 10.0, 1501),  # F > 0.4
+        (UniformCoupling(1, 0.5, 1.5), 1.4, 1401),  # F > 0.1
+        (UniformCoupling(1, 0.5, 6.5), 2e-5, 201),  # all in the sinc' series branch
+        (SpinStar(6, 1.0), 1.0, 1001),  # F > 0.17
+        (CustomEnsemble(((0.5, 1.0, 0.3), (1, 0.7, 0.7))), 1.5, 1501),  # F > 0.44
+    ],
+    ids=["fixed", "gaussian", "lorentzian", "uniform", "uniform-near-0", "spin-star", "custom"],
+)
+def test_finite_difference_matches_analytic_rate(ensemble, t_max, steps):
+    t = np.linspace(0.0, t_max, steps)
     series = TimeSeries(t, bloch_factor(ensemble, t), MEANING_BLOCH_FACTOR)
     rs = rate_from_series(series)
     analytic = decay_rate(ensemble, t)
