@@ -322,13 +322,15 @@ def _dephasing_gamma_series(cfg: dict, times: np.ndarray) -> dephasing.Decoheren
         )
     if cfg["spectral_file"] is not None:
         density = dephasing.load_tabulated(cfg["spectral_file"])
+        provenance = "quadrature"
     else:
         density = dephasing.OhmicExpDensity(float(cfg["ohmic_amplitude"]), float(cfg["cutoff"]))
+        provenance = "closed-form"
     tol = float(cfg["tol"])
     values = np.array([dephasing.gamma_continuum(density, beta, t, tol) for t in times])
     # a value within quadrature tolerance of zero is zero, not a violation
     values[(values < 0.0) & (values >= -tol)] = 0.0
-    return dephasing.DecoherenceFunction(times, values, "quadrature")
+    return dephasing.DecoherenceFunction(times, values, provenance)
 
 
 def _run_dephasing_quantum(cfg: dict, _args=None) -> None:
@@ -620,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, help="cutoff time tau")
     p.add_argument("--spectral-file", dest="spectral_file", help="two-column (omega, J) file")
     p.add_argument("--beta", help="inverse temperature (time units) or 'inf'")
-    p.add_argument("--tol", type=float, help="quadrature tolerance")
+    p.add_argument("--tol", type=float, help="quadrature tolerance (--spectral-file)")
     p.set_defaults(defaults=_DEPHASING_Q_DEFAULTS, runner=_run_dephasing_quantum)
 
     p = sub.add_parser("dephasing-classical", help="classical stationary-noise dephasing")

@@ -8,7 +8,8 @@ present), i.e. a phase-damping channel with p(t) = 1 - exp(-Gamma(t)).
 Three routes to Gamma(t) are provided:
 
 * a discrete sum over bath modes, weighted by the thermal coth factor,
-* an adaptive-quadrature integral over a spectral density J(omega),
+* an integral over a spectral density J(omega): a digamma closed form for
+  the Ohmic density, adaptive quadrature for a tabulated one,
 * closed forms for classical Gaussian stationary processes (cosine sums
   and white noise), plus a Monte Carlo estimator that validates them.
 
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import psi
 
 from ._common import check_times, scalar_or_array
 from ._quadrature import integrate_adaptive
@@ -44,8 +46,8 @@ class DiscreteBosonBath:
         modes = tuple((complex(c), float(w)) for (c, w) in self.modes)
         if not modes:
             raise DomainError("bath needs at least one mode")
-        if any(w <= 0 for (_, w) in modes):
-            raise DomainError("mode frequencies must be > 0")
+        if any(not 0 < w < math.inf for (_, w) in modes):
+            raise DomainError("mode frequencies must be finite and > 0")
         if any(not np.isfinite(abs(c)) for (c, _) in modes):
             raise DomainError("mode couplings must be finite")
         if not self.beta > 0:
@@ -62,10 +64,10 @@ class OhmicExpDensity:
     cutoff_time: float
 
     def __post_init__(self):
-        if not self.amplitude >= 0:
-            raise DomainError(f"amplitude must be >= 0, got {self.amplitude}")
-        if not self.cutoff_time > 0:
-            raise DomainError(f"cutoff_time must be > 0, got {self.cutoff_time}")
+        if not 0 <= self.amplitude < math.inf:
+            raise DomainError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0 < self.cutoff_time < math.inf:
+            raise DomainError(f"cutoff_time must be finite and > 0, got {self.cutoff_time}")
         object.__setattr__(self, "amplitude", float(self.amplitude))
         object.__setattr__(self, "cutoff_time", float(self.cutoff_time))
 
@@ -91,6 +93,8 @@ class TabulatedDensity:
         j = np.asarray(self.values, dtype=float)
         if w.ndim != 1 or w.size < 2 or j.shape != w.shape:
             raise DomainError("need matching 1-d frequency and value arrays (>= 2 points)")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(j))):
+            raise DomainError("frequencies and spectral density values must be finite")
         if np.any(np.diff(w) <= 0):
             raise DomainError("frequency grid must be strictly ascending")
         if np.any(w < 0):
@@ -137,10 +141,10 @@ class CosineSumProcess:
         comps = tuple((float(s), float(w)) for (s, w) in self.components)
         if not comps:
             raise DomainError("process needs at least one component")
-        if any(s <= 0 for (s, _) in comps):
-            raise DomainError("component amplitudes must be > 0")
-        if any(w <= 0 for (_, w) in comps):
-            raise DomainError("component frequencies must be > 0")
+        if any(not 0 < s < math.inf for (s, _) in comps):
+            raise DomainError("component amplitudes must be finite and > 0")
+        if any(not 0 < w < math.inf for (_, w) in comps):
+            raise DomainError("component frequencies must be finite and > 0")
         object.__setattr__(self, "components", comps)
 
 
@@ -151,8 +155,8 @@ class WhiteNoiseProcess:
     intensity: float
 
     def __post_init__(self):
-        if not self.intensity > 0:
-            raise DomainError(f"intensity must be > 0, got {self.intensity}")
+        if not 0 < self.intensity < math.inf:
+            raise DomainError(f"intensity must be finite and > 0, got {self.intensity}")
         object.__setattr__(self, "intensity", float(self.intensity))
 
 
@@ -208,50 +212,30 @@ def gamma_discrete(bath: DiscreteBosonBath, t):
     return scalar_or_array(total, tt)
 
 
-def _continuum_integrand(density: SpectralDensity, beta: float, t: float):
+def _continuum_integrand(density: TabulatedDensity, beta: float, t: float):
     """Integrand (1/(8 pi)) (J(w)/w) 2 sin^2(wt/2) coth(beta w/2), with the
-    w -> 0 limit of the coth factor taken from its series (removes the 0/0)."""
-    if isinstance(density, OhmicExpDensity):
-        amp, tau = density.amplitude, density.cutoff_time
+    w -> 0 limit of the coth factor taken from its series (removes the 0/0);
+    beta = inf gives coth = 1."""
 
-        def j_over_w(w):
-            return amp * np.exp(-w * tau)
-
-    else:
-
-        def j_over_w(w):
-            return density(w) / w
-
-    if math.isinf(beta):
-
-        def integrand(w):
-            return j_over_w(w) * 2.0 * np.sin(0.5 * w * t) ** 2 / (8.0 * np.pi)
-
-    else:
-
-        def integrand(w):
-            x = 0.5 * beta * w
-            small = x < 1e-4
-            xs = np.where(small, 1.0, x)
-            coth = np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0, 1.0 / np.tanh(xs))
-            return j_over_w(w) * 2.0 * np.sin(0.5 * w * t) ** 2 * coth / (8.0 * np.pi)
+    def integrand(w):
+        x = 0.5 * beta * w
+        small = x < 1e-4
+        xs = np.where(small, 1.0, x)
+        coth = np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0, 1.0 / np.tanh(xs))
+        return density(w) / w * 2.0 * np.sin(0.5 * w * t) ** 2 * coth / (8.0 * np.pi)
 
     return integrand
 
 
-def _ohmic_tail_cut(density: OhmicExpDensity, beta: float, tol: float) -> tuple[float, float]:
-    """Upper cutoff Omega and a bound on the neglected tail of the integral."""
-    amp, tau = density.amplitude, density.cutoff_time
-    if amp == 0.0:
-        return 1.0 / tau, 0.0
-    omega_max = 10.0 / tau
-    while omega_max < 700.0 / tau:
-        coth_cap = 1.0 if math.isinf(beta) else _coth(0.5 * beta * omega_max)
-        tail = amp * coth_cap * math.exp(-omega_max * tau) / (4.0 * math.pi * tau)
-        if tail <= 0.1 * tol:
-            return omega_max, tail
-        omega_max *= 1.5
-    return omega_max, amp * math.exp(-omega_max * tau) / (4.0 * math.pi * tau)
+def _ohmic_gamma(density: OhmicExpDensity, beta: float, t: float) -> float:
+    """Closed form of the Ohmic exponent (see :func:`gamma_continuum`)."""
+    tau = density.cutoff_time
+    value = t * t / (tau * (tau * tau + t * t))
+    if math.isfinite(beta):
+        z = 1.0 + tau / beta
+        value += (2.0 / beta) * (psi(complex(z, t / beta)).real - psi(z))
+    # the digamma difference cancels at tiny t and may round below zero
+    return max(density.amplitude * value / (8.0 * math.pi), 0.0)
 
 
 _MAX_EDGES = 4000
@@ -274,12 +258,20 @@ def gamma_continuum(
 ) -> float:
     """Decoherence exponent for a continuum of modes:
 
-    Gamma(t) = (1/4) int_0^inf (J(w) / (2 pi w)) (1 - cos(w t)) coth(beta w/2) dw,
+    Gamma(t) = (1/4) int_0^inf (J(w) / (2 pi w)) (1 - cos(w t)) coth(beta w/2) dw.
 
-    evaluated by adaptive quadrature with panel edges at the cosine
-    half-periods and cutoff multiples.  The reported value has an estimated
-    error <= ``tol``; non-convergence raises :class:`QuadratureError`
-    carrying the partial estimate.
+    For the Ohmic density J(w) = A w exp(-w tau), expanding
+    coth(beta w/2) = 1 + 2 sum_n exp(-n beta w) and summing with the digamma
+    function psi gives the closed form
+
+    Gamma(t) = (A/8pi) [t^2/(tau(tau^2+t^2))
+                        + (2/beta) Re(psi(1+(tau+it)/beta) - psi(1+tau/beta))],
+
+    whose second term vanishes at beta = inf.  A tabulated density is
+    integrated by adaptive quadrature with panel edges at the knots and the
+    cosine half-periods; ``tol`` and ``max_panels`` bound that quadrature,
+    whose value has an estimated error <= ``tol``.  Non-convergence raises
+    :class:`QuadratureError` carrying the partial estimate.
     """
     if not (beta > 0):
         raise DomainError(f"beta must be > 0 (or inf), got {beta}")
@@ -288,29 +280,16 @@ def gamma_continuum(
     t = float(check_times(t))
     if t == 0.0:
         return 0.0
-
-    integrand = _continuum_integrand(density, beta, t)
     if isinstance(density, OhmicExpDensity):
-        if density.amplitude == 0.0:
-            return 0.0
-        omega_max, tail = _ohmic_tail_cut(density, beta, tol)
-        edges = _oscillation_edges(0.0, omega_max, t)
-        # also split at multiples of the cutoff frequency
-        cut_marks = np.arange(1, 10) / density.cutoff_time
-        edges = np.union1d(edges, cut_marks[cut_marks < omega_max])
-    else:
-        knots = density.frequencies
-        tail = 0.0
-        lo = knots[0]
-        hi = knots[-1]
-        if hi <= lo:
-            return 0.0
-        osc = _oscillation_edges(lo, hi, t)
-        edges = np.union1d(knots, osc)
-        if lo > 0.0:
-            edges = np.union1d(edges, [0.0])
+        return _ohmic_gamma(density, beta, t)
 
-    value, err = integrate_adaptive(integrand, edges, tol - tail, max_panels=max_panels)
+    knots = density.frequencies
+    edges = np.union1d(knots, _oscillation_edges(knots[0], knots[-1], t))
+    if knots[0] > 0.0:
+        edges = np.union1d(edges, [0.0])
+    value, err = integrate_adaptive(
+        _continuum_integrand(density, beta, t), edges, tol, max_panels=max_panels
+    )
     return value
 
 

@@ -21,6 +21,9 @@ from .spin_bath import half_integer
 from .states import PAULIS, QubitState
 
 SPIN_CAP = Fraction(25)
+# Dense diagonalization of the (M+1)^2 single-excitation block is O(M^3):
+# about 10 s at the cap on a 2-core x86 VM.
+MODE_CAP = 2000
 COMMUTATOR_TOL = 1e-12
 
 # A bath mode entering exact_dephasing_single_mode is specified by the same
@@ -99,8 +102,8 @@ def exact_single_excitation(spec: AmplitudeKernelSpec, t_grid) -> np.ndarray:
     """Normalized excited-qubit amplitude alpha(t)/alpha(0) from the exact
     single-excitation block (qubit + one shared excitation)."""
     n_modes = len(spec.modes)
-    if n_modes > 10**4:
-        raise ResourceError(f"{n_modes} modes above the 1e4 cap")
+    if n_modes > MODE_CAP:
+        raise ResourceError(f"{n_modes} modes above the cap of {MODE_CAP}")
     times = np.asarray(t_grid, dtype=float)
     block = np.zeros((n_modes + 1, n_modes + 1), dtype=complex)
     block[0, 0] = spec.frequency

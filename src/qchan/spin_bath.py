@@ -23,16 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 from typing import Union
 
 import numpy as np
 
 from ._common import POLE_FLOOR, check_times, scalar_or_array
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, ResourceError
 
 _WEIGHT_TOL = 1e-12
+# The exact big-integer sector table grows ~N^2.3: about 2 s at the cap on a
+# 2-core x86 VM.
+SPIN_STAR_CAP = 4000
 
 
 def half_integer(value) -> Fraction:
@@ -168,9 +171,7 @@ class SpinStar:
     coupling: float
 
     def __post_init__(self):
-        if not (isinstance(self.size, (int, np.integer)) and self.size >= 1):
-            raise DomainError(f"spin-star size must be a positive integer, got {self.size}")
-        object.__setattr__(self, "size", int(self.size))
+        object.__setattr__(self, "size", _star_size(self.size))
         object.__setattr__(self, "coupling", float(self.coupling))
 
     def _sectors(self):
@@ -258,10 +259,25 @@ class SectorWeightTable:
             raise DomainError("sector weights must sum to exactly 1")
 
 
-def sector_weights(n_spins: int) -> SectorWeightTable:
-    """Sector table for a spin star of ``n_spins`` environmental spins."""
+def _star_size(n_spins) -> int:
     if not (isinstance(n_spins, (int, np.integer)) and n_spins >= 1):
-        raise DomainError(f"n_spins must be a positive integer, got {n_spins}")
+        raise DomainError(f"spin-star size must be a positive integer, got {n_spins}")
+    if n_spins > SPIN_STAR_CAP:
+        raise ResourceError(f"spin-star size {n_spins} above the cap of {SPIN_STAR_CAP}")
+    return int(n_spins)
+
+
+def sector_weights(n_spins: int) -> SectorWeightTable:
+    """Sector table for a spin star of ``n_spins`` environmental spins.
+
+    The table is immutable and cached, so the factor and the rate of one
+    spin star share it.
+    """
+    return _sector_table(_star_size(n_spins))
+
+
+@lru_cache(maxsize=8)
+def _sector_table(n_spins: int) -> SectorWeightTable:
     rows = []
     l = Fraction(n_spins, 2)
     dim = 2**n_spins
@@ -270,7 +286,7 @@ def sector_weights(n_spins: int) -> SectorWeightTable:
         multiplicity = int(2 * l + 1)
         rows.append(SectorWeight(l, nu, Fraction(nu * multiplicity, dim)))
         l -= 1
-    return SectorWeightTable(int(n_spins), tuple(rows))
+    return SectorWeightTable(n_spins, tuple(rows))
 
 
 def asymptotic_factor(spin) -> Fraction:

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qchan import FixedCoupling, TimeSeries, bloch_factor, classify, rate_from_series
+from qchan import FixedCoupling, TimeSeries, bloch_factor, classify, rate_from_series, spin_bath
 from qchan.cli import main, read_series_csv
+from qchan.exact import MODE_CAP
+from qchan.spin_bath import SPIN_STAR_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -147,6 +149,8 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         "non_numeric.csv": "t,f_or_coherence,p\n0,1,0\n0.1,abc,0\n",
         "short_row.csv": "t,f_or_coherence,p\n0,1,0\n0.1\n",
         "spectral.txt": "0 1\n1 x\n",
+        "spectral_inf.txt": "0 0\n1 inf\n2 1\n",
+        "spectral_nan.txt": "0 0\n1 nan\n2 1\n",
         "steps.json": json.dumps({"steps": "abc"}),
         "mc.json": json.dumps({"mc": "x"}),
     }
@@ -157,6 +161,9 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         ["analyze", str(tmp_path / "non_numeric.csv")],
         ["analyze", str(tmp_path / "short_row.csv")],
         ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral.txt"), "--out", out],
+        ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral_inf.txt"), "--out", out],
+        ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral_nan.txt"), "--out", out],
+        ["dephasing-classical", "--cosine", "1:nan", "--out", out],
         ["depol-classical", "--config", str(tmp_path / "steps.json"), "--out", out],
         ["reproduce", "fig1", "--config", str(tmp_path / "mc.json"), "--out-dir", str(tmp_path)],
         ["depol-spinbath", "--ensemble", "custom", "--components", "[[1]]", "--out", out],
@@ -167,13 +174,28 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("qchan: configuration error:"), argv
 
 
-def test_numerical_failure_exits_3(tmp_path):
+def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     # an unresolvable quadrature budget is a numerical failure, not config
+    grid = np.linspace(0.0, 40.0, 401)
+    path = tmp_path / "ohmic.txt"
+    np.savetxt(path, np.column_stack([grid, 8.0 * math.pi * grid * np.exp(-grid)]))
+    out = str(tmp_path / "x.csv")
     code = main(
-        ["dephasing-quantum", "--ohmic-amplitude", "25.132741228718345", "--cutoff", "1",
-         "--tol", "1e-30", "--t-max", "40", "--steps", "6", "--out", str(tmp_path / "x.csv")]
+        ["dephasing-quantum", "--spectral-file", str(path),
+         "--tol", "1e-30", "--t-max", "40", "--steps", "6", "--out", out]
     )
     assert code == 3
+
+    # so is a size cap, checked before any table is built or matrix diagonalized
+    def no_work(*args, **kwargs):
+        raise AssertionError("size cap checked too late")
+
+    monkeypatch.setattr(spin_bath, "degeneracy", no_work)
+    monkeypatch.setattr(np.linalg, "eigh", no_work)
+    star = ["depol-spinbath", "--ensemble", "spin-star", "--N", str(SPIN_STAR_CAP + 1)]
+    assert main([*star, "--out", out]) == 3
+    modes = ",".join(["0.01:1"] * (MODE_CAP + 1))
+    assert main(["oracle", "--model", "single-excitation", "--modes", modes]) == 3
 
 
 def test_bad_flag_raises_systemexit_2():

@@ -29,9 +29,35 @@ from qchan import (
     monte_carlo_coherence,
     state_from_bloch,
 )
+from qchan import dephasing
 from qchan.channels import GENERATOR_SIGMA3_HALF
 
 FIG2_DENSITY = OhmicExpDensity(8.0 * math.pi, 1.0)
+ORACLE_BETAS = (math.inf, 10.0, 1.0, 0.1)
+ORACLE_TIMES = (0.5, 1.0, 5.0, 12.5, 25.0)
+
+
+def fig2_table(knots):
+    grid = np.linspace(0.0, 40.0, knots)
+    return TabulatedDensity(grid, FIG2_DENSITY(grid))
+
+
+def quadpack_ohmic(beta, t):
+    """QUADPACK value of the fig2 exponent (A / 8 pi = 1).  With
+    g(w) = exp(-w) coth(beta w / 2), the head [0, 2] is integrated directly
+    and the tail as int g - int g cos(w t), the latter with the Fourier
+    weight (QAWF) over [2, inf)."""
+
+    def g(w):
+        return math.exp(-w) if math.isinf(beta) else math.exp(-w) / math.tanh(0.5 * beta * w)
+
+    head = quad(
+        lambda w: g(w) * 2.0 * math.sin(0.5 * w * t) ** 2, 0.0, 2.0,
+        epsabs=1e-12, epsrel=1e-12, limit=200,
+    )[0]
+    tail = quad(g, 2.0, math.inf, epsabs=1e-12, epsrel=1e-12)[0]
+    wave = quad(g, 2.0, math.inf, weight="cos", wvar=t, epsabs=1e-12)[0]
+    return head + tail - wave
 
 
 def fig2_single_mode_bath():
@@ -117,9 +143,44 @@ def test_finite_temperature_exceeds_zero_temperature():
     assert 1.0 - math.exp(-previous) > 0.999  # p -> 1 at finite temperature
 
 
+@pytest.mark.parametrize("beta", ORACLE_BETAS)
+def test_ohmic_closed_form_matches_quadpack(beta):
+    for t in ORACLE_TIMES:
+        got = gamma_continuum(FIG2_DENSITY, beta, t)
+        assert got == pytest.approx(quadpack_ohmic(beta, t), abs=1e-8)
+
+
+@pytest.mark.parametrize("beta", ORACLE_BETAS)
+def test_ohmic_closed_form_matches_tabulated_quadrature(beta):
+    # linear interpolation biases the 48001-knot table by O(h^2) (up to 8e-5
+    # at beta = 0.1, t = 25); Richardson extrapolation against the 24001-knot
+    # table removes that term
+    fine, coarse = fig2_table(48001), fig2_table(24001)
+    for t in ORACLE_TIMES:
+        extrapolated = (
+            4.0 * gamma_continuum(fine, beta, t) - gamma_continuum(coarse, beta, t)
+        ) / 3.0
+        assert gamma_continuum(FIG2_DENSITY, beta, t) == pytest.approx(extrapolated, abs=1e-8)
+
+
+@pytest.mark.parametrize("beta", (1e-3, 0.1, 1.0))
+def test_ohmic_closed_form_never_negative(beta):
+    # the digamma difference cancels at tiny t
+    for t in (1e-9, 1e-6):
+        assert gamma_continuum(FIG2_DENSITY, beta, t) >= 0.0
+
+
+def test_ohmic_closed_form_skips_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the Ohmic density must not reach quadrature")
+
+    monkeypatch.setattr(dephasing, "integrate_adaptive", no_quadrature)
+    for beta in ORACLE_BETAS:
+        assert gamma_continuum(FIG2_DENSITY, beta, 5.0, tol=1e-30, max_panels=1) > 0.0
+
+
 def test_tabulated_matches_ohmic():
-    grid = np.linspace(0.0, 40.0, 48001)
-    table = TabulatedDensity(grid, FIG2_DENSITY(grid))
+    table = fig2_table(48001)
     for t in (0.5, 1.0, 2.0, 5.0):
         got = gamma_continuum(table, math.inf, t, tol=1e-8)
         assert got == pytest.approx(t * t / (1.0 + t * t), abs=1e-6)
@@ -147,8 +208,12 @@ def test_tabulated_validation(tmp_path):
 
 
 def test_quadrature_budget_error_carries_estimate():
+    # on a table this wide the cosine half-period edges hit their cap, so the
+    # panels are too coarse for the tolerance and the budget allows no split
+    grid = np.linspace(0.0, 400.0, 4001)
+    table = TabulatedDensity(grid, FIG2_DENSITY(grid))
     with pytest.raises(QuadratureError) as info:
-        gamma_continuum(FIG2_DENSITY, math.inf, 40.0, tol=1e-13, max_panels=6)
+        gamma_continuum(table, math.inf, 40.0, tol=1e-13, max_panels=6)
     expected = 40.0**2 / (1.0 + 40.0**2)
     assert info.value.estimate == pytest.approx(expected, abs=0.2)
     assert info.value.error > 0
@@ -253,3 +318,20 @@ def test_bath_validation():
         DiscreteBosonBath(((1.0, -1.0),), beta=1.0)
     with pytest.raises(DomainError):
         DiscreteBosonBath(((1.0, 1.0),), beta=0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TabulatedDensity([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
+        lambda: TabulatedDensity([0.0, 1.0, math.inf], [0.0, 1.0, 1.0]),
+        lambda: CosineSumProcess(((math.nan, 1.0),)),
+        lambda: WhiteNoiseProcess(math.inf),
+        lambda: OhmicExpDensity(math.inf, 1.0),
+        lambda: DiscreteBosonBath(((1.0, math.inf),)),
+    ],
+    ids=["table-value", "table-frequency", "cosine", "white-noise", "ohmic", "bath-frequency"],
+)
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(DomainError):
+        build()

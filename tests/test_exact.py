@@ -15,6 +15,7 @@ from qchan import (
     state_from_bloch,
 )
 from qchan.exact import (
+    MODE_CAP,
     exact_dephasing_single_mode,
     exact_single_excitation,
     exact_spin_bath,
@@ -87,6 +88,16 @@ def test_single_excitation_free_and_resonant():
     resonant = AmplitudeKernelSpec(1.0, ((0.8, 1.0),))
     expected = np.exp(-1j * t) * np.cos(0.8 * t)
     assert np.max(np.abs(exact_single_excitation(resonant, t) - expected)) <= 1e-12
+
+
+def test_single_excitation_cap_fails_before_diagonalizing(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("diagonalized above the mode cap")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    spec = AmplitudeKernelSpec(1.0, ((0.01, 1.0),) * (MODE_CAP + 1))
+    with pytest.raises(ResourceError):
+        exact_single_excitation(spec, np.array([0.0, 1.0]))
 
 
 def test_single_excitation_norm_conserved(rng):

@@ -11,6 +11,7 @@ from qchan import (
     GaussianCoupling,
     LorentzianCoupling,
     PoleError,
+    ResourceError,
     SpinStar,
     UniformCoupling,
     asymptotic_factor,
@@ -23,7 +24,9 @@ from qchan import (
     sector_weights,
     state_from_bloch,
 )
+from qchan import spin_bath
 from qchan.exact import exact_spin_bath
+from qchan.spin_bath import SPIN_STAR_CAP
 
 ALL_ENSEMBLES = (
     FixedCoupling(1, 1.0),
@@ -232,3 +235,32 @@ def test_oracle_equivalence_and_isotropy(rng):
             s_out = evolved.bloch().as_array()
             factor = bloch_factor(FixedCoupling(spin, g), float(t))
             assert np.max(np.abs(s_out - factor * s_in)) <= 1e-10
+
+
+def test_spin_star_cap_fails_before_table_work(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("sector table built above the cap")
+
+    monkeypatch.setattr(spin_bath, "degeneracy", no_table)
+    with pytest.raises(ResourceError):
+        SpinStar(SPIN_STAR_CAP + 1, 1.0)
+    with pytest.raises(ResourceError):
+        sector_weights(SPIN_STAR_CAP + 1)
+
+
+def test_spin_star_factor_and_rate_share_one_table(monkeypatch):
+    calls = []
+    original = spin_bath.degeneracy
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spin_bath, "degeneracy", counted)
+    spin_bath._sector_table.cache_clear()
+    star = SpinStar(7, 1.0)
+    t = np.linspace(0.0, 1.0, 11)
+    bloch_factor(star, t)
+    decay_rate(star, t)
+    assert len(calls) == 4  # l = 7/2, 5/2, 3/2, 1/2, built once
+    assert sector_weights(7) is sector_weights(7)
