@@ -1,67 +1,102 @@
 """Deterministic, splittable random streams for Monte Carlo runs.
 
-Each realization ``j`` of a run with seed ``s`` gets its own counter-based
-Philox stream keyed by (s, j), so sample ``i`` of realization ``j`` depends
-only on (s, j, i) -- results are bit-reproducible regardless of how
-realizations are distributed over worker threads.
+Realization ``j`` of a run with seed ``s`` draws the words of
+``np.random.Philox(key=(s, j)).random_raw`` (Philox-4x64-10, Salmon et al.,
+SC'11), evaluated for many keys at once in uint64 numpy, so sample ``i`` of
+realization ``j`` depends only on (s, j, i).
 
 Standard normals are produced by the inverse-CDF transform: the top 53 bits
 of each 64-bit Philox word give a uniform in (0, 1) (offset by half an ulp
 so the endpoints are never hit), mapped through ``scipy.special.ndtri``.
+
+A run draws the normals of ``_CHUNK`` realizations at once and evaluates
+them in blocks of about ``_BLOCK`` values.  Each chunk sums its
+realizations one after another and the chunk sums are added in chunk order,
+so a result does not depend on the block size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 _CHUNK = 1024
+# values per evaluated block: larger blocks cost memory and gain no speed
+_BLOCK = 2**13
+# Realizations x grid points per run.  At the cap a run takes about a
+# minute on a 2-core x86 VM with 200 or more grid points; per-realization
+# costs make it about five minutes at 5 points.
+MONTE_CARLO_CAP = 10**9
+
+# Philox-4x64 round multipliers and key increments.
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 
 
-def _validate_seed(seed) -> int:
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
+def _mulhilo(m: int, x: np.ndarray):
+    """High and low words of the 128-bit product of the constant ``m`` and
+    the uint64 array ``x``, from 32-bit halves (no partial sum overflows)."""
+    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
+    x_lo, x_hi = x & 0xFFFFFFFF, x >> 32
+    cross = x_hi * m_lo + ((x_lo * m_lo) >> 32)
+    mid = x_lo * m_hi + (cross & 0xFFFFFFFF)
+    return x_hi * m_hi + (cross >> 32) + (mid >> 32), x * m
+
+
+def realization_normals(seed, start: int, stop: int, count: int) -> np.ndarray:
+    """``count`` standard normals for each realization in [start, stop) of
+    stream ``seed``: row ``r`` belongs to realization ``start + r``."""
+    if not 0 <= int(seed) < 2**64:
         raise DomainError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
+    # arrays, not scalars: uint64 scalar arithmetic warns where it wraps
+    k0 = np.full((1, 1), int(seed), dtype=np.uint64)
+    k1 = np.arange(start, stop, dtype=np.uint64)[:, None]
+    # numpy's Philox bumps its counter before each block: block b uses b + 1
+    n_blocks = -(-count // 4)
+    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64), (stop - start, n_blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_M0, c0)
+        hi1, lo1 = _mulhilo(_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0, k1 = k0 + _W0, k1 + _W1
+    raw = np.stack([c0, c1, c2, c3], axis=-1).reshape(stop - start, 4 * n_blocks)[:, :count]
+    return ndtri(((raw >> 11).astype(np.float64) + 0.5) * 2.0**-53)
 
 
-def realization_normals(seed, index: int, count: int) -> np.ndarray:
-    """``count`` standard normals for realization ``index`` of stream ``seed``."""
-    key = [np.uint64(_validate_seed(seed)), np.uint64(index)]
-    raw = np.random.Philox(key=key).random_raw(count)
-    uniform = (np.right_shift(raw, np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(uniform)
+def monte_carlo_sums(n: int, width: int, draw, samples) -> list:
+    """Sums over realizations [0, n) of each (realizations, width) array
+    that ``samples`` returns.
 
-
-def worker_count() -> int:
-    """Worker-thread bound: QCHAN_THREADS if set, else hardware parallelism."""
-    env = os.environ.get("QCHAN_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise DomainError(f"QCHAN_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise DomainError(f"QCHAN_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
-def accumulate_chunks(n: int, chunk_fn, workers=None):
-    """Evaluate ``chunk_fn(start, stop)`` over [0, n) in fixed-size chunks and
-    return the per-chunk results in chunk order.
-
-    The chunk decomposition and combination order are independent of the
-    worker count, so reductions over the results are deterministic.
+    ``draw(start, stop)`` gives one row of draws per realization in
+    [start, stop) and is called once per chunk; ``samples`` maps a block of
+    those rows to a tuple of arrays.  Runs above ``MONTE_CARLO_CAP`` fail
+    before any draw.
     """
-    bounds = [(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
-    workers = worker_count() if workers is None else max(1, int(workers))
-    if workers == 1 or len(bounds) == 1:
-        return [chunk_fn(a, b) for a, b in bounds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda ab: chunk_fn(*ab), bounds))
+    if n < 2:
+        raise DomainError("need >= 2 realizations to estimate a standard error")
+    if n * width > MONTE_CARLO_CAP:
+        raise ResourceError(
+            f"{n} realizations x {width} points exceeds the Monte Carlo cap {MONTE_CARLO_CAP}"
+        )
+    size = max(1, _BLOCK // width)
+    totals = None
+    for start in range(0, n, _CHUNK):
+        rows = draw(start, min(start + _CHUNK, n))
+        sums = None
+        for lo in range(0, len(rows), size):
+            blocks = samples(rows[lo : lo + size])
+            sums = sums or [np.zeros_like(block[0]) for block in blocks]
+            # add row after row, as ``total += row`` would; numpy reduces a
+            # lone column pairwise, and a lone row needs no reduction
+            for total, block in zip(sums, blocks):
+                if 1 in block.shape:
+                    for row in block:
+                        total += row
+                else:
+                    block[0] += total
+                    np.add.reduce(block, axis=0, out=total)
+        totals = sums if totals is None else [t + s for t, s in zip(totals, sums)]
+    return totals

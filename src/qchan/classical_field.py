@@ -13,12 +13,13 @@ which saturates at 1/3 (partial depolarization) and whose decay rate
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._common import POLE_FLOOR, check_times, scalar_or_array
-from ._rng import accumulate_chunks, realization_normals
+from ._rng import monte_carlo_sums, realization_normals
 from .errors import DomainError, PoleError
 from .states import BlochVector
 
@@ -31,10 +32,10 @@ class IsotropicGaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if not self.coupling > 0:
-            raise DomainError(f"coupling must be > 0, got {self.coupling}")
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.coupling < math.inf:
+            raise DomainError(f"coupling must be finite and > 0, got {self.coupling}")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
         object.__setattr__(self, "coupling", float(self.coupling))
         object.__setattr__(self, "sigma", float(self.sigma))
 
@@ -118,22 +119,17 @@ def rotate_bloch(sample: NoiseSample, coupling, t, start: BlochVector) -> BlochV
     return BlochVector.from_array(out)
 
 
-def _alignment_samples(seed, start, stop, sigma, coupling, times, axis):
-    """Per-realization overlap s(t).s0 for realizations [start, stop);
-    returns (sum, sum of squares) over the chunk."""
-    total = np.zeros_like(times)
-    total_sq = np.zeros_like(times)
-    for j in range(start, stop):
-        xi = sigma * realization_normals(seed, j, 3)
-        norm = np.sqrt(xi @ xi)
-        gt = coupling * times
-        angle = 2.0 * gt * norm
-        overlap2 = float(xi @ axis) ** 2
-        sinc_half = np.sinc(gt * norm / np.pi)
-        fj = np.cos(angle) + 2.0 * gt**2 * sinc_half**2 * overlap2
-        total += fj
-        total_sq += fj * fj
-    return total, total_sq
+def _alignment_samples(xi, coupling, times, axis):
+    """Overlaps s(t).s0 of the realizations whose fields are the rows of
+    ``xi``, and their squares: two (realizations, times) arrays."""
+    gt = coupling * times
+    norm = np.sqrt(np.vecdot(xi, xi))[:, None]
+    angle = 2.0 * gt * norm
+    # float_power is libm pow, as for a Python float; a square rounds differently
+    overlap2 = np.float_power(np.vecdot(xi, axis), 2.0)[:, None]
+    sinc_half = np.sinc(gt * norm / np.pi)
+    fj = np.cos(angle) + 2.0 * gt**2 * sinc_half**2 * overlap2
+    return fj, fj * fj
 
 
 def monte_carlo_polarization(
@@ -142,13 +138,12 @@ def monte_carlo_polarization(
     realizations: int,
     seed: int,
     axis=(0.0, 0.0, 1.0),
-    workers=None,
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of f(t) by averaging s(t).s0 over realizations.
 
     Deterministic for a fixed seed: realization ``j`` draws its field from a
     counter-based stream keyed by (seed, j), and partial sums are combined
-    in fixed chunk order regardless of the worker count.
+    in a fixed order.
     """
     times = check_times(t_grid)
     if times.ndim != 1 or times.size == 0:
@@ -156,22 +151,16 @@ def monte_carlo_polarization(
     if np.any(np.diff(times) < 0):
         raise DomainError("t_grid must be ascending")
     n = int(realizations)
-    if n < 2:
-        raise DomainError("need >= 2 realizations to estimate a standard error")
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,) or not np.isclose(np.linalg.norm(axis), 1.0, atol=1e-9):
         raise DomainError("axis must be a unit 3-vector")
 
-    chunks = accumulate_chunks(
+    total, total_sq = monte_carlo_sums(
         n,
-        lambda a, b: _alignment_samples(seed, a, b, noise.sigma, noise.coupling, times, axis),
-        workers=workers,
+        times.size,
+        lambda start, stop: noise.sigma * realization_normals(seed, start, stop, 3),
+        lambda xi: _alignment_samples(xi, noise.coupling, times, axis),
     )
-    total = np.zeros_like(times)
-    total_sq = np.zeros_like(times)
-    for part, part_sq in chunks:
-        total += part
-        total_sq += part_sq
     mean = total / n
     variance = np.maximum(total_sq / n - mean**2, 0.0) * (n / (n - 1.0))
     return MonteCarloEstimate(times, mean, np.sqrt(variance / n), n, int(seed))

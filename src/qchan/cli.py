@@ -112,6 +112,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         raise DomainError(f"t-max must be > 0, got {cfg['t_max']}")
     if "steps" in cfg and int(cfg["steps"]) < 5:
         raise DomainError(f"steps must be >= 5, got {cfg['steps']}")
+    if "mc" in cfg and int(cfg["mc"]) < 0:
+        raise DomainError(f"mc must be >= 0, got {cfg['mc']}")
     if "format" in cfg and cfg["format"] not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {cfg['format']!r}")
     return cfg

@@ -27,7 +27,7 @@ from scipy.special import psi
 
 from ._common import check_times, scalar_or_array
 from ._quadrature import integrate_adaptive
-from ._rng import accumulate_chunks, realization_normals
+from ._rng import monte_carlo_sums, realization_normals
 from .errors import DomainError, UnsupportedQueryError
 from .states import QubitState
 
@@ -341,26 +341,17 @@ class CoherenceEstimate:
     seed: int
 
 
-def _coherence_samples(seed, start, stop, process, coupling, times):
-    sigmas = np.array([s for s, _ in process.components])
-    freqs = np.array([w for _, w in process.components])
+def _coherence_samples(draws, sigmas, freqs, sin_t, cos_t, coupling):
+    """exp(-2ig int_0^t xi) of the realizations whose coefficient draws are
+    the rows of ``draws``, and the squares of its real and imaginary parts."""
     m = len(sigmas)
-    sin_t = np.sin(np.outer(times, freqs))
-    cos_t = 1.0 - np.cos(np.outer(times, freqs))
-    total = np.zeros(times.shape, dtype=complex)
-    total_sq_re = np.zeros_like(times)
-    total_sq_im = np.zeros_like(times)
-    for j in range(start, stop):
-        draws = realization_normals(seed, j, 2 * m)
-        x = sigmas * draws[:m]
-        y = sigmas * draws[m:]
-        # exact per-realization integral of xi over [0, t]
-        integral = (sin_t @ (x / freqs)) + (cos_t @ (y / freqs))
-        value = np.exp(-2.0j * coupling * integral)
-        total += value
-        total_sq_re += value.real**2
-        total_sq_im += value.imag**2
-    return total, total_sq_re, total_sq_im
+    x = sigmas * draws[:, :m]
+    y = sigmas * draws[:, m:]
+    # exact per-realization integral of xi over [0, t]; matvec rounds as
+    # the per-realization product sin_t @ v does, a matrix product does not
+    integral = np.matvec(sin_t, x / freqs) + np.matvec(cos_t, y / freqs)
+    value = np.exp(-2.0j * coupling * integral)
+    return value, value.real**2, value.imag**2
 
 
 def monte_carlo_coherence(
@@ -369,7 +360,6 @@ def monte_carlo_coherence(
     t_grid,
     realizations: int,
     seed: int,
-    workers=None,
 ) -> CoherenceEstimate:
     """Estimate E[exp(-2ig int_0^t xi)] by sampling the process coefficients.
 
@@ -383,22 +373,17 @@ def monte_carlo_coherence(
     if times.ndim != 1 or times.size == 0:
         raise DomainError("t_grid must be a nonempty 1-d array")
     n = int(realizations)
-    if n < 2:
-        raise DomainError("need >= 2 realizations to estimate a standard error")
     g = float(coupling)
 
-    chunks = accumulate_chunks(
+    sigmas, freqs = np.array(process.components).T
+    sin_t = np.sin(np.outer(times, freqs))
+    cos_t = 1.0 - np.cos(np.outer(times, freqs))
+    total, total_sq_re, total_sq_im = monte_carlo_sums(
         n,
-        lambda a, b: _coherence_samples(seed, a, b, process, g, times),
-        workers=workers,
+        times.size,
+        lambda start, stop: realization_normals(seed, start, stop, 2 * len(sigmas)),
+        lambda draws: _coherence_samples(draws, sigmas, freqs, sin_t, cos_t, g),
     )
-    total = np.zeros(times.shape, dtype=complex)
-    total_sq_re = np.zeros_like(times)
-    total_sq_im = np.zeros_like(times)
-    for part, part_re, part_im in chunks:
-        total += part
-        total_sq_re += part_re
-        total_sq_im += part_im
     mean = total / n
     var_re = np.maximum(total_sq_re / n - mean.real**2, 0.0) * (n / (n - 1.0))
     var_im = np.maximum(total_sq_im / n - mean.imag**2, 0.0) * (n / (n - 1.0))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb
+from math import comb, inf, isfinite
 from typing import Union
 
 import numpy as np
@@ -60,6 +60,13 @@ def _positive_spin(value) -> Fraction:
     return spin
 
 
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _sharp(g: float, m: float, t: np.ndarray):
     """Envelope of a sharp coupling g: cos(m g t / 2) and its time derivative."""
     half_freq = m * g / 2.0
@@ -84,7 +91,7 @@ class FixedCoupling(_SingleSpin):
 
     def __post_init__(self):
         object.__setattr__(self, "spin", _positive_spin(self.spin))
-        object.__setattr__(self, "coupling", float(self.coupling))
+        object.__setattr__(self, "coupling", _finite("coupling", self.coupling))
 
     def _envelope(self, m, t):
         return _sharp(self.coupling, m, t)
@@ -100,9 +107,9 @@ class GaussianCoupling(_SingleSpin):
 
     def __post_init__(self):
         object.__setattr__(self, "spin", _positive_spin(self.spin))
-        object.__setattr__(self, "mean", float(self.mean))
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
+        object.__setattr__(self, "mean", _finite("mean", self.mean))
+        if not 0 < self.sigma < inf:
+            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
         object.__setattr__(self, "sigma", float(self.sigma))
 
     def _envelope(self, m, t):
@@ -125,8 +132,8 @@ class LorentzianCoupling(_SingleSpin):
 
     def __post_init__(self):
         object.__setattr__(self, "spin", _positive_spin(self.spin))
-        if not self.half_width > 0:
-            raise DomainError(f"half_width must be > 0, got {self.half_width}")
+        if not 0 < self.half_width < inf:
+            raise DomainError(f"half_width must be finite and > 0, got {self.half_width}")
         object.__setattr__(self, "half_width", float(self.half_width))
 
     def _envelope(self, m, t):
@@ -145,10 +152,10 @@ class UniformCoupling(_SingleSpin):
 
     def __post_init__(self):
         object.__setattr__(self, "spin", _positive_spin(self.spin))
+        object.__setattr__(self, "low", _finite("low", self.low))
+        object.__setattr__(self, "high", _finite("high", self.high))
         if not self.low < self.high:
             raise DomainError(f"need low < high, got [{self.low}, {self.high}]")
-        object.__setattr__(self, "low", float(self.low))
-        object.__setattr__(self, "high", float(self.high))
 
     def _envelope(self, m, t):
         # average of cos(kappa g t) over g in [low, high]:
@@ -172,7 +179,7 @@ class SpinStar:
 
     def __post_init__(self):
         object.__setattr__(self, "size", _star_size(self.size))
-        object.__setattr__(self, "coupling", float(self.coupling))
+        object.__setattr__(self, "coupling", _finite("coupling", self.coupling))
 
     def _sectors(self):
         envelope = partial(_sharp, self.coupling)
@@ -193,11 +200,11 @@ class CustomEnsemble:
 
     def __post_init__(self):
         comps = tuple(
-            (_positive_spin(l), float(g), float(q)) for (l, g, q) in self.components
+            (_positive_spin(l), _finite("coupling", g), float(q)) for (l, g, q) in self.components
         )
         if not comps:
             raise DomainError("custom ensemble needs at least one component")
-        if any(q <= 0 for (_, _, q) in comps):
+        if any(not q > 0 for (_, _, q) in comps):
             raise DomainError("custom ensemble weights must be positive")
         total = sum(q for (_, _, q) in comps)
         if abs(total - 1.0) > _WEIGHT_TOL:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from qchan import BlochVector, QubitState, state_from_bloch
 
@@ -20,3 +21,15 @@ def random_state(rng):
         return state_from_bloch(BlochVector.from_array(radius * direction))
 
     return make
+
+
+@pytest.fixture
+def philox_normals():
+    """Reference draws: realization j of stream ``seed`` through numpy's own
+    Philox, one generator per realization."""
+
+    def draw(seed, j, count):
+        raw = np.random.Philox(key=[np.uint64(seed), np.uint64(j)]).random_raw(count)
+        return ndtri((np.right_shift(raw, np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+
+    return draw

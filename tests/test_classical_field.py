@@ -12,6 +12,7 @@ from qchan import (
     rotate_bloch,
     state_from_bloch,
 )
+from qchan import _rng, classical_field
 from qchan.exact import unitary_noise_conjugation
 
 NOISE = IsotropicGaussianNoise(1.0, 1.0)
@@ -97,12 +98,55 @@ def test_monte_carlo_matches_analytic():
     assert np.mean(inside) >= 0.99
 
 
-def test_monte_carlo_thread_count_invariance():
-    grid = np.linspace(0.0, 2.0, 21)
-    serial = monte_carlo_polarization(NOISE, grid, 2500, seed=5, workers=1)
-    threaded = monte_carlo_polarization(NOISE, grid, 2500, seed=5, workers=4)
-    assert np.array_equal(serial.mean, threaded.mean)
-    assert np.array_equal(serial.stderr, threaded.stderr)
+def _loop_overlap(xi, coupling, times, axis):
+    """Reference: s(t).s0 of one realization."""
+    norm = np.sqrt(xi @ xi)
+    gt = coupling * times
+    sinc_half = np.sinc(gt * norm / np.pi)
+    return np.cos(2.0 * gt * norm) + 2.0 * gt**2 * sinc_half**2 * float(xi @ axis) ** 2
+
+
+def _loop_polarization(draw, noise, times, n, seed, axis):
+    """Reference: one realization at a time, summed in chunks of 1024."""
+    total = np.zeros_like(times)
+    total_sq = np.zeros_like(times)
+    for start in range(0, n, 1024):
+        part = np.zeros_like(times)
+        part_sq = np.zeros_like(times)
+        for j in range(start, min(start + 1024, n)):
+            fj = _loop_overlap(noise.sigma * draw(seed, j, 3), noise.coupling, times, axis)
+            part += fj
+            part_sq += fj * fj
+        total += part
+        total_sq += part_sq
+    mean = total / n
+    variance = np.maximum(total_sq / n - mean**2, 0.0) * (n / (n - 1.0))
+    return mean, np.sqrt(variance / n)
+
+
+@pytest.mark.parametrize("block", ["row", "chunk"])
+@pytest.mark.parametrize("grid", [np.array([1.3]), np.linspace(0.0, 2.0, 7)], ids=["1pt", "7pt"])
+def test_monte_carlo_matches_per_realization_loop(philox_normals, monkeypatch, block, grid):
+    noise = IsotropicGaussianNoise(1.3, 0.7)
+    axis = np.array([0.6, 0.0, 0.8])
+    monkeypatch.setattr(_rng, "_BLOCK", 1 if block == "row" else _rng._CHUNK * grid.size)
+    estimate = monte_carlo_polarization(noise, grid, 2100, seed=5, axis=axis)
+    mean, stderr = _loop_polarization(philox_normals, noise, grid, 2100, 5, axis)
+    # bytes, not ==: the sign of a zero must match too
+    assert estimate.mean.tobytes() == mean.tobytes()
+    assert estimate.stderr.tobytes() == stderr.tobytes()
+
+
+def test_alignment_rows_match_per_realization_loop():
+    # row by row: the sums of a run can absorb a last-digit change in one row
+    grid = np.linspace(0.0, 2.0, 7)
+    axis = np.array([0.6, 0.0, 0.8])
+    xi = 0.7 * _rng.realization_normals(5, 0, 20000, 3)
+    rows, squares = classical_field._alignment_samples(xi, 1.3, grid, axis)
+    for row, square, x in zip(rows, squares, xi):
+        expected = _loop_overlap(x, 1.3, grid, axis)
+        assert row.tobytes() == expected.tobytes()
+        assert square.tobytes() == (expected * expected).tobytes()
 
 
 def test_monte_carlo_isotropy():
@@ -156,6 +200,12 @@ def test_validation():
         IsotropicGaussianNoise(0.0, 1.0)
     with pytest.raises(DomainError):
         IsotropicGaussianNoise(1.0, -1.0)
+    with pytest.raises(DomainError):
+        IsotropicGaussianNoise(1.0, np.inf)
+    with pytest.raises(DomainError):
+        IsotropicGaussianNoise(np.inf, 1.0)
+    with pytest.raises(DomainError):
+        IsotropicGaussianNoise(np.nan, 1.0)
     with pytest.raises(DomainError):
         NoiseSample(np.nan, 0.0, 0.0)
     with pytest.raises(DomainError):

@@ -7,7 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qchan import FixedCoupling, TimeSeries, bloch_factor, classify, rate_from_series, spin_bath
+from qchan import (
+    FixedCoupling,
+    TimeSeries,
+    bloch_factor,
+    classical_field,
+    classify,
+    dephasing,
+    rate_from_series,
+    spin_bath,
+)
+from qchan._rng import MONTE_CARLO_CAP
 from qchan.cli import main, read_series_csv
 from qchan.exact import MODE_CAP
 from qchan.spin_bath import SPIN_STAR_CAP
@@ -167,6 +177,9 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         ["depol-classical", "--config", str(tmp_path / "steps.json"), "--out", out],
         ["reproduce", "fig1", "--config", str(tmp_path / "mc.json"), "--out-dir", str(tmp_path)],
         ["depol-spinbath", "--ensemble", "custom", "--components", "[[1]]", "--out", out],
+        ["depol-spinbath", "--g", "nan", "--out", out],
+        ["depol-classical", "--sigma", "inf", "--out", out],
+        ["depol-classical", "--mc", "-5", "--out", out],
     ]
     capsys.readouterr()
     for argv in commands:
@@ -196,6 +209,12 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     assert main([*star, "--out", out]) == 3
     modes = ",".join(["0.01:1"] * (MODE_CAP + 1))
     assert main(["oracle", "--model", "single-excitation", "--modes", modes]) == 3
+    monkeypatch.setattr(classical_field, "realization_normals", no_work)
+    monkeypatch.setattr(dephasing, "realization_normals", no_work)
+    mc = str(MONTE_CARLO_CAP // 201 + 1)
+    assert main(["depol-classical", "--steps", "201", "--mc", mc, "--out", out]) == 3
+    cosine = ["dephasing-classical", "--cosine", "1:1", "--steps", "201", "--mc", mc]
+    assert main([*cosine, "--out", out]) == 3
 
 
 def test_bad_flag_raises_systemexit_2():

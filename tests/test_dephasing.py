@@ -29,7 +29,7 @@ from qchan import (
     monte_carlo_coherence,
     state_from_bloch,
 )
-from qchan import dephasing
+from qchan import _rng, dephasing
 from qchan.channels import GENERATOR_SIGMA3_HALF
 
 FIG2_DENSITY = OhmicExpDensity(8.0 * math.pi, 1.0)
@@ -270,9 +270,54 @@ def test_monte_carlo_coherence_deterministic():
     process = CosineSumProcess(((0.7, 1.3), (0.4, 2.9)))
     grid = np.linspace(0.0, 3.0, 16)
     a = monte_carlo_coherence(process, 0.8, grid, 500, seed=9)
-    b = monte_carlo_coherence(process, 0.8, grid, 500, seed=9, workers=3)
+    b = monte_carlo_coherence(process, 0.8, grid, 500, seed=9)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.stderr_real, b.stderr_real)
+
+
+def _loop_coherence(draw, process, coupling, times, n, seed):
+    """Reference: one realization at a time, summed in chunks of 1024."""
+    sigmas = np.array([s for s, _ in process.components])
+    freqs = np.array([w for _, w in process.components])
+    m = len(sigmas)
+    sin_t = np.sin(np.outer(times, freqs))
+    cos_t = 1.0 - np.cos(np.outer(times, freqs))
+    total = np.zeros(times.shape, dtype=complex)
+    total_re = np.zeros_like(times)
+    total_im = np.zeros_like(times)
+    for start in range(0, n, 1024):
+        part = np.zeros(times.shape, dtype=complex)
+        part_re = np.zeros_like(times)
+        part_im = np.zeros_like(times)
+        for j in range(start, min(start + 1024, n)):
+            draws = draw(seed, j, 2 * m)
+            integral = sin_t @ (sigmas * draws[:m] / freqs) + cos_t @ (sigmas * draws[m:] / freqs)
+            value = np.exp(-2.0j * coupling * integral)
+            part += value
+            part_re += value.real**2
+            part_im += value.imag**2
+        total += part
+        total_re += part_re
+        total_im += part_im
+    mean = total / n
+    var_re = np.maximum(total_re / n - mean.real**2, 0.0) * (n / (n - 1.0))
+    var_im = np.maximum(total_im / n - mean.imag**2, 0.0) * (n / (n - 1.0))
+    return mean, np.sqrt(var_re / n), np.sqrt(var_im / n)
+
+
+@pytest.mark.parametrize("block", ["row", "chunk"])
+@pytest.mark.parametrize("grid", [np.array([1.3]), np.linspace(0.0, 3.0, 7)], ids=["1pt", "7pt"])
+def test_monte_carlo_coherence_matches_per_realization_loop(
+    philox_normals, monkeypatch, block, grid
+):
+    process = CosineSumProcess(((0.7, 1.3), (0.4, 2.9), (1.0, 0.5)))
+    monkeypatch.setattr(_rng, "_BLOCK", 1 if block == "row" else _rng._CHUNK * grid.size)
+    estimate = monte_carlo_coherence(process, 0.8, grid, 2100, seed=9)
+    mean, err_re, err_im = _loop_coherence(philox_normals, process, 0.8, grid, 2100, 9)
+    # bytes, not ==: the sign of a zero must match too
+    assert estimate.mean.tobytes() == mean.tobytes()
+    assert estimate.stderr_real.tobytes() == err_re.tobytes()
+    assert estimate.stderr_imag.tobytes() == err_im.tobytes()
 
 
 def test_channel_construction():

@@ -1,51 +1,62 @@
 import numpy as np
 import pytest
 
-from qchan import DomainError
-from qchan._rng import accumulate_chunks, realization_normals, worker_count
+from qchan import DomainError, ResourceError
+from qchan._rng import MONTE_CARLO_CAP, monte_carlo_sums, realization_normals
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
+@pytest.mark.parametrize("start", [0, 2**64 - 4])
+def test_normals_bit_identical_to_numpy_philox(philox_normals, seed, count, start):
+    stop = start + 4
+    got = realization_normals(seed, start, stop, count)
+    expected = np.array([philox_normals(seed, j, count) for j in range(start, stop)])
+    assert got.shape == (4, count)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_realization_draws_independent_of_range():
+    whole = realization_normals(42, 0, 50, 6)
+    for j in (0, 1, 17, 49):
+        assert np.array_equal(realization_normals(42, j, j + 1, 6)[0], whole[j])
+    assert np.array_equal(realization_normals(42, 17, 33, 6), whole[17:33])
 
 
 def test_sample_depends_only_on_seed_and_indices():
-    a = realization_normals(42, 3, 8)
-    b = realization_normals(42, 3, 8)
+    a = realization_normals(42, 3, 4, 8)[0]
+    b = realization_normals(42, 3, 4, 8)[0]
     assert np.array_equal(a, b)
     # sample i is unchanged when more samples are drawn afterwards
-    longer = realization_normals(42, 3, 20)
+    longer = realization_normals(42, 3, 4, 20)[0]
     assert np.array_equal(longer[:8], a)
-    assert not np.array_equal(realization_normals(42, 4, 8), a)
-    assert not np.array_equal(realization_normals(43, 3, 8), a)
+    assert not np.array_equal(realization_normals(42, 4, 5, 8)[0], a)
+    assert not np.array_equal(realization_normals(43, 3, 4, 8)[0], a)
 
 
 def test_normals_have_standard_moments():
-    draws = np.concatenate([realization_normals(0, j, 100) for j in range(200)])
+    draws = realization_normals(0, 0, 200, 100)
     assert abs(draws.mean()) <= 0.02
     assert abs(draws.std() - 1.0) <= 0.02
 
 
 def test_seed_validation():
     with pytest.raises(DomainError):
-        realization_normals(-1, 0, 1)
+        realization_normals(-1, 0, 1, 1)
     with pytest.raises(DomainError):
-        realization_normals(2**64, 0, 1)
+        realization_normals(2**64, 0, 1, 1)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("QCHAN_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("QCHAN_THREADS", "zero")
-    with pytest.raises(DomainError):
-        worker_count()
-    monkeypatch.setenv("QCHAN_THREADS", "0")
-    with pytest.raises(DomainError):
-        worker_count()
-    monkeypatch.delenv("QCHAN_THREADS")
-    assert worker_count() >= 1
+def test_monte_carlo_cap_checked_before_any_draw():
+    class Drew(Exception):
+        pass
 
+    def draw(start, stop):
+        raise Drew
 
-def test_chunk_results_keep_order():
-    n = 4096
-    parts = accumulate_chunks(n, lambda a, b: (a, b), workers=4)
-    flat = [bound for pair in parts for bound in pair]
-    assert flat[0] == 0
-    assert flat[-1] == n
-    assert all(flat[i] <= flat[i + 1] for i in range(len(flat) - 1))
+    with pytest.raises(Drew):
+        monte_carlo_sums(MONTE_CARLO_CAP, 1, draw, None)
+    with pytest.raises(ResourceError):
+        monte_carlo_sums(MONTE_CARLO_CAP + 1, 1, draw, None)
+    with pytest.raises(ResourceError):
+        monte_carlo_sums(MONTE_CARLO_CAP // 400 + 1, 400, draw, None)

@@ -209,6 +209,21 @@ def test_ensemble_parameter_validation():
         UniformCoupling(1, 1.5, 0.5)
     with pytest.raises(DomainError):
         SpinStar(0, 1.0)
+    nan, inf = float("nan"), float("inf")
+    for build in (
+        lambda: FixedCoupling(0.5, nan),
+        lambda: FixedCoupling(0.5, inf),
+        lambda: GaussianCoupling(0.5, 0, inf),
+        lambda: GaussianCoupling(0.5, nan, 1.0),
+        lambda: LorentzianCoupling(0.5, inf),
+        lambda: UniformCoupling(0.5, 0, inf),
+        lambda: UniformCoupling(0.5, nan, 1.0),
+        lambda: SpinStar(3, nan),
+        lambda: CustomEnsemble(((0.5, inf, 1.0),)),
+        lambda: CustomEnsemble(((0.5, 1.0, nan), (1, 1.0, 1.0))),
+    ):
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_spin_star_matches_sector_mixture():
