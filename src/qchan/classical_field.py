@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import POLE_FLOOR, check_times, scalar_or_array
+from ._common import POLE_FLOOR, check_grid, check_times, scalar_or_array
 from ._rng import monte_carlo_sums, realization_normals
 from .errors import DomainError, PoleError
 from .states import BlochVector
@@ -145,11 +145,7 @@ def monte_carlo_polarization(
     counter-based stream keyed by (seed, j), and partial sums are combined
     in a fixed order.
     """
-    times = check_times(t_grid)
-    if times.ndim != 1 or times.size == 0:
-        raise DomainError("t_grid must be a nonempty 1-d array")
-    if np.any(np.diff(times) < 0):
-        raise DomainError("t_grid must be ascending")
+    times = check_grid(t_grid)
     n = int(realizations)
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,) or not np.isclose(np.linalg.norm(axis), 1.0, atol=1e-9):

@@ -108,8 +108,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if "t_max" in cfg and not float(cfg["t_max"]) > 0:
-        raise DomainError(f"t-max must be > 0, got {cfg['t_max']}")
+    if "t_max" in cfg and not 0 < float(cfg["t_max"]) < math.inf:
+        raise DomainError(f"t-max must be finite and > 0, got {cfg['t_max']}")
     if "steps" in cfg and int(cfg["steps"]) < 5:
         raise DomainError(f"steps must be >= 5, got {cfg['steps']}")
     if "mc" in cfg and int(cfg["mc"]) < 0:

@@ -5,9 +5,20 @@ The excited-state amplitude obeys the memory-kernel equation
     d(alpha)/dt + i omega alpha + int_0^t K(t - s) alpha(s) ds = 0,
     K(s) = sum_l |c_l|^2 exp(-i omega_l s).
 
-The march substitutes alpha = exp(-i omega t) u(t) (the free phase is then
-exact) and advances u with a trapezoidal product-integration rule, second
-order in the step size.  From alpha the channel data follow:
+Because K is a finite sum of modes, this is the Schroedinger equation of
+the qubit plus one excitation shared with the modes, with the bath
+amplitudes integrated out (Breuer & Petruccione, The Theory of Open Quantum
+Systems, sec. 10.1).  In the frame u(t) = exp(i omega t) alpha(t) that
+one-excitation Hamiltonian is the real symmetric arrowhead
+
+    A = [[0, |c|^T], [|c|, diag(omega_l - omega)]]
+
+(the phases of the c_l are a gauge: only |c_l|^2 enters K).  With
+eigenvalues Delta_k and eigenvectors v_k,
+
+    u(t) = sum_k v_{0k}^2 exp(-i Delta_k t),
+
+exact at every grid point.  From alpha the channel data follow:
 Gamma(t) = -2 ln|alpha/alpha0| and the unwrapped phase Omega(t) =
 -arg(alpha/alpha0), giving a dressed amplitude-damping channel with
 p(t) = 1 - exp(-Gamma(t)).
@@ -15,6 +26,7 @@ p(t) = 1 - exp(-Gamma(t)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +38,13 @@ from .channels import (
     dress_with_phase,
     kraus_amplitude_damping,
 )
-from .errors import AccuracyError, DomainError
+from .errors import DomainError, ResourceError
 from .states import QubitState
 
 AMPLITUDE_FLOOR = 1e-12
+# Dense diagonalization of the (M+1)^2 one-excitation arrowhead is O(M^3):
+# about 1.4 s at the cap on a 2-core x86 VM.
+MODE_CAP = 2000
 _GAMMA_SLACK = 1e-9
 
 
@@ -125,65 +140,31 @@ class ExcitedPopulation:
             raise DomainError("populations cannot exceed the initial value")
 
 
-def _march(spec: AmplitudeKernelSpec, t_max: float, steps: int) -> np.ndarray:
-    """Trapezoidal product-integration march for u(t) = e^{i omega t} alpha(t)."""
-    h = t_max / steps
-    grid = np.arange(steps + 1) * h
-    couplings_sq = np.array([abs(c) ** 2 for c, _ in spec.modes])
-    detunings = np.array([spec.frequency - w for _, w in spec.modes])
-    # transformed kernel Ktilde(s) = K(s) e^{i omega s}, exact on the grid
-    kernel = (couplings_sq[None, :] * np.exp(1j * np.outer(grid, detunings))).sum(axis=1)
+def solve_amplitude(spec: AmplitudeKernelSpec, t_max: float, steps: int) -> AmplitudeSolution:
+    """Exact amplitude on ``steps`` uniform steps of [0, t_max], from the
+    eigenmodes of the one-excitation arrowhead (see the module docstring).
 
-    u = np.zeros(steps + 1, dtype=complex)
-    u[0] = 1.0
-    k0 = kernel[0]
-    integral = 0.0 + 0.0j  # trapezoid value of int_0^{t_n} Ktilde(t_n - s) u(s) ds
-    lhs = 1.0 / h + h * k0 / 4.0
-    for n in range(steps):
-        partial = 0.5 * kernel[n + 1] * u[0]
-        if n >= 1:
-            partial += kernel[1 : n + 1][::-1] @ u[1 : n + 1]
-        partial *= h
-        u[n + 1] = (u[n] / h - 0.5 * (integral + partial)) / lhs
-        integral = partial + 0.5 * h * k0 * u[n + 1]
-    return u
-
-
-def solve_amplitude(
-    spec: AmplitudeKernelSpec, t_max: float, steps: int, verify_refinement: bool = False
-) -> AmplitudeSolution:
-    """Solve the memory-kernel amplitude equation on ``steps`` uniform steps.
-
-    Second-order accurate: halving the step reduces the error by about 4x.
-    With ``verify_refinement`` the march is repeated at half and quarter
-    resolution (``steps`` must be divisible by 4) and an
-    :class:`AccuracyError` is raised if the successive-difference ratio
-    falls below 2 (no longer converging at the expected order).
+    Raises :class:`ResourceError` above ``MODE_CAP`` modes, before any
+    diagonalization.
     """
-    if not t_max > 0:
-        raise DomainError(f"t_max must be > 0, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise DomainError(f"t_max must be finite and > 0, got {t_max}")
     steps = int(steps)
-    if steps < 8:
-        raise DomainError(f"need at least 8 steps, got {steps}")
+    if steps < 1:
+        raise DomainError(f"need at least 1 step, got {steps}")
+    n_modes = len(spec.modes)
+    if n_modes > MODE_CAP:
+        raise ResourceError(f"{n_modes} modes above the cap of {MODE_CAP}")
 
-    if verify_refinement:
-        if steps % 4 != 0:
-            raise DomainError("verify_refinement requires steps divisible by 4")
-        u_coarse = _march(spec, t_max, steps // 4)
-        u_mid = _march(spec, t_max, steps // 2)
-        u_fine = _march(spec, t_max, steps)
-        err_coarse = np.max(np.abs(u_mid[::2] - u_coarse))
-        err_mid = np.max(np.abs(u_fine[::2] - u_mid))
-        if err_mid > 0 and err_coarse / err_mid < 2.0:
-            raise AccuracyError(
-                f"march not converging under refinement: successive errors "
-                f"{err_coarse:.3e} -> {err_mid:.3e} (ratio < 2)"
-            )
-        u = u_fine
-    else:
-        u = _march(spec, t_max, steps)
-
+    arrow = np.diag([0.0] + [w - spec.frequency for _, w in spec.modes])
+    arrow[0, 1:] = arrow[1:, 0] = [abs(c) for c, _ in spec.modes]
+    detunings, vectors = np.linalg.eigh(arrow)
     grid = np.arange(steps + 1) * (t_max / steps)
+    u = np.zeros(grid.shape, dtype=complex)
+    for weight, detuning in zip(vectors[0] ** 2, detunings):
+        u += weight * np.exp(-1j * detuning * grid)
+    u /= u[0]  # the weights sum to 1 up to rounding; make u(0) = 1 exact
+
     magnitude = np.abs(u)
     capped = magnitude < AMPLITUDE_FLOOR
     gamma = -2.0 * np.log(np.maximum(magnitude, AMPLITUDE_FLOOR))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import psi
 
-from ._common import check_times, scalar_or_array
+from ._common import check_grid, check_times, scalar_or_array
 from ._quadrature import integrate_adaptive
 from ._rng import monte_carlo_sums, realization_normals
 from .errors import DomainError, UnsupportedQueryError
@@ -369,9 +369,7 @@ def monte_carlo_coherence(
     """
     if not isinstance(process, CosineSumProcess):
         raise DomainError("Monte Carlo coherence requires a cosine-sum process")
-    times = check_times(t_grid)
-    if times.ndim != 1 or times.size == 0:
-        raise DomainError("t_grid must be a nonempty 1-d array")
+    times = check_grid(t_grid)
     n = int(realizations)
     g = float(coupling)
 

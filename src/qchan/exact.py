@@ -15,15 +15,15 @@ from fractions import Fraction
 import numpy as np
 
 from .classical_field import NoiseSample
-from .damping import AmplitudeKernelSpec
+from .damping import MODE_CAP, AmplitudeKernelSpec
 from .errors import DomainError, ResourceError
 from .spin_bath import half_integer
 from .states import PAULIS, QubitState
 
 SPIN_CAP = Fraction(25)
-# Dense diagonalization of the (M+1)^2 single-excitation block is O(M^3):
-# about 10 s at the cap on a 2-core x86 VM.
-MODE_CAP = 2000
+# exact_single_excitation shares damping.MODE_CAP, so it can check every
+# input the solver accepts; its dense complex (M+1)^2 block is O(M^3), about
+# 10 s at the cap on a 2-core x86 VM.
 COMMUTATOR_TOL = 1e-12
 
 # A bath mode entering exact_dephasing_single_mode is specified by the same

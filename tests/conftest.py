@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from qchan import BlochVector, QubitState, state_from_bloch
+from qchan import AmplitudeKernelSpec, BlochVector, QubitState, state_from_bloch
 
 
 @pytest.fixture
@@ -33,3 +33,36 @@ def philox_normals():
         return ndtri((np.right_shift(raw, np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
 
     return draw
+
+
+@pytest.fixture
+def memory_kernel_march():
+    """Reference solver: a trapezoidal product-integration march of the
+    memory-kernel equation, second order in the step size and O(N^2) in
+    the step count.  Returns u(t) = e^{i omega t} alpha(t) on ``steps``
+    uniform steps of [0, t_max]."""
+
+    def _march(spec: AmplitudeKernelSpec, t_max: float, steps: int) -> np.ndarray:
+        """Trapezoidal product-integration march for u(t) = e^{i omega t} alpha(t)."""
+        h = t_max / steps
+        grid = np.arange(steps + 1) * h
+        couplings_sq = np.array([abs(c) ** 2 for c, _ in spec.modes])
+        detunings = np.array([spec.frequency - w for _, w in spec.modes])
+        # transformed kernel Ktilde(s) = K(s) e^{i omega s}, exact on the grid
+        kernel = (couplings_sq[None, :] * np.exp(1j * np.outer(grid, detunings))).sum(axis=1)
+
+        u = np.zeros(steps + 1, dtype=complex)
+        u[0] = 1.0
+        k0 = kernel[0]
+        integral = 0.0 + 0.0j  # trapezoid value of int_0^{t_n} Ktilde(t_n - s) u(s) ds
+        lhs = 1.0 / h + h * k0 / 4.0
+        for n in range(steps):
+            partial = 0.5 * kernel[n + 1] * u[0]
+            if n >= 1:
+                partial += kernel[1 : n + 1][::-1] @ u[1 : n + 1]
+            partial *= h
+            u[n + 1] = (u[n] / h - 0.5 * (integral + partial)) / lhs
+            integral = partial + 0.5 * h * k0 * u[n + 1]
+        return u
+
+    return _march

@@ -211,6 +211,8 @@ def test_validation():
     with pytest.raises(DomainError):
         monte_carlo_polarization(NOISE, np.linspace(0, 1, 5), 1, seed=0)
     with pytest.raises(DomainError):
+        monte_carlo_polarization(NOISE, np.linspace(1, 0, 5), 10, seed=0)
+    with pytest.raises(DomainError):
         monte_carlo_polarization(NOISE, np.linspace(0, 1, 5), 10, seed=0, axis=(1.0, 1.0, 0.0))
     with pytest.raises(DomainError):
         polarization_factor(NOISE, -1.0)

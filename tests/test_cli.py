@@ -180,11 +180,16 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         ["depol-spinbath", "--g", "nan", "--out", out],
         ["depol-classical", "--sigma", "inf", "--out", out],
         ["depol-classical", "--mc", "-5", "--out", out],
+        ["depol-classical", "--t-max", "inf", "--out", out],
+        ["amp-damping", "--t-max", "inf", "--out", out],
     ]
     capsys.readouterr()
     for argv in commands:
         assert main(argv) == 2, argv
-        assert capsys.readouterr().err.startswith("qchan: configuration error:"), argv
+        err = capsys.readouterr().err
+        assert err.startswith("qchan: configuration error:"), argv
+        if "--t-max" in argv:
+            assert "t-max must be finite and > 0" in err, argv
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):
@@ -209,12 +214,20 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     assert main([*star, "--out", out]) == 3
     modes = ",".join(["0.01:1"] * (MODE_CAP + 1))
     assert main(["oracle", "--model", "single-excitation", "--modes", modes]) == 3
+    assert main(["amp-damping", "--modes", modes, "--out", out]) == 3
     monkeypatch.setattr(classical_field, "realization_normals", no_work)
     monkeypatch.setattr(dephasing, "realization_normals", no_work)
     mc = str(MONTE_CARLO_CAP // 201 + 1)
     assert main(["depol-classical", "--steps", "201", "--mc", mc, "--out", out]) == 3
     cosine = ["dephasing-classical", "--cosine", "1:1", "--steps", "201", "--mc", mc]
     assert main([*cosine, "--out", out]) == 3
+
+
+def test_amp_damping_fewest_steps(tmp_path):
+    # --steps counts grid points; the smallest grid the CLI accepts runs
+    out = tmp_path / "run.csv"
+    assert main(["amp-damping", "--steps", "5", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3 + 5
 
 
 def test_bad_flag_raises_systemexit_2():

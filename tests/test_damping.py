@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from qchan import (
-    AccuracyError,
     AmplitudeKernelSpec,
     BlochVector,
     DomainError,
+    ResourceError,
     ad_channel_at,
     excited_population,
     population,
     solve_amplitude,
     state_from_bloch,
 )
+from qchan.damping import MODE_CAP
 from qchan.exact import exact_single_excitation
 
 RESONANT = AmplitudeKernelSpec(1.0, ((1.0, 1.0),))
@@ -38,11 +39,11 @@ def test_zero_coupling_is_free_evolution():
 def test_resonant_mode_closed_form():
     sol = solve_amplitude(RESONANT, math.pi, 3200)
     expected = np.exp(-1j * sol.times) * np.cos(sol.times)
-    assert np.max(np.abs(sol.ratio - expected)) <= 1e-6
+    assert np.max(np.abs(sol.ratio - expected)) <= 1e-12
     # p(t) = sin^2(gt) away from the revival pole
     live = ~sol.capped
     p = 1.0 - np.exp(-sol.gamma[live])
-    assert np.max(np.abs(p - np.sin(sol.times[live]) ** 2)) <= 1e-6
+    assert np.max(np.abs(p - np.sin(sol.times[live]) ** 2)) <= 1e-12
 
 
 def test_resonant_phase_tracks_qubit_frequency():
@@ -65,16 +66,26 @@ def test_mode_lists_match_exact_block(rng, n_modes):
     spec = AmplitudeKernelSpec(1.0, tuple(zip(couplings, freqs)))
     sol = solve_amplitude(spec, 10.0, 5000)
     expected = exact_single_excitation(spec, sol.times)
-    assert np.max(np.abs(sol.ratio - expected)) <= 1e-6
+    assert np.max(np.abs(sol.ratio - expected)) <= 1e-12
 
 
-def test_second_order_convergence():
+def test_solves_memory_kernel_equation(rng, memory_kernel_march):
+    # the modal sum against a direct march of the integro-differential equation
+    couplings = rng.uniform(0.05, 0.2, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+    freqs = rng.uniform(0.5, 1.5, 20)
+    spec = AmplitudeKernelSpec(1.0, tuple(zip(couplings, freqs)))
+    sol = solve_amplitude(spec, 10.0, 5000)
+    u = memory_kernel_march(spec, 10.0, 5000)
+    assert np.max(np.abs(sol.ratio - np.exp(-1j * sol.times) * u)) <= 1e-6
+
+
+def test_second_order_convergence(memory_kernel_march):
+    # the reference march converges at second order to u(t) = cos(g t)
     errors = []
     steps_list = (200, 400, 800)
     for steps in steps_list:
-        sol = solve_amplitude(RESONANT, math.pi, steps)
-        expected = np.exp(-1j * sol.times) * np.cos(sol.times)
-        errors.append(np.max(np.abs(sol.ratio - expected)))
+        u = memory_kernel_march(RESONANT, math.pi, steps)
+        errors.append(np.max(np.abs(u - np.cos(np.linspace(0.0, math.pi, steps + 1)))))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     for order in orders:
         assert order == pytest.approx(2.0, abs=0.3)
@@ -84,18 +95,6 @@ def test_amplitude_never_grows():
     sol = solve_amplitude(RESONANT, 4.0 * math.pi, 4000)
     assert np.max(np.abs(sol.ratio)) <= 1.0 + 1e-9
     assert np.min(sol.gamma) >= -1e-9
-
-
-def test_refinement_check_passes_for_resolved_march():
-    sol = solve_amplitude(RESONANT, math.pi, 1600, verify_refinement=True)
-    assert sol.times.size == 1601
-
-
-def test_refinement_check_catches_unresolved_kernel():
-    # a 3 kHz mode on a grid with ~3 points per period cannot converge
-    wild = AmplitudeKernelSpec(1.0, ((1.0, 1.0), (5.0, 3000.0)))
-    with pytest.raises(AccuracyError):
-        solve_amplitude(wild, 2.0, 16, verify_refinement=True)
 
 
 def test_population_and_revival():
@@ -177,13 +176,19 @@ def test_channel_outputs_remain_states(random_state):
 
 
 def test_channel_rejects_capped_samples():
-    steps = 3142
-    sol = solve_amplitude(AmplitudeKernelSpec(0.0, ((1.0, 0.0),)), math.pi, steps)
-    # cos(g t) crosses zero at t = pi/2; with this step the nearest sample
-    # is within ~5e-4 of it, staying above the floor -> no cap, no error
-    assert not np.any(sol.capped)
+    spec = AmplitudeKernelSpec(0.0, ((1.0, 0.0),))
     plus = state_from_bloch(BlochVector(1.0, 0.0, 0.0))
-    ad_channel_at(sol, steps // 2, plus)
+    # cos(g t) crosses zero at t = pi/2; an even step count samples the zero
+    # itself, which is capped, and the channel there has no phase
+    sol = solve_amplitude(spec, math.pi, 3142)
+    assert np.flatnonzero(sol.capped).tolist() == [1571]
+    with pytest.raises(DomainError):
+        ad_channel_at(sol, 1571, plus)
+    # with an odd count the nearest sample is within ~5e-4 of the zero,
+    # staying above the floor -> no cap, no error
+    sol = solve_amplitude(spec, math.pi, 3141)
+    assert not np.any(sol.capped)
+    ad_channel_at(sol, 3141 // 2, plus)
 
 
 def test_validation():
@@ -192,9 +197,26 @@ def test_validation():
     with pytest.raises(DomainError):
         solve_amplitude(RESONANT, -1.0, 100)
     with pytest.raises(DomainError):
-        solve_amplitude(RESONANT, 1.0, 4)
+        solve_amplitude(RESONANT, 1.0, 0)
     with pytest.raises(DomainError):
-        solve_amplitude(RESONANT, 1.0, 102, verify_refinement=True)
+        solve_amplitude(RESONANT, math.inf, 100)
+    with pytest.raises(DomainError):
+        solve_amplitude(RESONANT, math.nan, 100)
+    assert solve_amplitude(RESONANT, 1.0, 1).times.size == 2
     sol = solve_amplitude(RESONANT, 1.0, 100)
     with pytest.raises(IndexError):
         population(sol, 101, 1.0)
+
+
+def test_mode_cap_checked_before_diagonalizing(monkeypatch):
+    class Diagonalized(Exception):
+        pass
+
+    def no_eigh(*args, **kwargs):
+        raise Diagonalized
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(Diagonalized):
+        solve_amplitude(AmplitudeKernelSpec(1.0, ((0.01, 1.0),) * MODE_CAP), 1.0, 10)
+    with pytest.raises(ResourceError):
+        solve_amplitude(AmplitudeKernelSpec(1.0, ((0.01, 1.0),) * (MODE_CAP + 1)), 1.0, 10)

@@ -354,6 +354,9 @@ def test_decoherence_function_validation():
         DecoherenceFunction(t, np.array([0.0, -0.1, 0.3, 0.2, 0.4]), "closed-form")
     with pytest.raises(DomainError):
         DecoherenceFunction(t, np.zeros(5), "guesswork")
+    # the Monte Carlo estimate takes the same ascending grid
+    with pytest.raises(DomainError):
+        monte_carlo_coherence(CosineSumProcess(((1.0, 1.0),)), 1.0, t[::-1], 10, seed=0)
 
 
 def test_bath_validation():
