@@ -8,6 +8,7 @@ realization ``j`` depends only on (s, j, i).
 Standard normals are produced by the inverse-CDF transform: the top 53 bits
 of each 64-bit Philox word give a uniform in (0, 1) (offset by half an ulp
 so the endpoints are never hit), mapped through ``scipy.special.ndtri``.
+scipy is imported on the first draw, so only Monte Carlo runs pay for it.
 
 A run draws the normals of ``_CHUNK`` realizations at once and evaluates
 them in blocks of about ``_BLOCK`` values.  Each chunk sums its
@@ -18,17 +19,24 @@ so a result does not depend on the block size.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, ResourceError
 
 _CHUNK = 1024
 # values per evaluated block: larger blocks cost memory and gain no speed
 _BLOCK = 2**13
-# Realizations x grid points per run.  At the cap a run takes about a
-# minute on a 2-core x86 VM with 200 or more grid points; per-realization
-# costs make it about five minutes at 5 points.
-MONTE_CARLO_CAP = 10**9
+# Cost of a run, in units of one grid point of one realization (about
+# 4e-8 s on a 2-core x86 VM): each realization also costs about 18 units
+# plus 4 per normal drawn, and each grid point 1/64 more per normal.  At the
+# cap a run takes about a minute, whatever its grid and its draw count.
+MONTE_CARLO_CAP = 1_500_000_000
+
+
+def monte_carlo_cost(n: int, width: int, normals: int) -> float:
+    """Estimated cost of ``n`` realizations of ``normals`` normals each on
+    ``width`` grid points, in the units of ``MONTE_CARLO_CAP``."""
+    return n * (18.0 + 4.0 * normals + width * (1.0 + normals / 64.0))
+
 
 # Philox-4x64 round multipliers and key increments.
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -48,6 +56,8 @@ def _mulhilo(m: int, x: np.ndarray):
 def realization_normals(seed, start: int, stop: int, count: int) -> np.ndarray:
     """``count`` standard normals for each realization in [start, stop) of
     stream ``seed``: row ``r`` belongs to realization ``start + r``."""
+    from scipy.special import ndtri
+
     if not 0 <= int(seed) < 2**64:
         raise DomainError(f"seed must be in [0, 2^64), got {seed}")
     # arrays, not scalars: uint64 scalar arithmetic warns where it wraps
@@ -66,20 +76,22 @@ def realization_normals(seed, start: int, stop: int, count: int) -> np.ndarray:
     return ndtri(((raw >> 11).astype(np.float64) + 0.5) * 2.0**-53)
 
 
-def monte_carlo_sums(n: int, width: int, draw, samples) -> list:
+def monte_carlo_sums(n: int, width: int, normals: int, draw, samples) -> list:
     """Sums over realizations [0, n) of each (realizations, width) array
     that ``samples`` returns.
 
-    ``draw(start, stop)`` gives one row of draws per realization in
-    [start, stop) and is called once per chunk; ``samples`` maps a block of
-    those rows to a tuple of arrays.  Runs above ``MONTE_CARLO_CAP`` fail
-    before any draw.
+    ``draw(start, stop)`` gives one row of ``normals`` draws per realization
+    in [start, stop) and is called once per chunk; ``samples`` maps a block
+    of those rows to a tuple of arrays.  Runs whose
+    :func:`monte_carlo_cost` exceeds ``MONTE_CARLO_CAP`` fail before any
+    draw.
     """
     if n < 2:
         raise DomainError("need >= 2 realizations to estimate a standard error")
-    if n * width > MONTE_CARLO_CAP:
+    if monte_carlo_cost(n, width, normals) > MONTE_CARLO_CAP:
         raise ResourceError(
-            f"{n} realizations x {width} points exceeds the Monte Carlo cap {MONTE_CARLO_CAP}"
+            f"{n} realizations of {normals} normals x {width} points exceed the "
+            f"Monte Carlo cost cap {MONTE_CARLO_CAP}"
         )
     size = max(1, _BLOCK // width)
     totals = None

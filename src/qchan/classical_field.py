@@ -8,7 +8,8 @@ component by the polarization factor
     f(t) = (1/3) (1 + 2 (1 - 4 g^2 s^2 t^2) exp(-2 g^2 s^2 t^2)),
 
 which saturates at 1/3 (partial depolarization) and whose decay rate
--f'(t)/f(t) turns negative past the minimum of f.
+-f'(t)/f(t) turns negative past the minimum of f.  One function gives f and
+its analytic derivative f', so the factor and the rate share one formula.
 """
 
 from __future__ import annotations
@@ -73,26 +74,30 @@ class MonteCarloEstimate:
             raise DomainError("standard errors must be nonnegative")
 
 
+def _factor_and_slope(noise: IsotropicGaussianNoise, t):
+    """(f, f') at the times ``t``; with u = 2 g^2 s^2 t^2,
+    f'(t) = (2/3) e^{-u} (2u - 3) du/dt and du/dt = 4 g^2 s^2 t."""
+    tt = check_times(t)
+    gs2 = (noise.coupling * noise.sigma) ** 2
+    u = 2.0 * (noise.coupling * noise.sigma * tt) ** 2
+    f = (1.0 + 2.0 * (1.0 - 2.0 * u) * np.exp(-u)) / 3.0
+    df = (2.0 / 3.0) * np.exp(-u) * (2.0 * u - 3.0) * 4.0 * gs2 * tt
+    return f, df
+
+
 def polarization_factor(noise: IsotropicGaussianNoise, t):
     """Ensemble-averaged Bloch contraction f(t); f(0) = 1, f(inf) = 1/3."""
     tt = check_times(t)
-    u = 2.0 * (noise.coupling * noise.sigma * tt) ** 2
-    f = (1.0 + 2.0 * (1.0 - 2.0 * u) * np.exp(-u)) / 3.0
-    return scalar_or_array(f, tt)
+    return scalar_or_array(_factor_and_slope(noise, tt)[0], tt)
 
 
 def classical_decay_rate(noise: IsotropicGaussianNoise, t):
     """gamma(t) = -f'(t)/f(t) from the analytic derivative of f."""
     tt = check_times(t)
-    gs2 = (noise.coupling * noise.sigma) ** 2
-    u = 2.0 * gs2 * tt**2
-    f = (1.0 + 2.0 * (1.0 - 2.0 * u) * np.exp(-u)) / 3.0
+    f, df = _factor_and_slope(noise, tt)
     if np.any(f <= POLE_FLOOR):
         raise PoleError("polarization factor at its floor; rate undefined")
-    # f'(t) = (2/3) e^{-u} (2u - 3) du/dt, du/dt = 4 gs2 t
-    df = (2.0 / 3.0) * np.exp(-u) * (2.0 * u - 3.0) * 4.0 * gs2 * tt
-    rate = -df / f
-    return scalar_or_array(rate, tt)
+    return scalar_or_array(-df / f, tt)
 
 
 def rotate_bloch(sample: NoiseSample, coupling, t, start: BlochVector) -> BlochVector:
@@ -154,6 +159,7 @@ def monte_carlo_polarization(
     total, total_sq = monte_carlo_sums(
         n,
         times.size,
+        3,
         lambda start, stop: noise.sigma * realization_normals(seed, start, stop, 3),
         lambda xi: _alignment_samples(xi, noise.coupling, times, axis),
     )

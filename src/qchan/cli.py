@@ -165,24 +165,30 @@ def _write_output(command: str, cfg: dict, columns: dict) -> None:
             fh.write(text)
 
 
-def _rate_columns_from_gamma(times: np.ndarray, gamma: np.ndarray):
-    series = rates.TimeSeries(times, gamma, rates.MEANING_DAMPING_GAMMA)
-    rs = rates.rate_from_series(series)
-    return rs.values, rs.error
+def _columns(times, factor, slope, error=None, exponent=None, capped=None) -> dict:
+    """The base columns from a model's value and its time derivative.
 
-
-def _columns(times, factor, p, gamma, gamma_err, flags=None) -> dict:
-    """The base columns; every point is unflagged unless ``flags`` is given."""
-    if flags is None:
-        flags = [""] * times.size
-    return dict(zip(_BASE_COLUMNS, (times, factor, p, gamma, gamma_err, flags)))
-
-
-def _dephasing_columns(times: np.ndarray, exponent: np.ndarray) -> dict:
-    """Columns of a dephasing channel with decoherence exponent Gamma(t)."""
-    rate, rate_err = _rate_columns_from_gamma(times, exponent)
-    coherence = np.exp(-exponent)
-    return _columns(times, coherence, 1.0 - coherence, rate, rate_err)
+    Without ``exponent``, ``factor`` is a Bloch factor F and ``slope`` is F':
+    p = 1 - F and gamma = -F'/F, flagged ``pole`` where F <= POLE_FLOOR.
+    With a decoherence exponent Gamma, ``slope`` is Gamma' and is gamma
+    itself, p = 1 - exp(-Gamma), and ``factor`` is the written coherence or
+    amplitude; ``capped`` samples are flagged.  Flagged points get gamma NaN.
+    ``error`` is gamma_err: the error estimate of the slope, 0 unless given.
+    """
+    if exponent is None:
+        flagged = factor <= POLE_FLOOR
+        p = 1.0 - factor
+        gamma = -slope / np.where(flagged, 1.0, factor)
+        flag = "pole"
+    else:
+        flagged = np.zeros(times.shape, dtype=bool) if capped is None else capped
+        p = 1.0 - np.exp(-exponent)
+        gamma = slope
+        flag = "capped"
+    gamma = np.where(flagged, np.nan, gamma)
+    error = np.zeros_like(times) if error is None else error
+    flags = [flag if bad else "" for bad in flagged]
+    return dict(zip(_BASE_COLUMNS, (times, factor, p, gamma, error, flags)))
 
 
 # ---------------------------------------------------------------- spin bath
@@ -233,13 +239,7 @@ def _build_ensemble(cfg: dict):
 def _run_depol_spinbath(cfg: dict, _args=None) -> None:
     ensemble = _build_ensemble(cfg)
     times = _grid(cfg)
-    factor = spin_bath.bloch_factor(ensemble, times)
-    ok = factor > POLE_FLOOR
-    gamma = np.full_like(times, np.nan)
-    if np.any(ok):
-        gamma[ok] = spin_bath.decay_rate(ensemble, times[ok])
-    flags = ["" if good else "pole" for good in ok]
-    columns = _columns(times, factor, 1.0 - factor, gamma, np.zeros_like(times), flags)
+    columns = _columns(times, *spin_bath._factor_and_slope(ensemble, times))
     _write_output("depol-spinbath", cfg, columns)
 
 
@@ -260,9 +260,8 @@ _CLASSICAL_DEFAULTS = {
 def _run_depol_classical(cfg: dict, _args=None) -> None:
     noise = classical_field.IsotropicGaussianNoise(cfg["g"], cfg["sigma"])
     times = _grid(cfg)
-    factor = classical_field.polarization_factor(noise, times)
-    gamma = classical_field.classical_decay_rate(noise, times)
-    columns = _columns(times, factor, 1.0 - factor, gamma, np.zeros_like(times))
+    factor, slope = classical_field._factor_and_slope(noise, times)
+    columns = _columns(times, factor, slope)
     if int(cfg["mc"]) > 0:
         estimate = classical_field.monte_carlo_polarization(
             noise, times, int(cfg["mc"]), int(cfg["seed"])
@@ -292,7 +291,8 @@ _DEPHASING_Q_DEFAULTS = {
 }
 
 
-def _dephasing_gamma_series(cfg: dict, times: np.ndarray) -> dephasing.DecoherenceFunction:
+def _dephasing_exponent(cfg: dict, times: np.ndarray):
+    """Gamma, Gamma' and the error estimate of Gamma' of the configured bath."""
     beta = _beta_value(cfg["beta"])
     sources = [
         cfg["single_mode"] is not None,
@@ -314,30 +314,27 @@ def _dephasing_gamma_series(cfg: dict, times: np.ndarray) -> dephasing.Decoheren
         coth = 1.0 if math.isinf(beta) else 1.0 / math.tanh(0.5 * beta * omega)
         coupling = omega * math.sqrt(weight / coth)
         bath = dephasing.DiscreteBosonBath(((coupling, omega),), beta)
-        return dephasing.DecoherenceFunction(
-            times, dephasing.gamma_discrete(bath, times), "discrete-sum"
-        )
+        return (*dephasing._discrete_and_slope(bath, times), None)
     if cfg["modes"] is not None:
         bath = dephasing.DiscreteBosonBath(_parse_pairs(cfg["modes"], "mode"), beta)
-        return dephasing.DecoherenceFunction(
-            times, dephasing.gamma_discrete(bath, times), "discrete-sum"
-        )
+        return (*dephasing._discrete_and_slope(bath, times), None)
     if cfg["spectral_file"] is not None:
         density = dephasing.load_tabulated(cfg["spectral_file"])
-        provenance = "quadrature"
     else:
         density = dephasing.OhmicExpDensity(float(cfg["ohmic_amplitude"]), float(cfg["cutoff"]))
-        provenance = "closed-form"
     tol = float(cfg["tol"])
-    values = np.array([dephasing.gamma_continuum(density, beta, t, tol) for t in times])
+    values, slope, error = dephasing._continuum_and_slope(density, beta, times, tol)
     # a value within quadrature tolerance of zero is zero, not a violation
     values[(values < 0.0) & (values >= -tol)] = 0.0
-    return dephasing.DecoherenceFunction(times, values, provenance)
+    return values, slope, error
 
 
 def _run_dephasing_quantum(cfg: dict, _args=None) -> None:
     times = _grid(cfg)
-    columns = _dephasing_columns(times, _dephasing_gamma_series(cfg, times).values)
+    exponent, slope, error = _dephasing_exponent(cfg, times)
+    # checks Gamma(0) = 0 and Gamma >= 0
+    dephasing.DecoherenceFunction(times, exponent, "closed-form")
+    columns = _columns(times, np.exp(-exponent), slope, error, exponent)
     _write_output("dephasing-quantum", cfg, columns)
 
 
@@ -366,10 +363,9 @@ def _run_dephasing_classical(cfg: dict, _args=None) -> None:
         process = dephasing.CosineSumProcess(_parse_pairs(cfg["cosine"], "cosine component"))
     coupling = float(cfg["g"])
     times = _grid(cfg)
-    exponent = dephasing.DecoherenceFunction(
-        times, dephasing.gamma_classical(process, coupling, times), "closed-form"
-    )
-    columns = _dephasing_columns(times, exponent.values)
+    exponent, slope = dephasing._classical_and_slope(process, coupling, times)
+    dephasing.DecoherenceFunction(times, exponent, "closed-form")
+    columns = _columns(times, np.exp(-exponent), slope, exponent=exponent)
     if int(cfg["mc"]) > 0:
         if not isinstance(process, dephasing.CosineSumProcess):
             raise DomainError("Monte Carlo validation needs a cosine process")
@@ -403,15 +399,13 @@ def _run_amp_damping(cfg: dict, _args=None) -> None:
     else:
         modes = ((float(cfg["g"]), omega),)  # resonant single mode
     spec = damping.AmplitudeKernelSpec(omega, modes)
-    solution = damping.solve_amplitude(spec, float(cfg["t_max"]), int(cfg["steps"]) - 1)
-    rate, rate_err = _rate_columns_from_gamma(solution.times, solution.gamma)
+    solution, slope = damping._solve_with_slope(spec, float(cfg["t_max"]), int(cfg["steps"]) - 1)
     columns = _columns(
         solution.times,
         np.exp(-0.5 * solution.gamma),
-        1.0 - np.exp(-solution.gamma),
-        rate,
-        rate_err,
-        ["capped" if c else "" for c in solution.capped],
+        slope,
+        exponent=solution.gamma,
+        capped=solution.capped,
     )
     columns["omega_phase"] = solution.phase
     _write_output("amp-damping", cfg, columns)

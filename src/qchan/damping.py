@@ -18,8 +18,10 @@ eigenvalues Delta_k and eigenvectors v_k,
 
     u(t) = sum_k v_{0k}^2 exp(-i Delta_k t),
 
-exact at every grid point.  From alpha the channel data follow:
-Gamma(t) = -2 ln|alpha/alpha0| and the unwrapped phase Omega(t) =
+exact at every grid point, and so is its derivative
+u'(t) = sum_k -i Delta_k v_{0k}^2 exp(-i Delta_k t).  From alpha the
+channel data follow: Gamma(t) = -2 ln|alpha/alpha0|, its decay rate
+Gamma'(t) = -2 Re(u'/u), and the unwrapped phase Omega(t) =
 -arg(alpha/alpha0), giving a dressed amplitude-damping channel with
 p(t) = 1 - exp(-Gamma(t)).
 """
@@ -140,13 +142,10 @@ class ExcitedPopulation:
             raise DomainError("populations cannot exceed the initial value")
 
 
-def solve_amplitude(spec: AmplitudeKernelSpec, t_max: float, steps: int) -> AmplitudeSolution:
-    """Exact amplitude on ``steps`` uniform steps of [0, t_max], from the
-    eigenmodes of the one-excitation arrowhead (see the module docstring).
-
-    Raises :class:`ResourceError` above ``MODE_CAP`` modes, before any
-    diagonalization.
-    """
+def _solve_with_slope(spec: AmplitudeKernelSpec, t_max: float, steps: int):
+    """The :func:`solve_amplitude` solution and the decay rate Gamma'(t) =
+    -2 Re(u'/u), with u'(t) = sum_k -i Delta_k v_{0k}^2 exp(-i Delta_k t)
+    summed in the same mode loop; Gamma' is NaN at capped samples."""
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be finite and > 0, got {t_max}")
     steps = int(steps)
@@ -161,17 +160,33 @@ def solve_amplitude(spec: AmplitudeKernelSpec, t_max: float, steps: int) -> Ampl
     detunings, vectors = np.linalg.eigh(arrow)
     grid = np.arange(steps + 1) * (t_max / steps)
     u = np.zeros(grid.shape, dtype=complex)
+    du = np.zeros(grid.shape, dtype=complex)
     for weight, detuning in zip(vectors[0] ** 2, detunings):
-        u += weight * np.exp(-1j * detuning * grid)
-    u /= u[0]  # the weights sum to 1 up to rounding; make u(0) = 1 exact
+        term = weight * np.exp(-1j * detuning * grid)
+        u += term
+        du += -1j * detuning * term
+    # the weights sum to 1 up to rounding; make u(0) = 1 exact
+    du /= u[0]
+    u /= u[0]
 
     magnitude = np.abs(u)
     capped = magnitude < AMPLITUDE_FLOOR
     gamma = -2.0 * np.log(np.maximum(magnitude, AMPLITUDE_FLOOR))
+    slope = np.where(capped, np.nan, -2.0 * (du / np.where(capped, 1.0, u)).real)
     # the slowly varying u is unwrapped; the free phase omega*t is exact
     phase = spec.frequency * grid - np.unwrap(np.angle(u))
     ratio = np.exp(-1j * spec.frequency * grid) * u
-    return AmplitudeSolution(grid, ratio, gamma, phase, capped)
+    return AmplitudeSolution(grid, ratio, gamma, phase, capped), slope
+
+
+def solve_amplitude(spec: AmplitudeKernelSpec, t_max: float, steps: int) -> AmplitudeSolution:
+    """Exact amplitude on ``steps`` uniform steps of [0, t_max], from the
+    eigenmodes of the one-excitation arrowhead (see the module docstring).
+
+    Raises :class:`ResourceError` above ``MODE_CAP`` modes, before any
+    diagonalization.
+    """
+    return _solve_with_slope(spec, t_max, steps)[0]
 
 
 def population(solution: AmplitudeSolution, index: int, initial_amplitude) -> float:

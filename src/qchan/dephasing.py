@@ -13,6 +13,10 @@ Three routes to Gamma(t) are provided:
 * closed forms for classical Gaussian stationary processes (cosine sums
   and white noise), plus a Monte Carlo estimator that validates them.
 
+Each route gives Gamma(t) together with its time derivative Gamma'(t), the
+channel's decay rate: analytic for the closed forms, and from the same
+quadrature pass (with its own error estimate) for a tabulated density.
+
 Units: hbar = 1 throughout, so the inverse temperature ``beta`` carries
 units of time and the finite-temperature weight is coth(beta omega / 2).
 """
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi
 
 from ._common import check_grid, check_times, scalar_or_array
 from ._quadrature import integrate_adaptive
@@ -197,45 +200,100 @@ def _coth(x):
     return 1.0 / np.tanh(x)
 
 
+def _discrete_and_slope(bath: DiscreteBosonBath, t):
+    """(Gamma, Gamma') of a finite mode list at the times ``t``, with
+
+    Gamma'(t) = (1/4) sum_k |c_k|^2 coth(beta w_k / 2) sin(w_k t) / w_k.
+    """
+    tt = check_times(t)
+    total = np.zeros_like(tt)
+    slope = np.zeros_like(tt)
+    for c, w in bath.modes:
+        weight = abs(c) ** 2 / w**2
+        if math.isfinite(bath.beta):
+            weight *= _coth(0.5 * bath.beta * w)
+        total += 0.25 * weight * 2.0 * np.sin(0.5 * w * tt) ** 2
+        slope += 0.25 * weight * w * np.sin(w * tt)
+    return total, slope
+
+
 def gamma_discrete(bath: DiscreteBosonBath, t):
     """Decoherence exponent of a finite mode list:
 
     Gamma(t) = (1/4) sum_k |c_k|^2 (1 - cos(w_k t)) coth(beta w_k / 2) / w_k^2.
     """
     tt = check_times(t)
-    total = np.zeros_like(tt)
-    for c, w in bath.modes:
-        weight = abs(c) ** 2 / w**2
-        if math.isfinite(bath.beta):
-            weight *= _coth(0.5 * bath.beta * w)
-        total += 0.25 * weight * 2.0 * np.sin(0.5 * w * tt) ** 2
-    return scalar_or_array(total, tt)
+    return scalar_or_array(_discrete_and_slope(bath, tt)[0], tt)
 
 
 def _continuum_integrand(density: TabulatedDensity, beta: float, t: float):
-    """Integrand (1/(8 pi)) (J(w)/w) 2 sin^2(wt/2) coth(beta w/2), with the
-    w -> 0 limit of the coth factor taken from its series (removes the 0/0);
-    beta = inf gives coth = 1."""
+    """Integrands of Gamma and Gamma' as two rows:
+    (1/(8 pi)) J(w) coth(beta w/2) times 2 sin^2(wt/2) / w and sin(wt), with
+    the w -> 0 limit of the coth factor taken from its series (removes the
+    0/0); beta = inf gives coth = 1."""
 
     def integrand(w):
         x = 0.5 * beta * w
+        coth = 1.0 / np.tanh(x)
         small = x < 1e-4
-        xs = np.where(small, 1.0, x)
-        coth = np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0, 1.0 / np.tanh(xs))
-        return density(w) / w * 2.0 * np.sin(0.5 * w * t) ** 2 * coth / (8.0 * np.pi)
+        if np.any(small):
+            coth[small] = 1.0 / x[small] + x[small] / 3.0
+        j = density(w)
+        rows = np.empty((2, w.size))
+        rows[0] = j / w * 2.0 * np.sin(0.5 * w * t) ** 2 * coth / (8.0 * np.pi)
+        rows[1] = j * np.sin(w * t) * coth / (8.0 * np.pi)
+        return rows
 
     return integrand
 
 
-def _ohmic_gamma(density: OhmicExpDensity, beta: float, t: float) -> float:
-    """Closed form of the Ohmic exponent (see :func:`gamma_continuum`)."""
+# asymptotic series of psi and psi' in 1/z^2: B_2k / (2k) and B_2k
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _digamma_trigamma(z):
+    """Digamma psi(z) and trigamma psi'(z) for complex z with Re z > 0.
+
+    The recurrences psi(z) = psi(z+1) - 1/z and psi'(z) = psi'(z+1) + 1/z^2
+    shift z to Re z >= 10, where the asymptotic Bernoulli series are summed
+    to 1/z^14 (relative error ~1e-15 there).
+    """
+    z = np.array(z, dtype=complex)
+    psi = np.zeros_like(z)
+    trigamma = np.zeros_like(z)
+    low = z.real < 10.0
+    while np.any(low):
+        inv = np.where(low, 1.0 / np.where(low, z, 1.0), 0.0)
+        psi -= inv
+        trigamma += inv * inv
+        z = z + low
+        low = z.real < 10.0
+    inv = 1.0 / z
+    inv2 = inv * inv
+    series = np.zeros_like(z)
+    series1 = np.zeros_like(z)
+    for b, b1 in zip(_PSI_SERIES[::-1], _TRIGAMMA_SERIES[::-1]):
+        series = (series + b) * inv2
+        series1 = (series1 + b1) * inv2
+    psi += np.log(z) - 0.5 * inv - series
+    trigamma += inv + 0.5 * inv2 + series1 * inv
+    return psi, trigamma
+
+
+def _ohmic_and_slope(density: OhmicExpDensity, beta: float, t: np.ndarray):
+    """Closed forms of the Ohmic Gamma and Gamma' (see :func:`gamma_continuum`)."""
     tau = density.cutoff_time
     value = t * t / (tau * (tau * tau + t * t))
+    slope = 2.0 * t * tau / (tau * tau + t * t) ** 2
     if math.isfinite(beta):
         z = 1.0 + tau / beta
-        value += (2.0 / beta) * (psi(complex(z, t / beta)).real - psi(z))
+        psi, trigamma = _digamma_trigamma(z + 1j * (t / beta))
+        value += (2.0 / beta) * (psi.real - _digamma_trigamma(z)[0].real)
+        slope -= (2.0 / beta**2) * trigamma.imag
     # the digamma difference cancels at tiny t and may round below zero
-    return max(density.amplitude * value / (8.0 * math.pi), 0.0)
+    value = np.maximum(density.amplitude * value / (8.0 * math.pi), 0.0)
+    return value, density.amplitude * slope / (8.0 * math.pi)
 
 
 _MAX_EDGES = 4000
@@ -253,44 +311,81 @@ def _oscillation_edges(lo: float, hi: float, t: float) -> np.ndarray:
     return np.concatenate([[lo], interior, [hi]])
 
 
+def _tabulated_and_slope(density: TabulatedDensity, beta: float, t: float, tol, max_panels):
+    """(Gamma, Gamma', error estimate of Gamma') of a tabulated density at
+    one time, from one adaptive quadrature of both integrands."""
+    knots = density.frequencies
+    edges = np.union1d(knots, _oscillation_edges(knots[0], knots[-1], t))
+    if knots[0] > 0.0:
+        edges = np.union1d(edges, [0.0])
+    (value, slope), (_, slope_err) = integrate_adaptive(
+        _continuum_integrand(density, beta, t), edges, tol, max_panels
+    )
+    return value, slope, slope_err
+
+
+def _continuum_and_slope(
+    density: SpectralDensity, beta: float, t, tol: float = 1e-8, max_panels: int = 50000
+):
+    """(Gamma, Gamma', error estimate of Gamma') at the times ``t``, as in
+    :func:`gamma_continuum`; the error is 0 for the Ohmic closed form."""
+    if not (beta > 0):
+        raise DomainError(f"beta must be > 0 (or inf), got {beta}")
+    if not tol > 0:
+        raise DomainError(f"tol must be > 0, got {tol}")
+    tt = check_times(t)
+    if isinstance(density, OhmicExpDensity):
+        value, slope = _ohmic_and_slope(density, beta, tt)
+        return value, slope, np.zeros_like(tt)
+    rows = np.array(
+        [_tabulated_and_slope(density, beta, float(x), tol, max_panels) for x in tt.flat]
+    )
+    return tuple(col.reshape(tt.shape) for col in rows.T)
+
+
 def gamma_continuum(
     density: SpectralDensity, beta: float, t, tol: float = 1e-8, max_panels: int = 50000
 ) -> float:
     """Decoherence exponent for a continuum of modes:
 
-    Gamma(t) = (1/4) int_0^inf (J(w) / (2 pi w)) (1 - cos(w t)) coth(beta w/2) dw.
+    Gamma(t) = (1/4) int_0^inf (J(w) / (2 pi w)) (1 - cos(w t)) coth(beta w/2) dw,
 
+    with the decay rate Gamma'(t) = (1/8pi) int_0^inf J(w) sin(w t) coth(beta w/2) dw.
     For the Ohmic density J(w) = A w exp(-w tau), expanding
     coth(beta w/2) = 1 + 2 sum_n exp(-n beta w) and summing with the digamma
-    function psi gives the closed form
+    function psi gives the closed forms
 
     Gamma(t) = (A/8pi) [t^2/(tau(tau^2+t^2))
                         + (2/beta) Re(psi(1+(tau+it)/beta) - psi(1+tau/beta))],
+    Gamma'(t) = (A/8pi) [2 t tau/(tau^2+t^2)^2 - (2/beta^2) Im psi'(1+(tau+it)/beta)],
 
-    whose second term vanishes at beta = inf.  A tabulated density is
+    whose psi terms vanish at beta = inf.  A tabulated density is
     integrated by adaptive quadrature with panel edges at the knots and the
-    cosine half-periods; ``tol`` and ``max_panels`` bound that quadrature,
-    whose value has an estimated error <= ``tol``.  Non-convergence raises
-    :class:`QuadratureError` carrying the partial estimate.
+    cosine half-periods; Gamma and Gamma' share the panels, and ``tol`` and
+    ``max_panels`` bound that quadrature: both values have an estimated
+    error <= ``tol``.  Non-convergence raises :class:`QuadratureError`
+    carrying the partial estimate of Gamma.
     """
-    if not (beta > 0):
-        raise DomainError(f"beta must be > 0 (or inf), got {beta}")
-    if not tol > 0:
-        raise DomainError(f"tol must be > 0, got {tol}")
-    t = float(check_times(t))
-    if t == 0.0:
-        return 0.0
-    if isinstance(density, OhmicExpDensity):
-        return _ohmic_gamma(density, beta, t)
+    return float(_continuum_and_slope(density, beta, float(t), tol, max_panels)[0])
 
-    knots = density.frequencies
-    edges = np.union1d(knots, _oscillation_edges(knots[0], knots[-1], t))
-    if knots[0] > 0.0:
-        edges = np.union1d(edges, [0.0])
-    value, err = integrate_adaptive(
-        _continuum_integrand(density, beta, t), edges, tol, max_panels=max_panels
-    )
-    return value
+
+def _classical_and_slope(process: StationaryProcess, coupling, t):
+    """(Gamma, Gamma') of a classical process at the times ``t``: cosine sums
+    have Gamma' = 4 g^2 sum_i sigma_i^2 sin(w_i t) / w_i, white noise the
+    constant 2 g^2 sigma2."""
+    g = float(coupling)
+    tt = check_times(t)
+    if isinstance(process, WhiteNoiseProcess):
+        rate = 2.0 * g**2 * process.intensity
+        return rate * tt, np.full_like(tt, rate)
+    if not isinstance(process, CosineSumProcess):
+        raise DomainError(f"unknown process type {type(process).__name__}")
+    out = np.zeros_like(tt)
+    slope = np.zeros_like(tt)
+    for sigma, w in process.components:
+        out += 4.0 * g**2 * sigma**2 * 2.0 * np.sin(0.5 * w * tt) ** 2 / w**2
+        slope += 4.0 * g**2 * sigma**2 * np.sin(w * tt) / w
+    return out, slope
 
 
 def gamma_classical(process: StationaryProcess, coupling, t):
@@ -299,17 +394,8 @@ def gamma_classical(process: StationaryProcess, coupling, t):
     Cosine sums give 4 g^2 sum_i sigma_i^2 (1 - cos(w_i t)) / w_i^2; white
     noise gives the linear (constant-rate) 2 g^2 sigma2 t.
     """
-    g = float(coupling)
     tt = check_times(t)
-    if isinstance(process, WhiteNoiseProcess):
-        out = 2.0 * g**2 * process.intensity * tt
-    elif isinstance(process, CosineSumProcess):
-        out = np.zeros_like(tt)
-        for sigma, w in process.components:
-            out += 4.0 * g**2 * sigma**2 * 2.0 * np.sin(0.5 * w * tt) ** 2 / w**2
-    else:
-        raise DomainError(f"unknown process type {type(process).__name__}")
-    return scalar_or_array(out, tt)
+    return scalar_or_array(_classical_and_slope(process, coupling, tt)[0], tt)
 
 
 def correlation(process: StationaryProcess, dt):
@@ -374,12 +460,14 @@ def monte_carlo_coherence(
     g = float(coupling)
 
     sigmas, freqs = np.array(process.components).T
+    normals = 2 * len(sigmas)
     sin_t = np.sin(np.outer(times, freqs))
     cos_t = 1.0 - np.cos(np.outer(times, freqs))
     total, total_sq_re, total_sq_im = monte_carlo_sums(
         n,
         times.size,
-        lambda start, stop: realization_normals(seed, start, stop, 2 * len(sigmas)),
+        normals,
+        lambda start, stop: realization_normals(seed, start, stop, normals),
         lambda draws: _coherence_samples(draws, sigmas, freqs, sin_t, cos_t, g),
     )
     mean = total / n

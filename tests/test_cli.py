@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, quad_vec
 
 from qchan import (
     FixedCoupling,
@@ -318,3 +322,158 @@ def test_all_readme_commands_run(tmp_path, monkeypatch):
     for command in commands:
         code = main(shlex.split(command)[1:])
         assert code == 0, f"README command failed: {command}"
+
+
+# ------------------------------------------------------------ analytic rates
+
+
+def rate_columns(tmp_path, argv, name="rate.csv"):
+    """(t, gamma, gamma_err) of a generating command's output."""
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    times, gamma = read_series_csv(out, "gamma")
+    return times, gamma, read_series_csv(out, "gamma_err")[1]
+
+
+def test_amp_damping_rate_is_exact(tmp_path):
+    # resonant single mode: u = cos t, so gamma = -2 d ln|cos t|/dt = 2 tan t
+    times, gamma, err = rate_columns(tmp_path, ["amp-damping"])
+    exact = 2.0 * np.tan(times)
+    assert np.all(np.isfinite(gamma))
+    assert np.all(np.abs(gamma - exact) <= 1e-9 * (1.0 + np.abs(exact)))
+    assert np.max(np.abs(gamma)) > 1e3  # the grid passes close to the poles of tan
+    assert np.all(err == 0.0)
+
+
+def test_amp_damping_rate_is_nan_where_capped(tmp_path):
+    # 3142 steps over pi put a sample on the zero of cos t
+    out = tmp_path / "capped.csv"
+    assert main(["amp-damping", "--t-max", str(math.pi), "--steps", "3143",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    capped = [row for row in rows if row[5] == "capped"]
+    assert len(capped) == 1 and capped[0][3] == "nan"
+
+
+def test_fig2_ohmic_zero_temperature_rate(tmp_path):
+    assert main(["reproduce", "fig2", "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "fig2_ohmic_zero_temperature.csv"
+    times, gamma = read_series_csv(path, "gamma")
+    assert np.all(np.abs(gamma - 2.0 * times / (1.0 + times**2) ** 2) <= 1e-12)
+    times, gamma = read_series_csv(tmp_path / "fig2_single_mode.csv", "gamma")
+    assert np.all(np.abs(gamma - 0.5 * np.sin(0.5 * times)) <= 1e-12)
+
+
+def _coth(x):
+    return 1.0 / math.tanh(x)
+
+
+CLOSED_FORM_RATES = {
+    "cosine": (
+        ["dephasing-classical", "--cosine", "1:1,0.5:2", "--g", "0.7"],
+        lambda t: 4.0 * 0.49 * (np.sin(t) + 0.25 * np.sin(2.0 * t) / 2.0),
+    ),
+    "white-noise": (
+        ["dephasing-classical", "--white-noise", "--intensity", "1.5", "--g", "0.7"],
+        lambda t: np.full_like(t, 2.0 * 0.49 * 1.5),
+    ),
+    "modes": (
+        ["dephasing-quantum", "--modes", "1:0.5,0.3:2", "--beta", "2"],
+        # (1/4) sum |c|^2 coth(beta w/2) sin(w t) / w
+        lambda t: 0.25 * (_coth(0.5) * np.sin(0.5 * t) / 0.5
+                          + 0.09 * _coth(2.0) * np.sin(2.0 * t) / 2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(CLOSED_FORM_RATES))
+def test_closed_form_rates(tmp_path, model):
+    argv, exact = CLOSED_FORM_RATES[model]
+    times, gamma, err = rate_columns(tmp_path, [*argv, "--t-max", "12", "--steps", "241"])
+    reference = exact(times)
+    assert np.all(np.abs(gamma - reference) <= 1e-12 * (1.0 + np.abs(reference)))
+    assert np.all(err == 0.0)
+
+
+def quadpack_ohmic_rate(beta, t):
+    """QUADPACK value of the fig2 rate int_0^inf g(w) sin(w t) dw with
+    g(w) = w exp(-w) coth(beta w/2) (A / 8 pi = 1): the head [0, 2] directly,
+    the tail with the Fourier weight (QAWF)."""
+
+    def g(w):
+        return 2.0 / beta if w == 0.0 else w * math.exp(-w) / math.tanh(0.5 * beta * w)
+
+    head = quad(lambda w: g(w) * math.sin(w * t), 0.0, 2.0, epsabs=1e-12, epsrel=1e-12,
+                limit=200)[0]
+    return head + quad(g, 2.0, math.inf, weight="sin", wvar=t, epsabs=1e-12)[0]
+
+
+@pytest.mark.parametrize("beta", (1.0, 0.1))
+def test_ohmic_finite_temperature_rate_vs_quadpack(tmp_path, beta):
+    argv = ["dephasing-quantum", "--ohmic-amplitude", repr(8.0 * math.pi), "--cutoff", "1",
+            "--beta", str(beta), "--t-max", "25", "--steps", "51"]
+    times, gamma, err = rate_columns(tmp_path, argv)
+    reference = np.array([quadpack_ohmic_rate(beta, t) for t in times[1:]])
+    assert gamma[0] == 0.0
+    assert np.max(np.abs(gamma[1:] - reference)) <= 1e-12
+    assert np.all(err == 0.0)
+
+
+def test_tabulated_rate_within_gamma_err(tmp_path):
+    rng = np.random.default_rng(7)
+    grid = np.linspace(0.0, 20.0, 1001)
+    density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - rng.uniform(2.0, 8.0)) ** 2)))
+    path = tmp_path / "table.txt"
+    np.savetxt(path, np.column_stack([grid, density]), fmt="%.17g")
+    argv = ["dephasing-quantum", "--spectral-file", str(path), "--beta", "1",
+            "--t-max", "25", "--steps", "26"]
+    times, gamma, err = rate_columns(tmp_path, argv)
+
+    def integrand(w):
+        if w <= 0.0:
+            return np.zeros_like(times)  # w coth(w/2) sin(w t) / w -> 0
+        j = np.interp(w, grid, density)
+        return j * np.sin(w * times) / math.tanh(0.5 * w) / (8.0 * math.pi)
+
+    reference, reference_err = quad_vec(
+        integrand, 0.0, 20.0, epsabs=1e-14, epsrel=0.0, points=grid[1:-1],
+        norm="max", limit=100000,
+    )
+    assert np.all(err[1:] > 0.0)
+    assert np.all(np.abs(gamma - reference) <= err + reference_err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["depol-classical"],
+        ["depol-spinbath", "--ensemble", "lorentzian", "--l", "1", "--a", "0.8",
+         "--t-max", "20", "--steps", "401"],
+        ["dephasing-quantum", "--single-mode"],
+        ["dephasing-quantum", "--ohmic-amplitude", "8", "--beta", "1"],
+        ["dephasing-classical", "--cosine", "1:1,0.5:2"],
+        ["amp-damping", "--modes", "1:1,0.5:1.5,0.3:0.7", "--t-max", "3", "--steps", "1501"],
+    ],
+    ids=["classical", "lorentzian", "single-mode", "ohmic", "cosine", "3-modes"],
+)
+def test_finite_differences_agree_with_analytic_rates(tmp_path, argv):
+    # the cross-check: analyze's extractor, reading the factor column back,
+    # lands within its own error estimate of the written analytic rate
+    out = tmp_path / "run.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    times, factor = read_series_csv(out, "f_or_coherence")
+    gamma = read_series_csv(out, "gamma")[1]
+    if argv[0] == "amp-damping":
+        factor = factor**2  # the population exponent Gamma is -ln |alpha|^2
+    extracted = rate_from_series(TimeSeries(times, factor, "bloch-factor"))
+    assert np.all(np.abs(extracted.values - gamma) <= extracted.error)
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    src = Path(dephasing.__file__).resolve().parents[1]
+    probe = "import sys, qchan.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+    )
+    assert result.stdout.strip() == "[]"

@@ -14,7 +14,7 @@ from qchan import (
     solve_amplitude,
     state_from_bloch,
 )
-from qchan.damping import MODE_CAP
+from qchan.damping import MODE_CAP, _solve_with_slope
 from qchan.exact import exact_single_excitation
 
 RESONANT = AmplitudeKernelSpec(1.0, ((1.0, 1.0),))
@@ -44,6 +44,20 @@ def test_resonant_mode_closed_form():
     live = ~sol.capped
     p = 1.0 - np.exp(-sol.gamma[live])
     assert np.max(np.abs(p - np.sin(sol.times[live]) ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_modes", [1, 5, 20])
+def test_rate_matches_exact_block_derivative(rng, n_modes):
+    # Gamma' = -2 d ln|alpha|/dt by a central difference of the brute-force
+    # block, whose error is ~h^2 times the third derivative plus eps/h
+    couplings = rng.uniform(0.05, 0.5, n_modes) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_modes))
+    spec = AmplitudeKernelSpec(1.0, tuple(zip(couplings, rng.uniform(0.5, 1.5, n_modes))))
+    sol, slope = _solve_with_slope(spec, 10.0, 200)
+    h = 1e-6
+    ahead, behind = (np.abs(exact_single_excitation(spec, sol.times + d)) for d in (h, -h))
+    central = -(np.log(ahead) - np.log(behind)) / h
+    assert np.all(np.abs(slope[1:] - central[1:]) <= 1e-7 * (1.0 + np.abs(central[1:])))
+    assert slope[0] == 0.0
 
 
 def test_resonant_phase_tracks_qubit_frequency():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import polygamma, psi
 
 from qchan import (
     BlochVector,
@@ -29,7 +30,7 @@ from qchan import (
     monte_carlo_coherence,
     state_from_bloch,
 )
-from qchan import _rng, dephasing
+from qchan import _quadrature, _rng, dephasing
 from qchan.channels import GENERATOR_SIGMA3_HALF
 
 FIG2_DENSITY = OhmicExpDensity(8.0 * math.pi, 1.0)
@@ -177,6 +178,35 @@ def test_ohmic_closed_form_skips_quadrature(monkeypatch):
     monkeypatch.setattr(dephasing, "integrate_adaptive", no_quadrature)
     for beta in ORACLE_BETAS:
         assert gamma_continuum(FIG2_DENSITY, beta, 5.0, tol=1e-30, max_panels=1) > 0.0
+
+
+def test_digamma_trigamma_real_axis():
+    x = np.concatenate([np.linspace(1.0, 11.0, 1001), [0.25, 0.5, 30.0, 1e3]])
+    value, slope = dephasing._digamma_trigamma(x)
+    assert np.all(value.imag == 0.0) and np.all(slope.imag == 0.0)
+    assert np.all(np.abs(value.real - psi(x)) <= 4e-15 * np.maximum(1.0, np.abs(psi(x))))
+    assert np.all(np.abs(slope.real - polygamma(1, x)) <= 4e-15 * polygamma(1, x))
+
+
+def test_digamma_trigamma_off_axis():
+    # the Ohmic range: Re z = 1 + tau/beta, Im z = t/beta
+    rng = np.random.default_rng(3)
+    z = rng.uniform(1.0, 11.0, 4000) + 1j * rng.uniform(-250.0, 250.0, 4000)
+    value, slope = dephasing._digamma_trigamma(z)
+    assert np.all(np.abs(value - psi(z)) <= 5e-15 * np.abs(psi(z)))
+    h = 1e-4
+    central = (psi(z + h) - psi(z - h)) / (2.0 * h)
+    assert np.all(np.abs(slope - central) <= 1e-7 * np.abs(slope))
+
+
+def test_quadrature_heap_only_on_demand(monkeypatch):
+    def no_heap(*args):
+        raise AssertionError("heap built for a converged first pass")
+
+    monkeypatch.setattr(_quadrature.heapq, "heapify", no_heap)
+    assert gamma_continuum(fig2_table(4001), 1.0, 5.0) > 0.0
+    with pytest.raises(AssertionError):
+        gamma_continuum(fig2_table(4001), 1.0, 5.0, tol=1e-18)
 
 
 def test_tabulated_matches_ohmic():

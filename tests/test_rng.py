@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from qchan import DomainError, ResourceError
-from qchan._rng import MONTE_CARLO_CAP, monte_carlo_sums, realization_normals
+from qchan import CosineSumProcess, DomainError, ResourceError, dephasing, monte_carlo_coherence
+from qchan._rng import (
+    MONTE_CARLO_CAP,
+    monte_carlo_cost,
+    monte_carlo_sums,
+    realization_normals,
+)
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
@@ -47,16 +52,29 @@ def test_seed_validation():
         realization_normals(2**64, 0, 1, 1)
 
 
+class Drew(Exception):
+    pass
+
+
+def no_draw(*args):
+    raise Drew
+
+
 def test_monte_carlo_cap_checked_before_any_draw():
-    class Drew(Exception):
-        pass
+    for width, normals in ((1, 3), (400, 3), (201, 400), (5, 2)):
+        at_cap = int(MONTE_CARLO_CAP // monte_carlo_cost(1, width, normals))
+        with pytest.raises(Drew):
+            monte_carlo_sums(at_cap, width, normals, no_draw, None)
+        with pytest.raises(ResourceError):
+            monte_carlo_sums(at_cap + 1, width, normals, no_draw, None)
 
-    def draw(start, stop):
-        raise Drew
 
-    with pytest.raises(Drew):
-        monte_carlo_sums(MONTE_CARLO_CAP, 1, draw, None)
+def test_monte_carlo_cap_counts_components(monkeypatch):
+    # 200 cosine components on 201 points: under the former cap of 10^9
+    # realizations x points, but about 4.6e-7 s per point-realization, so
+    # ~7 minutes of work
+    monkeypatch.setattr(dephasing, "realization_normals", no_draw)
+    process = CosineSumProcess(tuple((1.0, 1.0 + 0.01 * i) for i in range(200)))
+    grid = np.linspace(0.0, 10.0, 201)
     with pytest.raises(ResourceError):
-        monte_carlo_sums(MONTE_CARLO_CAP + 1, 1, draw, None)
-    with pytest.raises(ResourceError):
-        monte_carlo_sums(MONTE_CARLO_CAP // 400 + 1, 400, draw, None)
+        monte_carlo_coherence(process, 1.0, grid, 10**9 // 201, seed=1)
