@@ -135,28 +135,22 @@ def _config_echo(cfg: dict) -> str:
 
 def _write_output(command: str, cfg: dict, columns: dict) -> None:
     path = cfg["out"]
+    # one .tolist() per float column serves both formats; "%.17g" round-trips every double
+    cells = [
+        values if name == "flags" else np.asarray(values, dtype=float).tolist()
+        for name, values in columns.items()
+    ]
     if cfg["format"] == "json":
         payload = {"meta": {"command": command, "config": json.loads(_config_echo(cfg))}}
-        cols = {}
-        for name, values in columns.items():
-            if name == "flags":
-                cols[name] = list(values)
-            else:
-                cols[name] = [
-                    None if math.isnan(float(v)) else float(v) for v in np.asarray(values)
-                ]
-        payload["columns"] = cols
+        payload["columns"] = {
+            name: list(values) if name == "flags" else [None if v != v else v for v in values]
+            for name, values in zip(columns, cells)
+        }
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     else:
-        names = list(columns)
-        lines = [f"# qchan {command}", f"# config = {_config_echo(cfg)}", ",".join(names)]
-        length = len(columns[names[0]])
-        arrays = [columns[n] for n in names]
-        for i in range(length):
-            cells = []
-            for name, arr in zip(names, arrays):
-                cells.append(str(arr[i]) if name == "flags" else _fmt(arr[i]))
-            lines.append(",".join(cells))
+        row = ",".join("%s" if name == "flags" else "%.17g" for name in columns)
+        lines = [f"# qchan {command}", f"# config = {_config_echo(cfg)}", ",".join(columns)]
+        lines.extend(row % values for values in zip(*cells))
         text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
@@ -428,21 +422,17 @@ def read_series_csv(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
     """Read (t, column) from a qchan CSV file."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    if len(lines) < 2:
         raise DomainError(f"{path} holds no data")
     header = lines[0].split(",")
     if "t" not in header or column not in header:
         raise DomainError(f"{path} lacks a 't' or {column!r} column (header: {header})")
-    it, ic = header.index("t"), header.index(column)
-    t_vals, c_vals = [], []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        try:
-            t_vals.append(float(cells[it]))
-            c_vals.append(float(cells[ic]))
-        except (IndexError, ValueError) as exc:
-            raise DomainError(f"{path}: malformed data row {ln!r}") from exc
-    return np.array(t_vals), np.array(c_vals)
+    cols = (header.index("t"), header.index(column))
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", usecols=cols, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"{path}: malformed data: {exc}") from exc
+    return data[:, 0], data[:, 1]
 
 
 def _classification_report(verdict: rates.MarkovClass) -> dict:

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -66,3 +69,41 @@ def memory_kernel_march():
         return u
 
     return _march
+
+
+@pytest.fixture
+def per_cell_writer():
+    """Reference writer: the CLI's original per-cell CSV/JSON builder.
+    Returns the text ``cli._write_output`` writes for (command, cfg, columns)."""
+    from qchan.cli import _config_echo
+
+    def _fmt(value) -> str:
+        return format(float(value), ".17g")
+
+    def _build(command: str, cfg: dict, columns: dict) -> str:
+        if cfg["format"] == "json":
+            payload = {"meta": {"command": command, "config": json.loads(_config_echo(cfg))}}
+            cols = {}
+            for name, values in columns.items():
+                if name == "flags":
+                    cols[name] = list(values)
+                else:
+                    cols[name] = [
+                        None if math.isnan(float(v)) else float(v) for v in np.asarray(values)
+                    ]
+            payload["columns"] = cols
+            text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        else:
+            names = list(columns)
+            lines = [f"# qchan {command}", f"# config = {_config_echo(cfg)}", ",".join(names)]
+            length = len(columns[names[0]])
+            arrays = [columns[n] for n in names]
+            for i in range(length):
+                cells = []
+                for name, arr in zip(names, arrays):
+                    cells.append(str(arr[i]) if name == "flags" else _fmt(arr[i]))
+                lines.append(",".join(cells))
+            text = "\n".join(lines) + "\n"
+        return text
+
+    return _build

@@ -21,6 +21,7 @@ from qchan import (
     rate_from_series,
     spin_bath,
 )
+from qchan import cli
 from qchan._rng import MONTE_CARLO_CAP
 from qchan.cli import main, read_series_csv
 from qchan.exact import MODE_CAP
@@ -162,6 +163,9 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     files = {
         "non_numeric.csv": "t,f_or_coherence,p\n0,1,0\n0.1,abc,0\n",
         "short_row.csv": "t,f_or_coherence,p\n0,1,0\n0.1\n",
+        "header_only.csv": "# qchan depol-classical\nt,f_or_coherence,p\n",
+        # digits with underscores are not numbers in a data file
+        "underscore.csv": "t,f_or_coherence\n" + "".join(f"{t},1\n" for t in range(9)) + "1_0,1\n",
         "spectral.txt": "0 1\n1 x\n",
         "spectral_inf.txt": "0 0\n1 inf\n2 1\n",
         "spectral_nan.txt": "0 0\n1 nan\n2 1\n",
@@ -174,6 +178,8 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     commands = [
         ["analyze", str(tmp_path / "non_numeric.csv")],
         ["analyze", str(tmp_path / "short_row.csv")],
+        ["analyze", str(tmp_path / "header_only.csv")],
+        ["analyze", str(tmp_path / "underscore.csv")],
         ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral.txt"), "--out", out],
         ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral_inf.txt"), "--out", out],
         ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral_nan.txt"), "--out", out],
@@ -477,3 +483,91 @@ def test_cli_import_leaves_scipy_out(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_python_m_qchan_runs_the_cli(tmp_path):
+    src = Path(dephasing.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "qchan", "--help"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: qchan")
+
+
+# ------------------------------------------------------------ writer and reader
+
+GENERATING = {
+    "fixed-poles": ["depol-spinbath", "--ensemble", "fixed", "--l", "1", "--t-max", "4",
+                    "--steps", "81"],
+    "spin-star-poles": ["depol-spinbath", "--ensemble", "spin-star", "--N", "10"],
+    "classical-mc": ["depol-classical", "--steps", "40", "--mc", "200", "--seed", "9"],
+    "single-mode": ["dephasing-quantum", "--single-mode"],
+    "ohmic": ["dephasing-quantum", "--ohmic-amplitude", "8", "--beta", "1"],
+    "cosine-mc": ["dephasing-classical", "--cosine", "1:1,0.5:2", "--steps", "51", "--mc",
+                  "200", "--seed", "3"],
+    "damping-capped": ["amp-damping", "--t-max", str(math.pi), "--steps", "3143"],
+    "damping-3-modes": ["amp-damping", "--modes", "1:1,0.5:1.5,0.3:0.7", "--steps", "201"],
+}
+
+FLAGGED = {"fixed-poles": "pole", "spin-star-poles": "pole", "damping-capped": "capped"}
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+def assert_writer_matches(tmp_path, reference, command, cfg, columns):
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"written.{fmt}"
+        sub = {**cfg, "format": fmt, "out": str(out)}
+        cli._write_output(command, sub, columns)
+        assert out.read_bytes() == reference(command, sub, columns).encode(), fmt
+
+
+@pytest.mark.parametrize("name", GENERATING)
+def test_writer_matches_per_cell_builder(tmp_path, monkeypatch, per_cell_writer, name):
+    calls = []
+    write = cli._write_output
+    monkeypatch.setattr(cli, "_write_output", lambda *args: calls.append(args) or write(*args))
+    assert main([*GENERATING[name], "--out", str(tmp_path / "run.csv")]) == 0
+    ((command, cfg, columns),) = calls
+    if name in FLAGGED:
+        assert FLAGGED[name] in columns["flags"]
+    assert_writer_matches(tmp_path, per_cell_writer, command, cfg, columns)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"t": np.arange(6.0), "x": np.array(SPECIAL_FLOATS),
+         "y": np.array(SPECIAL_FLOATS[::-1]), "flags": ["", "pole", "", "capped", "", ""]},
+        {"t": np.array([0.0]), "f_or_coherence": np.array([-0.0]), "flags": ["pole"]},
+    ],
+    ids=["special-values", "one-row"],
+)
+def test_writer_special_values_match_per_cell_builder(tmp_path, per_cell_writer, columns):
+    assert_writer_matches(tmp_path, per_cell_writer, "depol-classical", {"seed": 1}, columns)
+
+
+@pytest.mark.parametrize("argv", GENERATING.values(), ids=GENERATING)
+def test_reader_matches_float_per_cell(tmp_path, argv):
+    out = tmp_path / "run.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header = lines[2].split(",")
+    rows = [line.split(",") for line in lines[3:]]
+    for j, name in enumerate(header):
+        if name == "flags":
+            continue
+        times, values = read_series_csv(out, name)
+        expected = np.array([[float(row[0]), float(row[j])] for row in rows])
+        assert times.tobytes() == expected[:, 0].tobytes(), name
+        assert values.tobytes() == expected[:, 1].tobytes(), name
+
+
+def test_reader_skips_blank_and_comment_lines_and_crlf(tmp_path):
+    path = tmp_path / "mixed.csv"
+    text = "# qchan test\r\nt,f_or_coherence\r\n\r\n0,1\r\n   \r\n# note\r\n0.5,0.25\r\n\t\r\n1,-0\r\n"
+    path.write_bytes(text.encode())
+    times, values = read_series_csv(path, "f_or_coherence")
+    assert times.tolist() == [0.0, 0.5, 1.0]
+    assert values.tobytes() == np.array([1.0, 0.25, -0.0]).tobytes()
