@@ -425,6 +425,25 @@ def test_ohmic_finite_temperature_rate_vs_quadpack(tmp_path, beta):
     assert np.all(err == 0.0)
 
 
+def test_quadrature_failure_names_time_span(tmp_path, capsys, monkeypatch):
+    grid = np.linspace(0.0, 40.0, 401)
+    path = tmp_path / "ohmic.txt"
+    np.savetxt(path, np.column_stack([grid, 8.0 * math.pi * grid * np.exp(-grid)]))
+    integrate = dephasing.integrate_adaptive
+
+    def small_budget(f, edges, tol, max_panels, **kwargs):
+        return integrate(f, edges, tol, len(edges) + 100, **kwargs)
+
+    monkeypatch.setattr(dephasing, "integrate_adaptive", small_budget)
+    argv = ["dephasing-quantum", "--spectral-file", str(path), "--tol", "1e-30",
+            "--t-max", "38", "--steps", "20", "--out", str(tmp_path / "x.csv")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qchan: numerical failure: quadrature error estimate"), err
+    assert err.rstrip().endswith("for t in [0, 30]"), err
+
+
 def test_tabulated_rate_within_gamma_err(tmp_path):
     rng = np.random.default_rng(7)
     grid = np.linspace(0.0, 20.0, 1001)

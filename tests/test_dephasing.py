@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.special import polygamma, psi
 
 from qchan import (
@@ -246,6 +246,113 @@ def test_quadrature_budget_error_carries_estimate():
         gamma_continuum(table, math.inf, 40.0, tol=1e-13, max_panels=6)
     expected = 40.0**2 / (1.0 + 40.0**2)
     assert info.value.estimate == pytest.approx(expected, abs=0.2)
+    assert info.value.error > 0
+
+
+def test_kronrod_pair_is_exact_to_its_degree():
+    x, wk, wg = _quadrature._XK, _quadrature._WK, _quadrature._WG
+    nodes7, weights7 = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(x[1::2] - nodes7)) <= 1e-15
+    assert np.max(np.abs(wg[1::2] - weights7)) <= 1e-15
+    assert np.all(wg[::2] == 0.0)
+    assert wk.sum() == pytest.approx(2.0, abs=1e-15)
+    assert wg.sum() == pytest.approx(2.0, abs=1e-15)
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(wk @ x**k - exact) <= 1e-15, k
+        if k <= 13:
+            assert abs(wg @ x**k - exact) <= 1e-15, k
+    # and no further: the degrees are sharp
+    assert abs(wk @ x**24 - 2.0 / 25) > 1e-12
+    assert abs(wg @ x**14 - 2.0 / 15) > 1e-12
+
+
+def test_time_blocks_match_single_times_and_quad_vec(monkeypatch):
+    # 37 times: two full blocks of 16 and a partial one; the shuffled copy
+    # is blocked by ascending time, so it gives the same values
+    grid = np.linspace(0.0, 20.0, 401)
+    density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
+    table = TabulatedDensity(grid, density)
+    times = np.linspace(0.0, 30.0, 37)
+    tol = 1e-8
+    estimates = []
+    integrate = dephasing.integrate_adaptive
+
+    def recording(*args, **kwargs):
+        values, errors = integrate(*args, **kwargs)
+        estimates.append(errors)
+        return values, errors
+
+    monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
+    value, slope, slope_err = dephasing._continuum_and_slope(table, 1.0, times, tol)
+    # an ascending grid is blocked in order, each block's Gamma rows first
+    assert [e.size for e in estimates] == [32, 32, 10]
+    value_err = np.concatenate([e[: e.size // 2] for e in estimates])
+    assert np.array_equal(np.concatenate([e[e.size // 2 :] for e in estimates]), slope_err)
+    assert np.all(value_err <= tol) and np.all(slope_err <= tol)
+    shuffled = np.random.default_rng(5).permutation(37)
+    for got, want in zip(dephasing._continuum_and_slope(table, 1.0, times[shuffled], tol),
+                         (value, slope, slope_err)):
+        assert np.array_equal(got, want[shuffled])
+    single = np.array([dephasing._continuum_and_slope(table, 1.0, t, tol) for t in times])
+    assert np.max(np.abs(value - single[:, 0])) <= 2.0 * tol
+    assert np.max(np.abs(slope - single[:, 1])) <= 2.0 * tol
+
+    def integrand(w):
+        if w <= 0.0:
+            return np.zeros(2 * times.size)  # both integrands vanish as w -> 0
+        weight = np.interp(w, grid, density) / math.tanh(0.5 * w) / (8.0 * math.pi)
+        return np.concatenate(
+            [weight / w * 2.0 * np.sin(0.5 * w * times) ** 2, weight * np.sin(w * times)]
+        )
+
+    reference, reference_err = quad_vec(
+        integrand, 0.0, 20.0, epsabs=1e-13, epsrel=0.0, points=grid[1:-1],
+        norm="max", limit=100000,
+    )
+    assert np.all(value_err[1:] > 0.0) and np.all(slope_err[1:] > 0.0)
+    assert np.all(np.abs(value - reference[:37]) <= value_err + reference_err)
+    assert np.all(np.abs(slope - reference[37:]) <= slope_err + reference_err)
+
+
+def test_quadrature_slabs_bound_integrand_size(monkeypatch):
+    grid = np.linspace(0.0, 400.0, 4001)
+    table = TabulatedDensity(grid, FIG2_DENSITY(grid))
+    times = np.linspace(2.5, 40.0, 16)
+    sizes, panels = [], []
+    integrate = dephasing.integrate_adaptive
+
+    def recording(f, edges, *args, **kwargs):
+        def wrapped(w):
+            rows = f(w)
+            sizes.append(rows.size)
+            return rows
+
+        panels.append(len(edges) - 1)
+        return integrate(wrapped, edges, *args, **kwargs)
+
+    monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
+    dephasing._continuum_and_slope(table, 1.0, times)
+    first_pass = len(sizes)
+    assert first_pass > 1 and max(sizes) <= _quadrature._SLAB
+    # the same first pass, then 40 bisections before the budget runs out
+    with pytest.raises(QuadratureError):
+        dephasing._continuum_and_slope(
+            table, 1.0, times, tol=1e-13, max_panels=panels[0] + 40
+        )
+    assert len(sizes) == 2 * first_pass + 40
+    assert max(sizes) <= _quadrature._SLAB
+
+
+def test_quadrature_error_names_time_block():
+    grid = np.linspace(0.0, 400.0, 4001)
+    table = TabulatedDensity(grid, FIG2_DENSITY(grid))
+    times = np.linspace(2.0, 40.0, 20)
+    with pytest.raises(QuadratureError) as info:
+        dephasing._continuum_and_slope(table, math.inf, times, tol=1e-13, max_panels=6)
+    # the first block fails; its first row is Gamma at its smallest time
+    assert f"for t in [2, {times[15]:.17g}]" in str(info.value)
+    assert info.value.estimate == pytest.approx(4.0 / 5.0, abs=1e-2)
     assert info.value.error > 0
 
 
