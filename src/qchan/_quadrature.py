@@ -10,7 +10,8 @@ too large are then bisected until the summed estimate meets the tolerance.
 An integrand may have many rows that share the panels (values and time
 derivatives at several times); every row must meet the tolerance.  Panels
 are evaluated in slabs of about 2^16 integrand values, so memory stays
-bounded whatever the row and panel counts.
+bounded whatever the row and panel counts; the results do not depend on the
+slab size.
 """
 
 from __future__ import annotations
@@ -76,9 +77,13 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, rows: int):
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
     fk = f(nodes.ravel()).reshape(rows, *nodes.shape)
-    kronrod = half * (fk @ _WK)
-    gauss = half * (fk @ _WG)
-    return kronrod, np.abs(kronrod - gauss) + _ROUNDING * half * (np.abs(fk) @ _WK)
+    # einsum sums each panel's 15 values in one order whatever the slab's
+    # shape, so results do not depend on the slab size; a matrix product's
+    # BLAS kernel, and with it the rounding, changes with the shape
+    kronrod = half * np.einsum("rpk,k->rp", fk, _WK)
+    gauss = half * np.einsum("rpk,k->rp", fk, _WG)
+    floor = _ROUNDING * half * np.einsum("rpk,k->rp", np.abs(fk), _WK)
+    return kronrod, np.abs(kronrod - gauss) + floor
 
 
 def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rows: int):

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import POLE_FLOOR, check_grid, check_times, scalar_or_array
+from ._common import (
+    POLE_FLOOR,
+    check_grid,
+    check_square,
+    check_times,
+    double_angle,
+    scalar_or_array,
+)
 from ._rng import monte_carlo_sums, realization_normals
 from .errors import DomainError, PoleError
 from .states import BlochVector
@@ -39,6 +46,7 @@ class IsotropicGaussianNoise:
             raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
         object.__setattr__(self, "coupling", float(self.coupling))
         object.__setattr__(self, "sigma", float(self.sigma))
+        check_square("coupling*sigma", self.coupling * self.sigma)
 
 
 @dataclass(frozen=True)
@@ -124,17 +132,20 @@ def rotate_bloch(sample: NoiseSample, coupling, t, start: BlochVector) -> BlochV
     return BlochVector.from_array(out)
 
 
-def _alignment_samples(xi, coupling, times, axis):
-    """Overlaps s(t).s0 of the realizations whose fields are the rows of
-    ``xi``, and their squares: two (realizations, times) arrays."""
-    gt = coupling * times
-    norm = np.sqrt(np.vecdot(xi, xi))[:, None]
-    angle = 2.0 * gt * norm
-    # float_power is libm pow, as for a Python float; a square rounds differently
-    overlap2 = np.float_power(np.vecdot(xi, axis), 2.0)[:, None]
-    sinc_half = np.sinc(gt * norm / np.pi)
-    fj = np.cos(angle) + 2.0 * gt**2 * sinc_half**2 * overlap2
-    return fj, fj * fj
+def _alignment_samples(normals, sigma, coupling, times, axis):
+    """Overlaps s(t).s0 = 1 - (1 - (n^.a)^2) 2 sin^2(g t sigma |n|) of the
+    realizations whose unscaled normals n are the rows of ``normals`` (the
+    field is sigma n), and their squares: two (realizations, times) arrays.
+
+    The direction factor comes from n, not from sigma n, so no size of
+    sigma gives 0/0 or inf/inf; one tangent per point is the cost.
+    """
+    length = np.vecdot(normals, normals)
+    off_axis = 1.0 - np.square(np.vecdot(normals, axis)) / length
+    phase = np.multiply.outer(sigma * np.sqrt(length), coupling * times)
+    _, vers = double_angle(phase, vers=phase)
+    overlap = np.subtract(1.0, np.multiply(vers, off_axis[:, None], out=vers), out=vers)
+    return overlap, overlap * overlap
 
 
 def monte_carlo_polarization(
@@ -160,8 +171,8 @@ def monte_carlo_polarization(
         n,
         times.size,
         3,
-        lambda start, stop: noise.sigma * realization_normals(seed, start, stop, 3),
-        lambda xi: _alignment_samples(xi, noise.coupling, times, axis),
+        lambda start, stop: realization_normals(seed, start, stop, 3),
+        lambda normals: _alignment_samples(normals, noise.sigma, noise.coupling, times, axis),
     )
     mean = total / n
     variance = np.maximum(total_sq / n - mean**2, 0.0) * (n / (n - 1.0))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_grid, check_times, scalar_or_array
+from ._common import check_grid, check_square, check_times, double_angle, scalar_or_array
 from ._quadrature import integrate_adaptive
 from ._rng import monte_carlo_sums, realization_normals
 from .errors import DomainError, QuadratureError, UnsupportedQueryError
@@ -53,6 +53,9 @@ class DiscreteBosonBath:
             raise DomainError("mode frequencies must be finite and > 0")
         if any(not np.isfinite(abs(c)) for (c, _) in modes):
             raise DomainError("mode couplings must be finite")
+        for c, w in modes:
+            check_square("mode coupling |c|", abs(c))
+            check_square("mode frequency", w)
         if not self.beta > 0:
             raise DomainError(f"beta must be > 0 (or inf), got {self.beta}")
         object.__setattr__(self, "modes", modes)
@@ -148,6 +151,9 @@ class CosineSumProcess:
             raise DomainError("component amplitudes must be finite and > 0")
         if any(not 0 < w < math.inf for (_, w) in comps):
             raise DomainError("component frequencies must be finite and > 0")
+        for s, w in comps:
+            check_square("component amplitude", s)
+            check_square("component frequency", w)
         object.__setattr__(self, "components", comps)
 
 
@@ -230,8 +236,9 @@ def _continuum_integrand(density: TabulatedDensity, beta: float, times: np.ndarr
     """Integrands of Gamma and Gamma' at the ``times`` as 2 len(times) rows,
     the Gamma rows first: the t-independent weight
     J(w) coth(beta w/2) / (8 pi), computed once per node, times
-    2 sin^2(wt/2) / w and sin(wt).  The w -> 0 limit of the coth factor is
-    taken from its series (removes the 0/0); beta = inf gives coth = 1."""
+    2 sin^2(x) / w and sin(2x) with x = wt/2, both from one tangent per
+    (time, node).  The w -> 0 limit of the coth factor is taken from its
+    series (removes the 0/0); beta = inf gives coth = 1."""
 
     def integrand(w):
         x = 0.5 * beta * w
@@ -240,14 +247,14 @@ def _continuum_integrand(density: TabulatedDensity, beta: float, times: np.ndarr
         if np.any(small):
             coth[small] = 1.0 / x[small] + x[small] / 3.0
         weight = density(w) * coth / (8.0 * np.pi)
-        phase = np.multiply.outer(times, w)
         rows = np.empty((2 * times.size, w.size))
         value, slope = rows[: times.size], rows[times.size :]
-        # in place: the two sines are the cost, (times, nodes) temporaries
-        # would add a third of it
-        np.multiply(np.sin(phase, out=slope), weight, out=slope)
-        half_sin = np.sin(np.multiply(phase, 0.5, out=phase), out=phase)
-        np.multiply(np.square(half_sin, out=half_sin), 2.0 * weight / w, out=value)
+        # in place, in the rows: the tangent is the cost, and a
+        # (times, nodes) temporary would add to it
+        np.multiply.outer(times, w, out=value)
+        double_angle(np.multiply(value, 0.5, out=value), sin2x=slope, vers=value)
+        np.multiply(slope, weight, out=slope)
+        np.multiply(value, weight / w, out=value)
         return rows
 
     return integrand
@@ -412,9 +419,11 @@ def _classical_and_slope(process: StationaryProcess, coupling, t):
         return rate * tt, np.full_like(tt, rate)
     if not isinstance(process, CosineSumProcess):
         raise DomainError(f"unknown process type {type(process).__name__}")
+    check_square("coupling", g)
     out = np.zeros_like(tt)
     slope = np.zeros_like(tt)
     for sigma, w in process.components:
+        check_square("coupling*amplitude", g * sigma)
         out += 4.0 * g**2 * sigma**2 * 2.0 * np.sin(0.5 * w * tt) ** 2 / w**2
         slope += 4.0 * g**2 * sigma**2 * np.sin(w * tt) / w
     return out, slope
@@ -461,14 +470,20 @@ class CoherenceEstimate:
 
 def _coherence_samples(draws, sigmas, freqs, sin_t, cos_t, coupling):
     """exp(-2ig int_0^t xi) of the realizations whose coefficient draws are
-    the rows of ``draws``, and the squares of its real and imaginary parts."""
+    the rows of ``draws``, and the squares of its real and imaginary parts.
+
+    With u = -g int_0^t xi the value is (1 - 2 sin^2 u) + i sin 2u, from
+    one tangent per point instead of a complex exp."""
     m = len(sigmas)
     x = sigmas * draws[:, :m]
     y = sigmas * draws[:, m:]
     # exact per-realization integral of xi over [0, t]; matvec rounds as
     # the per-realization product sin_t @ v does, a matrix product does not
     integral = np.matvec(sin_t, x / freqs) + np.matvec(cos_t, y / freqs)
-    value = np.exp(-2.0j * coupling * integral)
+    sin2x, vers = double_angle(np.multiply(integral, -coupling, out=integral), vers=integral)
+    value = np.empty(vers.shape, dtype=complex)
+    value.real = 1.0 - vers
+    value.imag = sin2x
     return value, value.real**2, value.imag**2
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,12 +100,16 @@ def test_monte_carlo_matches_analytic():
     assert np.mean(inside) >= 0.99
 
 
-def _loop_overlap(xi, coupling, times, axis):
-    """Reference: s(t).s0 of one realization."""
-    norm = np.sqrt(xi @ xi)
-    gt = coupling * times
-    sinc_half = np.sinc(gt * norm / np.pi)
-    return np.cos(2.0 * gt * norm) + 2.0 * gt**2 * sinc_half**2 * float(xi @ axis) ** 2
+def _loop_overlap(normals, sigma, coupling, times, axis):
+    """Reference: s(t).s0 = 1 - (1 - (n^.a)^2) 2 sin^2 x of one realization
+    with unscaled normals n, x = g t sigma |n|, and 2 sin^2 x = T sin 2x,
+    sin 2x = 2T/(1 + T^2) from T = tan x."""
+    length = normals @ normals
+    proj = float(normals @ axis)
+    off_axis = 1.0 - proj * proj / length
+    tan = np.tan(sigma * np.sqrt(length) * (coupling * times))
+    vers = tan * (2.0 * tan / (1.0 + tan * tan))
+    return 1.0 - vers * off_axis
 
 
 def _loop_polarization(draw, noise, times, n, seed, axis):
@@ -114,7 +120,7 @@ def _loop_polarization(draw, noise, times, n, seed, axis):
         part = np.zeros_like(times)
         part_sq = np.zeros_like(times)
         for j in range(start, min(start + 1024, n)):
-            fj = _loop_overlap(noise.sigma * draw(seed, j, 3), noise.coupling, times, axis)
+            fj = _loop_overlap(draw(seed, j, 3), noise.sigma, noise.coupling, times, axis)
             part += fj
             part_sq += fj * fj
         total += part
@@ -141,12 +147,50 @@ def test_alignment_rows_match_per_realization_loop():
     # row by row: the sums of a run can absorb a last-digit change in one row
     grid = np.linspace(0.0, 2.0, 7)
     axis = np.array([0.6, 0.0, 0.8])
-    xi = 0.7 * _rng.realization_normals(5, 0, 20000, 3)
-    rows, squares = classical_field._alignment_samples(xi, 1.3, grid, axis)
-    for row, square, x in zip(rows, squares, xi):
-        expected = _loop_overlap(x, 1.3, grid, axis)
+    normals = _rng.realization_normals(5, 0, 20000, 3)
+    rows, squares = classical_field._alignment_samples(normals, 0.7, 1.3, grid, axis)
+    for row, square, x in zip(rows, squares, normals):
+        expected = _loop_overlap(x, 0.7, 1.3, grid, axis)
         assert row.tobytes() == expected.tobytes()
         assert square.tobytes() == (expected * expected).tobytes()
+
+
+def test_alignment_rows_match_cos_sinc_formula_and_rotation():
+    # sigma = 1, so the old kernel's field is n and both see the same angle
+    grid = np.linspace(0.0, 2.0, 7)
+    axis = np.array([0.6, 0.0, 0.8])
+    normals = _rng.realization_normals(11, 0, 20000, 3)
+    rows, _ = classical_field._alignment_samples(normals, 1.0, 1.3, grid, axis)
+    gt = 1.3 * grid
+    norm = np.sqrt(np.vecdot(normals, normals))[:, None]
+    sinc_half = np.sinc(gt * norm / np.pi)
+    overlap2 = np.vecdot(normals, axis)[:, None] ** 2
+    old = np.cos(2.0 * gt * norm) + 2.0 * gt**2 * sinc_half**2 * overlap2
+    # the same formula in extended precision at the same double angle; the
+    # old formula's own error reaches 1.7e-15 here, the new one's 6.9e-16
+    wide = normals.astype(np.longdouble)
+    aligned = (wide @ axis.astype(np.longdouble)) ** 2 / np.vecdot(wide, wide)
+    angle = (norm * gt).astype(np.longdouble)
+    exact = 1.0 - (1.0 - aligned)[:, None] * 2.0 * np.sin(angle) ** 2
+    assert np.max(np.abs(rows - exact)) <= 1e-15
+    assert np.max(np.abs(rows - old)) <= 2e-15
+    start = BlochVector.from_array(axis)
+    for row, n in zip(rows[:300], normals[:300]):
+        sample = NoiseSample(*n)
+        rotated = [rotate_bloch(sample, 1.3, t, start).as_array() @ axis for t in grid]
+        assert np.max(np.abs(row - rotated)) <= 1e-14
+
+
+def test_monte_carlo_extreme_sigma_is_exact_and_finite():
+    grid = np.linspace(0.0, 4.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quiet = monte_carlo_polarization(IsotropicGaussianNoise(1.0, 1e-200), grid, 3000, seed=3)
+        loud = monte_carlo_polarization(IsotropicGaussianNoise(1.0, 1e154), grid, 3000, seed=3)
+    assert np.all(quiet.mean == 1.0)
+    assert np.all(quiet.stderr == 0.0)
+    assert np.all(np.isfinite(loud.mean)) and np.all(np.isfinite(loud.stderr))
+    assert np.all(np.abs(loud.mean[1:] - 1.0 / 3.0) <= 5.0 * loud.stderr[1:])
 
 
 def test_monte_carlo_isotropy():

@@ -202,6 +202,27 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
             assert "t-max must be finite and > 0" in err, argv
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["depol-classical", "--sigma", "1e200"], "coupling*sigma"),
+        (["depol-classical", "--g", "1e100", "--sigma", "1e100", "--mc", "10"], "coupling*sigma"),
+        (["dephasing-classical", "--cosine", "1e200:1"], "component amplitude"),
+        (["dephasing-classical", "--cosine", "1:1", "--g", "1e200"], "coupling"),
+        (["dephasing-classical", "--cosine", "1e100:1", "--g", "1e100"], "coupling*amplitude"),
+        (["dephasing-quantum", "--modes", "1e200:1"], "mode coupling |c|"),
+        (["dephasing-quantum", "--modes", "1:1e200"], "mode frequency"),
+    ],
+)
+def test_squared_scale_overflow_exits_2(tmp_path, capsys, argv, name):
+    # these squares once raised a bare OverflowError (exit 1)
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qchan: configuration error: {name} = "), err
+    assert "its square overflows" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     # an unresolvable quadrature budget is a numerical failure, not config
     grid = np.linspace(0.0, 40.0, 401)

@@ -344,6 +344,46 @@ def test_quadrature_slabs_bound_integrand_size(monkeypatch):
     assert max(sizes) <= _quadrature._SLAB
 
 
+def test_tabulated_results_do_not_depend_on_slab_size(monkeypatch):
+    grid = np.linspace(0.0, 20.0, 401)
+    density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
+    table = TabulatedDensity(grid, density)
+    times = np.linspace(0.0, 30.0, 37)
+    # a tight tolerance, so bisections run after the first pass
+    default = dephasing._continuum_and_slope(table, 1.0, times, tol=1e-12)
+    calls = []
+    integrate = dephasing.integrate_adaptive
+
+    def counting(f, *args, **kwargs):
+        def wrapped(w):
+            calls.append(w.size)
+            return f(w)
+
+        return integrate(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(dephasing, "integrate_adaptive", counting)
+    monkeypatch.setattr(_quadrature, "_SLAB", 1)  # one panel per slab
+    single = dephasing._continuum_and_slope(table, 1.0, times, tol=1e-12)
+    assert set(calls) == {_quadrature._XK.size}
+    for got, want in zip(single, default):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_continuum_integrand_matches_sines():
+    grid = np.linspace(0.0, 20.0, 401)
+    table = TabulatedDensity(grid, grid * np.exp(-grid / 3.0))
+    times = np.linspace(0.0, 30.0, 37)
+    w = np.random.default_rng(4).uniform(0.5, 20.0, 3000)
+    rows = dephasing._continuum_integrand(table, 1.0, times)(w)
+    weight = table(w) / np.tanh(0.5 * w) / (8.0 * math.pi)
+    phase = np.outer(times, w)
+    value = weight / w * 2.0 * np.sin(0.5 * phase) ** 2
+    slope = weight * np.sin(phase)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(rows[:37] - value) <= 8.0 * eps * np.abs(value))
+    assert np.all(np.abs(rows[37:] - slope) <= 8.0 * eps * np.abs(slope))
+
+
 def test_quadrature_error_names_time_block():
     grid = np.linspace(0.0, 400.0, 4001)
     table = TabulatedDensity(grid, FIG2_DENSITY(grid))
@@ -429,7 +469,12 @@ def _loop_coherence(draw, process, coupling, times, n, seed):
         for j in range(start, min(start + 1024, n)):
             draws = draw(seed, j, 2 * m)
             integral = sin_t @ (sigmas * draws[:m] / freqs) + cos_t @ (sigmas * draws[m:] / freqs)
-            value = np.exp(-2.0j * coupling * integral)
+            # exp(2ix) = (1 - 2 sin^2 x) + i sin 2x at x = -g integral, from
+            # T = tan x: sin 2x = 2T/(1 + T^2) and 2 sin^2 x = T sin 2x
+            tan = np.tan(-coupling * integral)
+            sin2x = 2.0 * tan / (1.0 + tan * tan)
+            value = (1.0 - tan * sin2x).astype(complex)
+            value.imag = sin2x
             part += value
             part_re += value.real**2
             part_im += value.imag**2
@@ -455,6 +500,24 @@ def test_monte_carlo_coherence_matches_per_realization_loop(
     assert estimate.mean.tobytes() == mean.tobytes()
     assert estimate.stderr_real.tobytes() == err_re.tobytes()
     assert estimate.stderr_imag.tobytes() == err_im.tobytes()
+
+
+def test_coherence_rows_match_complex_exp():
+    process = CosineSumProcess(((0.7, 1.3), (0.4, 2.9), (1.0, 0.5)))
+    sigmas, freqs = np.array(process.components).T
+    grid = np.linspace(0.0, 10.0, 41)
+    sin_t = np.sin(np.outer(grid, freqs))
+    cos_t = 1.0 - np.cos(np.outer(grid, freqs))
+    draws = _rng.realization_normals(9, 0, 20000, 6)
+    integral = np.matvec(sin_t, sigmas * draws[:, :3] / freqs) + np.matvec(
+        cos_t, sigmas * draws[:, 3:] / freqs
+    )
+    value, real2, imag2 = dephasing._coherence_samples(draws, sigmas, freqs, sin_t, cos_t, 0.8)
+    expected = np.exp(-2.0j * 0.8 * integral)
+    assert np.max(np.abs(value.real - expected.real)) <= 1e-15
+    assert np.max(np.abs(value.imag - expected.imag)) <= 1e-15
+    assert real2.tobytes() == (value.real**2).tobytes()
+    assert imag2.tobytes() == (value.imag**2).tobytes()
 
 
 def test_channel_construction():
