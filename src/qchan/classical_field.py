@@ -86,6 +86,10 @@ def _factor_and_slope(noise: IsotropicGaussianNoise, t):
     """(f, f') at the times ``t``; with u = 2 g^2 s^2 t^2,
     f'(t) = (2/3) e^{-u} (2u - 3) du/dt and du/dt = 4 g^2 s^2 t."""
     tt = check_times(t)
+    # u <= (2 g s t)^2 / 2 and |f'| < (2 g s)^2 max(t, t^2): both must be finite
+    scale = 2.0 * noise.coupling * noise.sigma
+    check_square("2*coupling*sigma", scale)
+    check_square("2*coupling*sigma*t", scale * float(np.max(tt, initial=0.0)))
     gs2 = (noise.coupling * noise.sigma) ** 2
     u = 2.0 * (noise.coupling * noise.sigma * tt) ** 2
     f = (1.0 + 2.0 * (1.0 - 2.0 * u) * np.exp(-u)) / 3.0
@@ -162,6 +166,12 @@ def monte_carlo_polarization(
     in a fixed order.
     """
     times = check_grid(t_grid)
+    # the phase g t sigma |n| must be finite; |n| < 16 for any three normals drawn
+    product = noise.coupling * noise.sigma * float(times[-1])
+    if not math.isfinite(16.0 * product):
+        raise DomainError(
+            f"coupling*sigma*t = {product} is too large: the Monte Carlo phase overflows"
+        )
     n = int(realizations)
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,) or not np.isclose(np.linalg.norm(axis), 1.0, atol=1e-9):

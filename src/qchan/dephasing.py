@@ -56,6 +56,8 @@ class DiscreteBosonBath:
         for c, w in modes:
             check_square("mode coupling |c|", abs(c))
             check_square("mode frequency", w)
+            if w * w == 0.0:  # the weight |c|^2 / omega^2 divides by it
+                raise DomainError(f"mode frequency = {w} is too small: its square underflows")
         if not self.beta > 0:
             raise DomainError(f"beta must be > 0 (or inf), got {self.beta}")
         object.__setattr__(self, "modes", modes)
@@ -212,12 +214,24 @@ def _discrete_and_slope(bath: DiscreteBosonBath, t):
     Gamma'(t) = (1/4) sum_k |c_k|^2 coth(beta w_k / 2) sin(w_k t) / w_k.
     """
     tt = check_times(t)
-    total = np.zeros_like(tt)
-    slope = np.zeros_like(tt)
+    weights = []
     for c, w in bath.modes:
         weight = abs(c) ** 2 / w**2
-        if math.isfinite(bath.beta):
-            weight *= _coth(0.5 * bath.beta * w)
+        if math.isfinite(bath.beta) and weight:
+            # coth is inf where beta omega / 2 underflows; the check below catches it
+            with np.errstate(divide="ignore", over="ignore"):
+                weight = float(weight * _coth(0.5 * bath.beta * w))
+        weights.append(weight)
+    # |Gamma| <= sum of the weights and |Gamma'| <= sum of weight * omega
+    bound = sum(wt * max(w, 1.0) for wt, (_, w) in zip(weights, bath.modes))
+    if not math.isfinite(bound):
+        raise DomainError(
+            "mode weights |c|^2 coth(beta omega/2)/omega^2 are too large: "
+            f"their sum times max(omega, 1) is {bound}, so Gamma or Gamma' overflows"
+        )
+    total = np.zeros_like(tt)
+    slope = np.zeros_like(tt)
+    for weight, (_, w) in zip(weights, bath.modes):
         total += 0.25 * weight * 2.0 * np.sin(0.5 * w * tt) ** 2
         slope += 0.25 * weight * w * np.sin(w * tt)
     return total, slope

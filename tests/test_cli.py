@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad, quad_vec
 
 from qchan import (
+    DomainError,
     FixedCoupling,
     TimeSeries,
     bloch_factor,
@@ -203,6 +204,38 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, product",
+    [
+        (["depol-classical", "--sigma", "1e154"], "2*coupling*sigma = "),
+        (["depol-classical", "--sigma", "1e154", "--mc", "100", "--t-max", "1e160"],
+         "2*coupling*sigma = "),
+        (["depol-classical", "--sigma", "1e100", "--t-max", "1e60"], "2*coupling*sigma*t = "),
+        (["dephasing-quantum", "--modes", "1e150:1e-150"], "mode weights |c|^2"),
+        (["dephasing-quantum", "--modes", ",".join(["1e154:1"] * 4)], "mode weights |c|^2"),
+        (["dephasing-quantum", "--modes", "1e100:1", "--beta", "1e-300"], "mode weights |c|^2"),
+        (["dephasing-quantum", "--modes", "1:1e-150", "--beta", "1e-200"], "mode weights |c|^2"),
+        # these ended in a ZeroDivisionError traceback
+        (["dephasing-quantum", "--modes", "1:1e-170"], "mode frequency = 1e-170 is too small"),
+        (["dephasing-quantum", "--modes", "0:1e-170"], "mode frequency = 1e-170 is too small"),
+    ],
+)
+def test_overflowing_scale_products_exit_2(tmp_path, capsys, argv, product):
+    # these ran to exit 0 with NaN or inf in the file, or to a traceback
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qchan: configuration error: {product}"), err
+    assert "too large" in err or "underflows" in err
+    assert err.count("\n") == 1 and len(err) < 200, err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_monte_carlo_phase_overflow_is_a_domain_error():
+    noise = classical_field.IsotropicGaussianNoise(1.0, 1e154)
+    with pytest.raises(DomainError, match="Monte Carlo phase overflows"):
+        classical_field.monte_carlo_polarization(noise, np.linspace(0.0, 1e160, 5), 100, 1)
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         (["depol-classical", "--sigma", "1e200"], "coupling*sigma"),
@@ -334,8 +367,9 @@ def test_oracle_noise_rotation(capsys):
     assert np.allclose(report["bloch_out"], [0.0, 1.0, 0.0], atol=1e-12)
 
 
-def test_all_readme_commands_run(tmp_path, monkeypatch):
-    """Every qchan invocation shown in the README must execute cleanly."""
+def test_all_readme_commands_run(tmp_path, monkeypatch, per_cell_writer):
+    """Every qchan invocation shown in the README must execute cleanly, and
+    every file it writes must match the per-cell reference writer."""
     text = README.read_text()
     blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
     commands = [
@@ -346,9 +380,15 @@ def test_all_readme_commands_run(tmp_path, monkeypatch):
     ]
     assert len(commands) >= 10
     monkeypatch.chdir(tmp_path)
+    calls = []
+    write = cli._write_output
+    monkeypatch.setattr(cli, "_write_output", lambda *args: calls.append(args) or write(*args))
     for command in commands:
         code = main(shlex.split(command)[1:])
         assert code == 0, f"README command failed: {command}"
+    assert len(calls) >= 8
+    for name, cfg, columns in calls:
+        assert Path(cfg["out"]).read_bytes() == per_cell_writer(name, cfg, columns).encode()
 
 
 # ------------------------------------------------------------ analytic rates
@@ -525,6 +565,29 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     assert result.stdout.strip() == "[]"
 
 
+def test_parser_reuse_keeps_runs_independent(tmp_path, monkeypatch):
+    # main() parses with one parser per process; a flag given to one run
+    # must not leak into the next, so two runs match two fresh processes
+    src = Path(dephasing.__file__).resolve().parents[1]
+    runs = [
+        ["dephasing-classical", "--cosine", "1:1", "--steps", "11", "--mc", "50", "--seed", "7"],
+        ["dephasing-classical", "--cosine", "1:1", "--steps", "11", "--mc", "50"],
+    ]
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
+    same.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(same)
+    for k, argv in enumerate(runs):
+        assert main([*argv, "--out", f"run{k}.csv"]) == 0
+    for k, argv in enumerate(runs):
+        subprocess.run(
+            [sys.executable, "-m", "qchan", *argv, "--out", f"run{k}.csv"],
+            env={**os.environ, "PYTHONPATH": str(src)}, cwd=fresh, check=True,
+        )
+        assert (same / f"run{k}.csv").read_bytes() == (fresh / f"run{k}.csv").read_bytes()
+    assert (same / "run0.csv").read_bytes() != (same / "run1.csv").read_bytes()
+
+
 def test_python_m_qchan_runs_the_cli(tmp_path):
     src = Path(dephasing.__file__).resolve().parents[1]
     result = subprocess.run(
@@ -548,6 +611,10 @@ GENERATING = {
                   "200", "--seed", "3"],
     "damping-capped": ["amp-damping", "--t-max", str(math.pi), "--steps", "3143"],
     "damping-3-modes": ["amp-damping", "--modes", "1:1,0.5:1.5,0.3:0.7", "--steps", "201"],
+    # the shapes of the benchmark's I/O workload
+    "damping-20001": ["amp-damping", "--steps", "20001"],
+    "spin-star-20001": ["depol-spinbath", "--ensemble", "spin-star", "--N", "40", "--t-max", "10",
+                        "--steps", "20001"],
 }
 
 FLAGGED = {"fixed-poles": "pole", "spin-star-poles": "pole", "damping-capped": "capped"}
@@ -575,14 +642,27 @@ def test_writer_matches_per_cell_builder(tmp_path, monkeypatch, per_cell_writer,
     assert_writer_matches(tmp_path, per_cell_writer, command, cfg, columns)
 
 
+def test_out_dash_writes_the_file_text_to_stdout(capsys, monkeypatch, per_cell_writer):
+    calls = []
+    write = cli._write_output
+    monkeypatch.setattr(cli, "_write_output", lambda *args: calls.append(args) or write(*args))
+    for steps in ("11", "401"):  # a tiny table, and one of the Monte Carlo files' size
+        assert main(["amp-damping", "--steps", steps, "--out", "-"]) == 0
+        command, cfg, columns = calls[-1]
+        assert capsys.readouterr().out == per_cell_writer(command, cfg, columns)
+
+
 @pytest.mark.parametrize(
     "columns",
     [
         {"t": np.arange(6.0), "x": np.array(SPECIAL_FLOATS),
          "y": np.array(SPECIAL_FLOATS[::-1]), "flags": ["", "pole", "", "capped", "", ""]},
         {"t": np.array([0.0]), "f_or_coherence": np.array([-0.0]), "flags": ["pole"]},
+        # 600 rows of special values, and an all +0.0 column
+        {"t": np.arange(600.0), "x": np.resize(SPECIAL_FLOATS, 600),
+         "zero": np.zeros(600), "flags": ["", "pole", "capped"] * 200},
     ],
-    ids=["special-values", "one-row"],
+    ids=["special-values", "one-row", "special-values-600-rows"],
 )
 def test_writer_special_values_match_per_cell_builder(tmp_path, per_cell_writer, columns):
     assert_writer_matches(tmp_path, per_cell_writer, "depol-classical", {"seed": 1}, columns)
