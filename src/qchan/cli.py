@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -419,10 +420,16 @@ _COL_MEANINGS = {"f": rates.MEANING_BLOCH_FACTOR, "p": rates.MEANING_PROBABILITY
 _COL_NAMES = {"f": "f_or_coherence", "p": "p"}
 
 
+# a comment or whitespace-only line, with the newline before it
+_SKIPPED_LINE = re.compile(r"\n(?:#[^\n]*|[^\S\n]*)(?=\n|\Z)")
+
+
 def read_series_csv(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
     """Read (t, column) from a qchan CSV file."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
+        # one pass drops the skipped lines; the leading newline exposes the
+        # first line to it and splits off as an empty line
+        lines = _SKIPPED_LINE.sub("", "\n" + fh.read()).split("\n")[1:]
     if len(lines) < 2:
         raise DomainError(f"{path} holds no data")
     header = lines[0].split(",")

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import check_grid, check_square, check_times, double_angle, scalar_or_array
-from ._quadrature import integrate_adaptive
+from . import _quadrature
+from ._quadrature import chebyshev, filon, gauss_kronrod, integrate_adaptive
 from ._rng import monte_carlo_sums, realization_normals
 from .errors import DomainError, QuadratureError, UnsupportedQueryError
 from .states import QubitState
@@ -246,21 +247,26 @@ def gamma_discrete(bath: DiscreteBosonBath, t):
     return scalar_or_array(_discrete_and_slope(bath, tt)[0], tt)
 
 
+def _thermal_weight(density: TabulatedDensity, beta: float, w):
+    """W(w) = J(w) coth(beta w/2) / (8 pi) at nodes w > 0.  The w -> 0 limit
+    of the coth factor is taken from its series (removes the 0/0); beta = inf
+    gives coth = 1."""
+    x = 0.5 * beta * w
+    coth = 1.0 / np.tanh(x)
+    small = x < 1e-4
+    if np.any(small):
+        coth[small] = 1.0 / x[small] + x[small] / 3.0
+    return density(w) * coth / (8.0 * np.pi)
+
+
 def _continuum_integrand(density: TabulatedDensity, beta: float, times: np.ndarray):
     """Integrands of Gamma and Gamma' at the ``times`` as 2 len(times) rows,
-    the Gamma rows first: the t-independent weight
-    J(w) coth(beta w/2) / (8 pi), computed once per node, times
-    2 sin^2(x) / w and sin(2x) with x = wt/2, both from one tangent per
-    (time, node).  The w -> 0 limit of the coth factor is taken from its
-    series (removes the 0/0); beta = inf gives coth = 1."""
+    the Gamma rows first: the t-independent weight W(w), computed once per
+    node, times 2 sin^2(x) / w and sin(2x) with x = wt/2, both from one
+    tangent per (time, node)."""
 
     def integrand(w):
-        x = 0.5 * beta * w
-        coth = 1.0 / np.tanh(x)
-        small = x < 1e-4
-        if np.any(small):
-            coth[small] = 1.0 / x[small] + x[small] / 3.0
-        weight = density(w) * coth / (8.0 * np.pi)
+        weight = _thermal_weight(density, beta, w)
         rows = np.empty((2 * times.size, w.size))
         value, slope = rows[: times.size], rows[times.size :]
         # in place, in the rows: the tangent is the cost, and a
@@ -272,6 +278,17 @@ def _continuum_integrand(density: TabulatedDensity, beta: float, times: np.ndarr
         return rows
 
     return integrand
+
+
+def _filon_weights(density: TabulatedDensity, beta: float):
+    """The non-oscillatory factors of the Gamma and Gamma' integrands as two
+    rows, (W(w) / w, W(w)): smooth on every knot interval away from w = 0."""
+
+    def weights(w):
+        weight = _thermal_weight(density, beta, w)
+        return np.stack([weight / w, weight])
+
+    return weights
 
 
 # asymptotic series of psi and psi' in 1/z^2: B_2k / (2k) and B_2k
@@ -323,44 +340,56 @@ def _ohmic_and_slope(density: OhmicExpDensity, beta: float, t: np.ndarray):
     return value, density.amplitude * slope / (8.0 * math.pi)
 
 
-_MAX_EDGES = 4000
+# The first knot interval's G7-K15 pass takes the times in groups whose two
+# integrand rows per time fill about one slab per panel.
+_FIRST_GROUP = _quadrature._SLAB // (2 * _quadrature._XK.size)
 
 
-def _oscillation_edges(lo: float, hi: float, t: float) -> np.ndarray:
-    """Panel edges on [lo, hi] at the half-periods of cos(w t)."""
-    if t <= 0.0:
-        return np.array([lo, hi])
-    step = math.pi / t
-    count = int((hi - lo) / step)
-    if count > _MAX_EDGES:
-        step = (hi - lo) / _MAX_EDGES
-    interior = np.arange(lo + step, hi, step)
-    return np.concatenate([[lo], interior, [hi]])
+def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
+    """(Gamma, Gamma', their error estimates) of a tabulated density at the
+    1-d ``times``.
 
-
-_BLOCK = 16
-
-
-def _tabulated_block(density: TabulatedDensity, beta: float, times, tol, max_panels):
-    """(Gamma, Gamma', error estimate of Gamma') of a tabulated density at
-    ascending ``times``, from one adaptive quadrature of all their
-    integrands on the panels of the largest time."""
+    Gamma = int (W/w)(1 - cos wt) and Gamma' = int W sin wt with
+    W = J coth(beta w/2) / (8 pi).  From the second knot on, W and W/w are
+    smooth on every knot interval: their Chebyshev interpolants are refined
+    to tol/2 by a bound that holds for every t, then integrated exactly
+    against the oscillators (:func:`_quadrature.filon`).  On the first knot
+    interval W/w ~ 1/w at finite beta and only 1 - cos wt cancels it, so
+    G7-K15 integrates the full integrands there, to tol/2.  ``max_panels``
+    bounds the Filon panels plus the first interval's.
+    """
     knots = density.frequencies
-    edges = np.union1d(knots, _oscillation_edges(knots[0], knots[-1], times[-1]))
-    if knots[0] > 0.0:
-        edges = np.union1d(edges, [0.0])
-    n = times.size
-    try:
-        values, errors = integrate_adaptive(
-            _continuum_integrand(density, beta, times), edges, tol, max_panels, rows=2 * n
+    value, slope, value_err, slope_err = np.zeros((4, times.size))
+    panels = first_panels = 0
+    if knots.size > 2:
+        lo, hi, coef, errors = integrate_adaptive(
+            _filon_weights(density, beta), knots[1:], tol / 2, max_panels - 1, rule=chebyshev
         )
-    except QuadratureError as exc:
+        value, slope = filon(times, lo, hi, coef)
+        # both integrands vanish at t = 0, and so does the bound's part there
+        value_err += np.where(times > 0.0, errors[0].sum(), 0.0)
+        slope_err += np.where(times > 0.0, errors[1].sum(), 0.0)
+        panels = lo.size
+    for start in range(0, times.size, _FIRST_GROUP):
+        group = slice(start, start + _FIRST_GROUP)
+        n = times[group].size
+        lo, hi, values, errors = integrate_adaptive(
+            _continuum_integrand(density, beta, times[group]), knots[:2], tol / 2,
+            max_panels - panels, rule=gauss_kronrod(2 * n),
+        )
+        first_panels = max(first_panels, lo.size)
+        for total, part in zip((value, slope, value_err, slope_err),
+                               (values[:n], values[n:], errors[:n], errors[n:])):
+            total[group] += part.sum(axis=1)
+    worst = max(np.max(value_err, initial=0.0), np.max(slope_err, initial=0.0))
+    if worst > tol:
         raise QuadratureError(
-            f"{exc} for t in [{times[0]:.17g}, {times[-1]:.17g}]",
-            estimate=exc.estimate,
-            error=exc.error,
-        ) from None
-    return values[:n], values[n:], errors[n:]
+            f"quadrature error estimate {worst:.3e} above tolerance {tol:.3e} "
+            f"after {panels + first_panels} panels",
+            estimate=value[0],
+            error=value_err[0],
+        )
+    return value, slope, value_err, slope_err
 
 
 def _continuum_and_slope(
@@ -369,13 +398,9 @@ def _continuum_and_slope(
     """(Gamma, Gamma', error estimate of Gamma') at the times ``t``, as in
     :func:`gamma_continuum`; the error is 0 for the Ohmic closed form.
 
-    A tabulated density is integrated for blocks of up to 16 times in
-    ascending order, one G7-K15 Gauss-Kronrod quadrature per block on
-    shared panels: the knots and the cosine half-periods of the block's
-    largest time, evaluated in slabs of about 2^16 integrand values.
-    ``max_panels`` bounds each block's quadrature; a
-    :class:`QuadratureError` names the block's time span and carries the
-    partial Gamma of its smallest time.
+    A tabulated density is integrated for all times in one pass (see
+    :func:`_tabulated`); a :class:`QuadratureError` carries the partial
+    Gamma of the first time.
     """
     if not (beta > 0):
         raise DomainError(f"beta must be > 0 (or inf), got {beta}")
@@ -385,13 +410,8 @@ def _continuum_and_slope(
     if isinstance(density, OhmicExpDensity):
         value, slope = _ohmic_and_slope(density, beta, tt)
         return value, slope, np.zeros_like(tt)
-    flat = tt.ravel()
-    order = np.argsort(flat, kind="stable")
-    out = np.empty((3, flat.size))
-    for start in range(0, flat.size, _BLOCK):
-        block = order[start : start + _BLOCK]
-        out[:, block] = _tabulated_block(density, beta, flat[block], tol, max_panels)
-    return tuple(col.reshape(tt.shape) for col in out)
+    value, slope, _, slope_err = _tabulated(density, beta, tt.ravel(), tol, max_panels)
+    return tuple(col.reshape(tt.shape) for col in (value, slope, slope_err))
 
 
 def gamma_continuum(
@@ -411,13 +431,12 @@ def gamma_continuum(
     Gamma'(t) = (A/8pi) [2 t tau/(tau^2+t^2)^2 - (2/beta^2) Im psi'(1+(tau+it)/beta)],
 
     whose psi terms vanish at beta = inf.  A tabulated density is
-    integrated by adaptive Gauss-Kronrod quadrature with panel edges at the
-    knots and the cosine half-periods; Gamma and Gamma' share the panels,
-    and ``tol`` and ``max_panels`` bound that quadrature: both values have an
-    estimated error <= ``tol``.  Non-convergence raises
-    :class:`QuadratureError` carrying the partial estimate of Gamma.  An
-    array of times is integrated in blocks of 16 (see
-    :func:`_continuum_and_slope`), with ``max_panels`` counted per block.
+    integrated by Filon-Chebyshev product integration on panels that do not
+    depend on t, with G7-K15 on the first knot interval (see
+    :func:`_tabulated`); Gamma and Gamma' share the panels, and ``tol`` and
+    ``max_panels`` bound that quadrature: both values have an estimated
+    error <= ``tol``.  Non-convergence raises :class:`QuadratureError`
+    carrying the partial estimate of Gamma.
     """
     return float(_continuum_and_slope(density, beta, float(t), tol, max_panels)[0])
 

@@ -185,17 +185,8 @@ def rate_from_series(series: TimeSeries) -> RateSeries:
 
 def _negative_runs(mask: np.ndarray):
     """(start, stop) index pairs of maximal True runs (stop inclusive)."""
-    runs = []
-    start = None
-    for i, m in enumerate(mask):
-        if m and start is None:
-            start = i
-        elif not m and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, mask.size - 1))
-    return runs
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def _cross_time(times, values, i, j, fallback):

@@ -22,7 +22,7 @@ from qchan import (
     rate_from_series,
     spin_bath,
 )
-from qchan import cli
+from qchan import _quadrature, cli
 from qchan._rng import MONTE_CARLO_CAP
 from qchan.cli import main, read_series_csv
 from qchan.exact import MODE_CAP
@@ -486,7 +486,7 @@ def test_ohmic_finite_temperature_rate_vs_quadpack(tmp_path, beta):
     assert np.all(err == 0.0)
 
 
-def test_quadrature_failure_names_time_span(tmp_path, capsys, monkeypatch):
+def test_quadrature_budget_failure_exits_3(tmp_path, capsys, monkeypatch):
     grid = np.linspace(0.0, 40.0, 401)
     path = tmp_path / "ohmic.txt"
     np.savetxt(path, np.column_stack([grid, 8.0 * math.pi * grid * np.exp(-grid)]))
@@ -502,7 +502,40 @@ def test_quadrature_failure_names_time_span(tmp_path, capsys, monkeypatch):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("qchan: numerical failure: quadrature error estimate"), err
-    assert err.rstrip().endswith("for t in [0, 30]"), err
+    # 500 Filon panels and 102 on the first knot interval
+    assert err.rstrip().endswith("above tolerance 1.000e-30 after 602 panels"), err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
+    # the same table at --t-max 25 and 400: the same Filon panels, and one
+    # tangent per (time, panel)
+    grid = np.linspace(0.0, 20.0, 1001)
+    density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
+    path = tmp_path / "table.txt"
+    np.savetxt(path, np.column_stack([grid, density]), fmt="%.17g")
+    panels, tangents = [], []
+    integrate, tangent = dephasing.integrate_adaptive, _quadrature.double_angle
+
+    def recording(*args, rule, **kwargs):
+        result = integrate(*args, rule=rule, **kwargs)
+        if rule is _quadrature.chebyshev:
+            panels.append(np.concatenate(result[:2]))
+        return result
+
+    def counting(x, **kwargs):
+        tangents[-1] += x.size
+        return tangent(x, **kwargs)
+
+    monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
+    monkeypatch.setattr(_quadrature, "double_angle", counting)
+    for t_max in ("25", "400"):
+        tangents.append(0)
+        argv = ["dephasing-quantum", "--spectral-file", str(path), "--beta", "1",
+                "--t-max", t_max, "--steps", "251", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 0
+    assert len(panels) == 2 and np.array_equal(panels[0], panels[1])
+    assert tangents == [251 * (panels[0].size // 2)] * 2
 
 
 def test_tabulated_rate_within_gamma_err(tmp_path):

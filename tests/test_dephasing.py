@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,10 +204,13 @@ def test_quadrature_heap_only_on_demand(monkeypatch):
     def no_heap(*args):
         raise AssertionError("heap built for a converged first pass")
 
-    monkeypatch.setattr(_quadrature.heapq, "heapify", no_heap)
-    assert gamma_continuum(fig2_table(4001), 1.0, 5.0) > 0.0
+    # at beta = inf both passes converge on their first panels (at beta = 1
+    # the Filon pass splits the knot interval next to w = 0 once); the heap
+    # holds the panels that bisection adds
+    monkeypatch.setattr(_quadrature.heapq, "heappush", no_heap)
+    assert gamma_continuum(fig2_table(4001), math.inf, 5.0) > 0.0
     with pytest.raises(AssertionError):
-        gamma_continuum(fig2_table(4001), 1.0, 5.0, tol=1e-18)
+        gamma_continuum(fig2_table(4001), math.inf, 5.0, tol=1e-18)
 
 
 def test_tabulated_matches_ohmic():
@@ -238,8 +242,8 @@ def test_tabulated_validation(tmp_path):
 
 
 def test_quadrature_budget_error_carries_estimate():
-    # on a table this wide the cosine half-period edges hit their cap, so the
-    # panels are too coarse for the tolerance and the budget allows no split
+    # the 4000 knot intervals already exceed the budget, so no panel is
+    # split, and one G7-K15 panel on [0, 0.1] misses cos(40 w) by more than tol
     grid = np.linspace(0.0, 400.0, 4001)
     table = TabulatedDensity(grid, FIG2_DENSITY(grid))
     with pytest.raises(QuadratureError) as info:
@@ -267,28 +271,24 @@ def test_kronrod_pair_is_exact_to_its_degree():
     assert abs(wg @ x**14 - 2.0 / 15) > 1e-12
 
 
-def test_time_blocks_match_single_times_and_quad_vec(monkeypatch):
-    # 37 times: two full blocks of 16 and a partial one; the shuffled copy
-    # is blocked by ascending time, so it gives the same values
+def test_tabulated_times_match_single_times_and_quad_vec(monkeypatch):
+    # all 37 times share one Filon pass and one G7-K15 pass on the first knot
+    # interval; a shuffled copy gives the same values
     grid = np.linspace(0.0, 20.0, 401)
     density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
     table = TabulatedDensity(grid, density)
     times = np.linspace(0.0, 30.0, 37)
     tol = 1e-8
-    estimates = []
+    rules = []
     integrate = dephasing.integrate_adaptive
 
-    def recording(*args, **kwargs):
-        values, errors = integrate(*args, **kwargs)
-        estimates.append(errors)
-        return values, errors
+    def recording(*args, rule, **kwargs):
+        rules.append(rule)
+        return integrate(*args, rule=rule, **kwargs)
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
-    value, slope, slope_err = dephasing._continuum_and_slope(table, 1.0, times, tol)
-    # an ascending grid is blocked in order, each block's Gamma rows first
-    assert [e.size for e in estimates] == [32, 32, 10]
-    value_err = np.concatenate([e[: e.size // 2] for e in estimates])
-    assert np.array_equal(np.concatenate([e[e.size // 2 :] for e in estimates]), slope_err)
+    value, slope, value_err, slope_err = dephasing._tabulated(table, 1.0, times, tol, 50000)
+    assert len(rules) == 2 and rules[0] is _quadrature.chebyshev
     assert np.all(value_err <= tol) and np.all(slope_err <= tol)
     shuffled = np.random.default_rng(5).permutation(37)
     for got, want in zip(dephasing._continuum_and_slope(table, 1.0, times[shuffled], tol),
@@ -315,12 +315,17 @@ def test_time_blocks_match_single_times_and_quad_vec(monkeypatch):
     assert np.all(np.abs(slope - reference[37:]) <= slope_err + reference_err)
 
 
+class _Enough(Exception):
+    pass
+
+
 def test_quadrature_slabs_bound_integrand_size(monkeypatch):
+    # 20001 times x 4001 knots: 8e7 (time, panel) pairs, 640 MB as one array
     grid = np.linspace(0.0, 400.0, 4001)
     table = TabulatedDensity(grid, FIG2_DENSITY(grid))
-    times = np.linspace(2.5, 40.0, 16)
-    sizes, panels = [], []
-    integrate = dephasing.integrate_adaptive
+    times = np.linspace(0.0, 40.0, 20001)
+    sizes, tangents = [], []
+    integrate, tangent = dephasing.integrate_adaptive, _quadrature.double_angle
 
     def recording(f, edges, *args, **kwargs):
         def wrapped(w):
@@ -328,19 +333,28 @@ def test_quadrature_slabs_bound_integrand_size(monkeypatch):
             sizes.append(rows.size)
             return rows
 
-        panels.append(len(edges) - 1)
         return integrate(wrapped, edges, *args, **kwargs)
 
+    def counting(x, **kwargs):
+        tangents.append(x.size)
+        if len(tangents) == 100:  # enough slabs to see the steady state
+            raise _Enough
+        return tangent(x, **kwargs)
+
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
-    dephasing._continuum_and_slope(table, 1.0, times)
-    first_pass = len(sizes)
-    assert first_pass > 1 and max(sizes) <= _quadrature._SLAB
-    # the same first pass, then 40 bisections before the budget runs out
-    with pytest.raises(QuadratureError):
-        dephasing._continuum_and_slope(
-            table, 1.0, times, tol=1e-13, max_panels=panels[0] + 40
-        )
-    assert len(sizes) == 2 * first_pass + 40
+    monkeypatch.setattr(_quadrature, "double_angle", counting)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Enough):
+            dephasing._continuum_and_slope(table, 1.0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) <= _quadrature._SLAB and max(tangents) <= _quadrature._SLAB
+    assert peak <= 200 * _quadrature._SLAB  # 13 MB: 25 slabs of doubles
+    # the first knot interval takes the 20001 times in groups
+    sizes.clear()
+    dephasing._continuum_and_slope(TabulatedDensity(grid[:3], FIG2_DENSITY(grid[:3])), 1.0, times)
     assert max(sizes) <= _quadrature._SLAB
 
 
@@ -362,9 +376,9 @@ def test_tabulated_results_do_not_depend_on_slab_size(monkeypatch):
         return integrate(wrapped, *args, **kwargs)
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", counting)
-    monkeypatch.setattr(_quadrature, "_SLAB", 1)  # one panel per slab
+    monkeypatch.setattr(_quadrature, "_SLAB", 1)  # one panel, one time per slab
     single = dephasing._continuum_and_slope(table, 1.0, times, tol=1e-12)
-    assert set(calls) == {_quadrature._XK.size}
+    assert set(calls) == {_quadrature._XK.size, _quadrature._CHEB_X.size}
     for got, want in zip(single, default):
         assert got.tobytes() == want.tobytes()
 
@@ -384,14 +398,14 @@ def test_continuum_integrand_matches_sines():
     assert np.all(np.abs(rows[37:] - slope) <= 8.0 * eps * np.abs(slope))
 
 
-def test_quadrature_error_names_time_block():
+def test_quadrature_error_carries_partial_gamma():
     grid = np.linspace(0.0, 400.0, 4001)
     table = TabulatedDensity(grid, FIG2_DENSITY(grid))
     times = np.linspace(2.0, 40.0, 20)
     with pytest.raises(QuadratureError) as info:
         dephasing._continuum_and_slope(table, math.inf, times, tol=1e-13, max_panels=6)
-    # the first block fails; its first row is Gamma at its smallest time
-    assert f"for t in [2, {times[15]:.17g}]" in str(info.value)
+    assert str(info.value).startswith("quadrature error estimate")
+    # the partial Gamma of the first time, 2^2 / (1 + 2^2)
     assert info.value.estimate == pytest.approx(4.0 / 5.0, abs=1e-2)
     assert info.value.error > 0
 
