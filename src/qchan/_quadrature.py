@@ -83,7 +83,8 @@ def _in_slabs(rule, f, lo, hi, per_panel):
 
 def gauss_kronrod(rows: int):
     """The qk15 panel rule for an integrand ``f`` of ``rows`` rows: estimates
-    K15 and errors |K15 - G7| + rounding floor, both (rows, panels)."""
+    K15, errors |K15 - G7| + rounding floor, and the floors, all
+    (rows, panels)."""
 
     def estimates(f, lo, hi):
         half = 0.5 * (hi - lo)
@@ -95,7 +96,7 @@ def gauss_kronrod(rows: int):
         kronrod = half * np.einsum("rpk,k->rp", fk, _WK)
         gauss = half * np.einsum("rpk,k->rp", fk, _WG)
         floor = _ROUNDING * half * np.einsum("rpk,k->rp", np.abs(fk), _WK)
-        return kronrod, np.abs(kronrod - gauss) + floor
+        return kronrod, np.abs(kronrod - gauss) + floor, floor
 
     return lambda f, lo, hi: _in_slabs(estimates, f, lo, hi, rows * _XK.size)
 
@@ -129,7 +130,8 @@ def chebyshev(f, lo, hi):
     (v, w).  Estimates: the coefficients of their degree-_P interpolants,
     (2, panels, _P + 1), v's first.  Errors, (2, panels): bounds on the
     integrals of 2 |v - P v| and |w - P w| (|1 - cos| <= 2, |sin| <= 1)
-    from the two trailing coefficients, plus a rounding floor."""
+    from the two trailing coefficients, plus a rounding floor.  Floors,
+    (2, panels): that floor."""
 
     def estimates(f, lo, hi):
         half = 0.5 * (hi - lo)
@@ -139,9 +141,11 @@ def chebyshev(f, lo, hi):
         # int |g - P g| <= 2 (b - a) sum_{k > p} |c_k|, and the sum is at most
         # |c_{p-1}| / 2 while the coefficients decay at least as 2^-k
         errors = 2.0 * half * (np.abs(coef[:, :, -1]) + np.abs(coef[:, :, -2]))
-        errors += _ROUNDING * 2.0 * half * np.einsum("rpk,k->rp", np.abs(coef), _ONES)
+        floors = _ROUNDING * 2.0 * half * np.einsum("rpk,k->rp", np.abs(coef), _ONES)
+        errors += floors
         errors[0] *= 2.0
-        return coef, errors
+        floors[0] *= 2.0
+        return coef, errors, floors
 
     return _in_slabs(estimates, f, lo, hi, 2 * _K.size)
 
@@ -149,21 +153,23 @@ def chebyshev(f, lo, hi):
 def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
     """Adaptive quadrature of ``f`` over the panels defined by ``edges``.
 
-    ``rule(f, lo, hi)`` gives each panel [lo_i, hi_i] its estimates and its
-    error bounds, both indexed by panel along axis 1.  Panels are bisected,
-    largest error first, until the summed errors of every row are <= ``tol``
-    or ``max_panels`` panels are in use.  Returns (lo, hi, estimates, errors)
-    of the final panels in ascending order; the caller checks the summed
-    errors.
+    ``rule(f, lo, hi)`` gives each panel [lo_i, hi_i] its estimates, its
+    error bounds and the rounding floors within them, all indexed by panel
+    along axis 1.  Panels are bisected, largest error first, until the
+    summed errors of every row are <= ``tol`` or ``max_panels`` panels are
+    in use.  A floor scales with its panel's integral of |f|, so bisection
+    does not shrink their sum: if the first panels' floors of a row exceed
+    ``tol``, none is split.  Returns (lo, hi, estimates, errors) of the
+    final panels in ascending order; the caller checks the summed errors.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly ascending with >= 2 entries")
     lo = edges[:-1]
     hi = edges[1:]
-    values, errors = rule(f, lo, hi)
+    values, errors, floors = rule(f, lo, hi)
     total_err = errors.sum(axis=1)
-    if np.all(total_err <= tol):
+    if np.all(total_err <= tol) or np.any(floors.sum(axis=1) > tol):
         return lo, hi, values, errors
 
     # the initial panels wait in a queue of decreasing largest row error, the
@@ -197,7 +203,7 @@ def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
             split[i] = True
         else:
             added_split[i - n] = True
-        vals, errs = rule(f, np.array([a, mid]), np.array([mid, b]))
+        vals, errs, _ = rule(f, np.array([a, mid]), np.array([mid, b]))
         total_err += errs.sum(axis=1) - old
         for a2, b2, v2, e2 in zip((a, mid), (mid, b), np.moveaxis(vals, 1, 0), errs.T):
             heapq.heappush(heap, (-e2.max(), n + len(added_lo)))

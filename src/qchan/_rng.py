@@ -10,10 +10,11 @@ of each 64-bit Philox word give a uniform in (0, 1) (offset by half an ulp
 so the endpoints are never hit), mapped through ``scipy.special.ndtri``.
 scipy is imported on the first draw, so only Monte Carlo runs pay for it.
 
-A run draws the normals of ``_CHUNK`` realizations at once and evaluates
-them in blocks of about ``_BLOCK`` values.  Each chunk sums its
-realizations one after another and the chunk sums are added in chunk order,
-so a result does not depend on the block size.
+A *chunk* of ``_CHUNK`` realizations sums its values one after another,
+and the chunk sums are added in chunk order.  A *draw batch* (one draw) is
+the whole chunks that fit in about ``_DRAW`` normals; a *block* (one
+evaluation) is about ``_BLOCK`` values of one chunk.  Only the chunks fix
+the order of the sums, so a result's bytes depend on neither of the others.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ import numpy as np
 from .errors import DomainError, ResourceError
 
 _CHUNK = 1024
+# normals per draw batch (or one chunk's worth, if more)
+_DRAW = 2**17
 # values per evaluated block: larger blocks cost memory and gain no speed
-_BLOCK = 2**13
-# Cost of a run, in units of one grid point of one realization (about
-# 4e-8 s on a 2-core x86 VM): each realization also costs about 18 units
+_BLOCK = 2**14
+# Cost of a run, in units of one grid point of one realization (5e-9 to
+# 1.3e-8 s on a 2-core x86-64 VM): each realization also costs about 18 units
 # plus 4 per normal drawn, and each grid point 1/64 more per normal.  At the
-# cap a run takes about a minute, whatever its grid and its draw count.
+# cap a run takes 8-20 s, whatever its grid and its draw count.
 MONTE_CARLO_CAP = 1_500_000_000
 
 
@@ -81,8 +84,9 @@ def monte_carlo_sums(n: int, width: int, normals: int, draw, samples) -> list:
     that ``samples`` returns.
 
     ``draw(start, stop)`` gives one row of ``normals`` draws per realization
-    in [start, stop) and is called once per chunk; ``samples`` maps a block
-    of those rows to a tuple of arrays.  Runs whose
+    in [start, stop); it is called once per draw batch, so no call returns
+    more than max(``_DRAW``, one chunk's worth) values.  ``samples`` maps a
+    block of those rows to a tuple of arrays.  Runs whose
     :func:`monte_carlo_cost` exceeds ``MONTE_CARLO_CAP`` fail before any
     draw.
     """
@@ -93,10 +97,13 @@ def monte_carlo_sums(n: int, width: int, normals: int, draw, samples) -> list:
             f"{n} realizations of {normals} normals x {width} points exceed the "
             f"Monte Carlo cost cap {MONTE_CARLO_CAP}"
         )
+    batch = _CHUNK * max(1, _DRAW // (_CHUNK * normals))
     size = max(1, _BLOCK // width)
     totals = None
     for start in range(0, n, _CHUNK):
-        rows = draw(start, min(start + _CHUNK, n))
+        if start % batch == 0:
+            drawn = draw(start, min(start + batch, n))
+        rows = drawn[start % batch : start % batch + _CHUNK]
         sums = None
         for lo in range(0, len(rows), size):
             blocks = samples(rows[lo : lo + size])

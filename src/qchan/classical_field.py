@@ -24,7 +24,6 @@ from ._common import (
     check_grid,
     check_square,
     check_times,
-    double_angle,
     scalar_or_array,
 )
 from ._rng import monte_carlo_sums, realization_normals
@@ -137,18 +136,20 @@ def rotate_bloch(sample: NoiseSample, coupling, t, start: BlochVector) -> BlochV
 
 
 def _alignment_samples(normals, sigma, coupling, times, axis):
-    """Overlaps s(t).s0 = 1 - (1 - (n^.a)^2) 2 sin^2(g t sigma |n|) of the
-    realizations whose unscaled normals n are the rows of ``normals`` (the
-    field is sigma n), and their squares: two (realizations, times) arrays.
-
-    The direction factor comes from n, not from sigma n, so no size of
-    sigma gives 0/0 or inf/inf; one tangent per point is the cost.
+    """Overlaps s(t).s0 = (1 - b) + b/(1 + T^2), with b = 2 (1 - (n^.a)^2) and
+    T = tan(g t sigma |n|), of the realizations whose unscaled normals n are
+    the rows of ``normals`` (the field is sigma n), and their squares: two
+    (realizations, times) arrays.  One tangent and one reciprocal per point;
+    the direction factor comes from n, so no sigma gives 0/0 or inf/inf.
     """
     length = np.vecdot(normals, normals)
-    off_axis = 1.0 - np.square(np.vecdot(normals, axis)) / length
+    off_axis = 2.0 * (1.0 - np.square(np.vecdot(normals, axis)) / length)
     phase = np.multiply.outer(sigma * np.sqrt(length), coupling * times)
-    _, vers = double_angle(phase, vers=phase)
-    overlap = np.subtract(1.0, np.multiply(vers, off_axis[:, None], out=vers), out=vers)
+    # exactly 1 where 1 + T^2 rounds to 1; T^2 < 1e38 for finite phases
+    overlap = np.square(np.tan(phase, out=phase), out=phase)
+    overlap += 1.0
+    np.divide(off_axis[:, None], overlap, out=overlap)
+    overlap += (1.0 - off_axis)[:, None]
     return overlap, overlap * overlap
 
 

@@ -345,6 +345,8 @@ def _ohmic_and_slope(density: OhmicExpDensity, beta: float, t: np.ndarray):
 _FIRST_GROUP = _quadrature._SLAB // (2 * _quadrature._XK.size)
 
 
+# a knot interval too narrow for the nodes gives inf or NaN: a QuadratureError
+@np.errstate(all="ignore")
 def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
     """(Gamma, Gamma', their error estimates) of a tabulated density at the
     1-d ``times``.
@@ -381,6 +383,10 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
         for total, part in zip((value, slope, value_err, slope_err),
                                (values[:n], values[n:], errors[:n], errors[n:])):
             total[group] += part.sum(axis=1)
+    if not np.all(np.isfinite([value, slope, value_err, slope_err])):
+        raise QuadratureError(
+            f"quadrature gave a non-finite Gamma or Gamma' after {panels + first_panels} panels"
+        )
     worst = max(np.max(value_err, initial=0.0), np.max(slope_err, initial=0.0))
     if worst > tol:
         raise QuadratureError(
@@ -502,22 +508,25 @@ class CoherenceEstimate:
 
 
 def _coherence_samples(draws, sigmas, freqs, sin_t, cos_t, coupling):
-    """exp(-2ig int_0^t xi) of the realizations whose coefficient draws are
-    the rows of ``draws``, and the squares of its real and imaginary parts.
-
-    With u = -g int_0^t xi the value is (1 - 2 sin^2 u) + i sin 2u, from
-    one tangent per point instead of a complex exp."""
+    """cos 2u, sin 2u and sin^2 2u at u = -g int_0^t xi for the realizations
+    whose coefficient draws are the rows of ``draws``: (realizations, times)
+    arrays.  From T = tan u, cos 2u = 2/(1 + T^2) - 1 and sin 2u =
+    2T/(1 + T^2), one tangent and one reciprocal per point.  The caller takes
+    the sum of cos^2 as n minus that of sin^2; the other way round, the small
+    sin^2 of early times would cancel away."""
     m = len(sigmas)
     x = sigmas * draws[:, :m]
     y = sigmas * draws[:, m:]
     # exact per-realization integral of xi over [0, t]; matvec rounds as
     # the per-realization product sin_t @ v does, a matrix product does not
     integral = np.matvec(sin_t, x / freqs) + np.matvec(cos_t, y / freqs)
-    sin2x, vers = double_angle(np.multiply(integral, -coupling, out=integral), vers=integral)
-    value = np.empty(vers.shape, dtype=complex)
-    value.real = 1.0 - vers
-    value.imag = sin2x
-    return value, value.real**2, value.imag**2
+    tan = np.tan(np.multiply(integral, -coupling, out=integral), out=integral)
+    scale = np.square(tan)
+    scale += 1.0
+    np.divide(2.0, scale, out=scale)
+    sin2u = np.multiply(tan, scale, out=tan)
+    cos2u = np.subtract(scale, 1.0, out=scale)
+    return cos2u, sin2u, sin2u * sin2u
 
 
 def monte_carlo_coherence(
@@ -543,15 +552,15 @@ def monte_carlo_coherence(
     normals = 2 * len(sigmas)
     sin_t = np.sin(np.outer(times, freqs))
     cos_t = 1.0 - np.cos(np.outer(times, freqs))
-    total, total_sq_re, total_sq_im = monte_carlo_sums(
+    total_re, total_im, total_sq_im = monte_carlo_sums(
         n,
         times.size,
         normals,
         lambda start, stop: realization_normals(seed, start, stop, normals),
         lambda draws: _coherence_samples(draws, sigmas, freqs, sin_t, cos_t, g),
     )
-    mean = total / n
-    var_re = np.maximum(total_sq_re / n - mean.real**2, 0.0) * (n / (n - 1.0))
+    mean = (total_re + 1j * total_im) / n
+    var_re = np.maximum((n - total_sq_im) / n - mean.real**2, 0.0) * (n / (n - 1.0))
     var_im = np.maximum(total_sq_im / n - mean.imag**2, 0.0) * (n / (n - 1.0))
     return CoherenceEstimate(
         times, mean, np.sqrt(var_re / n), np.sqrt(var_im / n), n, int(seed)

@@ -257,16 +257,30 @@ def test_squared_scale_overflow_exits_2(tmp_path, capsys, argv, name):
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):
-    # an unresolvable quadrature budget is a numerical failure, not config
+    # an unresolvable quadrature tolerance is a numerical failure, not config
     grid = np.linspace(0.0, 40.0, 401)
     path = tmp_path / "ohmic.txt"
     np.savetxt(path, np.column_stack([grid, 8.0 * math.pi * grid * np.exp(-grid)]))
     out = str(tmp_path / "x.csv")
+    calls = []
+    integrate = dephasing.integrate_adaptive
+
+    def counting(f, *args, **kwargs):
+        def wrapped(w):
+            calls.append(w.size)
+            return f(w)
+
+        return integrate(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(dephasing, "integrate_adaptive", counting)
     code = main(
         ["dephasing-quantum", "--spectral-file", str(path),
          "--tol", "1e-30", "--t-max", "40", "--steps", "6", "--out", out]
     )
     assert code == 3
+    # the rounding floors alone exceed 1e-30, so each pass stops after its
+    # first rule call instead of bisecting to 50000 panels
+    assert len(calls) == 2
 
     # so is a size cap, checked before any table is built or matrix diagonalized
     def no_work(*args, **kwargs):
@@ -492,19 +506,37 @@ def test_quadrature_budget_failure_exits_3(tmp_path, capsys, monkeypatch):
     np.savetxt(path, np.column_stack([grid, 8.0 * math.pi * grid * np.exp(-grid)]))
     integrate = dephasing.integrate_adaptive
 
+    # one split per pass; 1e-13 lies above the rounding floors, but the
+    # Filon pass needs 4 splits to reach it
     def small_budget(f, edges, tol, max_panels, **kwargs):
-        return integrate(f, edges, tol, len(edges) + 100, **kwargs)
+        return integrate(f, edges, tol, len(edges), **kwargs)
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", small_budget)
-    argv = ["dephasing-quantum", "--spectral-file", str(path), "--tol", "1e-30",
+    argv = ["dephasing-quantum", "--spectral-file", str(path), "--tol", "1e-13",
             "--t-max", "38", "--steps", "20", "--out", str(tmp_path / "x.csv")]
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("qchan: numerical failure: quadrature error estimate"), err
-    # 500 Filon panels and 102 on the first knot interval
-    assert err.rstrip().endswith("above tolerance 1.000e-30 after 602 panels"), err
+    # 400 Filon panels and 2 on the first knot interval
+    assert err.rstrip().endswith("above tolerance 1.000e-13 after 402 panels"), err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_non_finite_quadrature_exits_3(tmp_path, capsys):
+    # a subnormal-wide first knot interval: the nodes round onto w = 0, where
+    # coth and 1/w overflow, so Gamma and Gamma' are NaN
+    path = tmp_path / "tiny.txt"
+    path.write_text("0 1\n5e-324 1\n1 1\n")
+    out = tmp_path / "x.csv"
+    argv = ["dephasing-quantum", "--spectral-file", str(path), "--beta", "1",
+            "--steps", "5", "--t-max", "2", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qchan: numerical failure: quadrature gave a non-finite"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):

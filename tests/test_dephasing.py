@@ -204,13 +204,13 @@ def test_quadrature_heap_only_on_demand(monkeypatch):
     def no_heap(*args):
         raise AssertionError("heap built for a converged first pass")
 
-    # at beta = inf both passes converge on their first panels (at beta = 1
-    # the Filon pass splits the knot interval next to w = 0 once); the heap
-    # holds the panels that bisection adds
+    # at beta = inf both passes converge on their first panels; at beta = 1
+    # the Filon pass splits the knot interval next to w = 0 once, and the
+    # heap holds the panels that bisection adds
     monkeypatch.setattr(_quadrature.heapq, "heappush", no_heap)
     assert gamma_continuum(fig2_table(4001), math.inf, 5.0) > 0.0
     with pytest.raises(AssertionError):
-        gamma_continuum(fig2_table(4001), math.inf, 5.0, tol=1e-18)
+        gamma_continuum(fig2_table(4001), 1.0, 5.0)
 
 
 def test_tabulated_matches_ohmic():
@@ -473,31 +473,31 @@ def _loop_coherence(draw, process, coupling, times, n, seed):
     m = len(sigmas)
     sin_t = np.sin(np.outer(times, freqs))
     cos_t = 1.0 - np.cos(np.outer(times, freqs))
-    total = np.zeros(times.shape, dtype=complex)
     total_re = np.zeros_like(times)
     total_im = np.zeros_like(times)
+    total_sq = np.zeros_like(times)
     for start in range(0, n, 1024):
-        part = np.zeros(times.shape, dtype=complex)
         part_re = np.zeros_like(times)
         part_im = np.zeros_like(times)
+        part_sq = np.zeros_like(times)
         for j in range(start, min(start + 1024, n)):
             draws = draw(seed, j, 2 * m)
             integral = sin_t @ (sigmas * draws[:m] / freqs) + cos_t @ (sigmas * draws[m:] / freqs)
-            # exp(2ix) = (1 - 2 sin^2 x) + i sin 2x at x = -g integral, from
-            # T = tan x: sin 2x = 2T/(1 + T^2) and 2 sin^2 x = T sin 2x
+            # exp(2iu) at u = -g integral, from T = tan u:
+            # cos 2u = 2/(1 + T^2) - 1 and sin 2u = 2T/(1 + T^2)
             tan = np.tan(-coupling * integral)
-            sin2x = 2.0 * tan / (1.0 + tan * tan)
-            value = (1.0 - tan * sin2x).astype(complex)
-            value.imag = sin2x
-            part += value
-            part_re += value.real**2
-            part_im += value.imag**2
-        total += part
+            scale = 2.0 / (1.0 + tan * tan)
+            cos2u = scale - 1.0
+            part_re += cos2u
+            part_im += tan * scale
+            part_sq += (tan * scale) ** 2
         total_re += part_re
         total_im += part_im
-    mean = total / n
-    var_re = np.maximum(total_re / n - mean.real**2, 0.0) * (n / (n - 1.0))
-    var_im = np.maximum(total_im / n - mean.imag**2, 0.0) * (n / (n - 1.0))
+        total_sq += part_sq
+    mean = (total_re + 1j * total_im) / n
+    # cos^2 = 1 - sin^2, summed
+    var_re = np.maximum((n - total_sq) / n - mean.real**2, 0.0) * (n / (n - 1.0))
+    var_im = np.maximum(total_sq / n - mean.imag**2, 0.0) * (n / (n - 1.0))
     return mean, np.sqrt(var_re / n), np.sqrt(var_im / n)
 
 
@@ -507,6 +507,8 @@ def test_monte_carlo_coherence_matches_per_realization_loop(
     philox_normals, monkeypatch, block, grid
 ):
     process = CosineSumProcess(((0.7, 1.3), (0.4, 2.9), (1.0, 0.5)))
+    # single rows from one chunk per draw, or whole chunks from one draw
+    monkeypatch.setattr(_rng, "_DRAW", 1 if block == "row" else 2**20)
     monkeypatch.setattr(_rng, "_BLOCK", 1 if block == "row" else _rng._CHUNK * grid.size)
     estimate = monte_carlo_coherence(process, 0.8, grid, 2100, seed=9)
     mean, err_re, err_im = _loop_coherence(philox_normals, process, 0.8, grid, 2100, 9)
@@ -514,6 +516,16 @@ def test_monte_carlo_coherence_matches_per_realization_loop(
     assert estimate.mean.tobytes() == mean.tobytes()
     assert estimate.stderr_real.tobytes() == err_re.tobytes()
     assert estimate.stderr_imag.tobytes() == err_im.tobytes()
+
+
+def test_coherence_error_bars_hold_at_small_times():
+    # the imaginary part is statistically zero; at t = 1e-10 its mean is
+    # ~1e-12, and n - sum cos^2 would cancel its error bar to 0
+    process = CosineSumProcess(((1.0, 1.0), (0.5, 2.0)))
+    grid = np.array([1e-10, 1e-8, 1e-6, 1e-2])
+    estimate = monte_carlo_coherence(process, 1.0, grid, 10000, seed=3)
+    assert np.all(estimate.stderr_imag > 0.0)
+    assert np.all(np.abs(estimate.mean.imag) <= 5.0 * estimate.stderr_imag)
 
 
 def test_coherence_rows_match_complex_exp():
@@ -526,12 +538,11 @@ def test_coherence_rows_match_complex_exp():
     integral = np.matvec(sin_t, sigmas * draws[:, :3] / freqs) + np.matvec(
         cos_t, sigmas * draws[:, 3:] / freqs
     )
-    value, real2, imag2 = dephasing._coherence_samples(draws, sigmas, freqs, sin_t, cos_t, 0.8)
+    real, imag, imag2 = dephasing._coherence_samples(draws, sigmas, freqs, sin_t, cos_t, 0.8)
     expected = np.exp(-2.0j * 0.8 * integral)
-    assert np.max(np.abs(value.real - expected.real)) <= 1e-15
-    assert np.max(np.abs(value.imag - expected.imag)) <= 1e-15
-    assert real2.tobytes() == (value.real**2).tobytes()
-    assert imag2.tobytes() == (value.imag**2).tobytes()
+    assert np.max(np.abs(real - expected.real)) <= 1e-15
+    assert np.max(np.abs(imag - expected.imag)) <= 1e-15
+    assert imag2.tobytes() == (imag**2).tobytes()
 
 
 def test_channel_construction():

@@ -50,7 +50,7 @@ def test_chebyshev_rule_is_exact_to_its_degree():
     coef = np.random.default_rng(2).normal(size=_quadrature._K.size)
     coef[-2:] = 0.0
     poly = np.polynomial.Chebyshev(coef, domain=[2.0, 3.0])
-    got, errors = _quadrature.chebyshev(
+    got, errors, _ = _quadrature.chebyshev(
         lambda w: np.stack([poly(w), 2.0 * poly(w)]), np.array([2.0]), np.array([3.0])
     )
     assert np.max(np.abs(got[:, 0].ravel() - np.concatenate([coef, 2.0 * coef]))) <= 1e-13
@@ -114,7 +114,7 @@ def test_filon_sums_match_quad_vec_on_a_polynomial():
     lo, hi = np.array([0.5, 1.0, 1.5]), np.array([1.0, 1.5, 2.5])
     v = np.polynomial.Polynomial([0.3, -0.2, 0.1, 0.05])
     w = np.polynomial.Polynomial([1.0, 0.5, -0.25])
-    coef, _ = _quadrature.chebyshev(lambda x: np.stack([v(x), w(x)]), lo, hi)
+    coef, _, _ = _quadrature.chebyshev(lambda x: np.stack([v(x), w(x)]), lo, hi)
     times = np.array([0.0, 1e-6, 0.3, 7.0, 60.0, 900.0])
     value, slope = _quadrature.filon(times, lo, hi, coef)
     ref, err = quad_vec(

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from qchan import CosineSumProcess, DomainError, ResourceError, dephasing, monte_carlo_coherence
+from qchan import (
+    CosineSumProcess,
+    DomainError,
+    IsotropicGaussianNoise,
+    ResourceError,
+    classical_field,
+    dephasing,
+    monte_carlo_coherence,
+    monte_carlo_polarization,
+)
 from qchan._rng import (
+    _CHUNK,
+    _DRAW,
     MONTE_CARLO_CAP,
     monte_carlo_cost,
     monte_carlo_sums,
@@ -78,3 +89,24 @@ def test_monte_carlo_cap_counts_components(monkeypatch):
     grid = np.linspace(0.0, 10.0, 201)
     with pytest.raises(ResourceError):
         monte_carlo_coherence(process, 1.0, grid, 10**9 // 201, seed=1)
+
+
+def test_draw_batches_bound_memory(monkeypatch):
+    # fig1's run draws once; 200 components take one 1024-realization chunk
+    # per draw, the least a chunk's sum can be built from
+    sizes = []
+
+    def recording(seed, start, stop, count):
+        sizes.append(count * (stop - start))
+        return realization_normals(seed, start, stop, count)
+
+    for module in (classical_field, dephasing):
+        monkeypatch.setattr(module, "realization_normals", recording)
+    fig1 = np.linspace(0.0, 4.0, 400)
+    monte_carlo_polarization(IsotropicGaussianNoise(1.0, 1.0), fig1, 10000, seed=5)
+    assert sizes == [3 * 10000] and max(sizes) <= _DRAW
+    sizes.clear()
+    process = CosineSumProcess(tuple((1.0, 1.0 + 0.01 * i) for i in range(200)))
+    monte_carlo_coherence(process, 1.0, np.linspace(0.0, 1.0, 5), 2500, seed=1)
+    assert sizes == [400 * _CHUNK, 400 * _CHUNK, 400 * 452]
+    assert max(sizes) <= max(_DRAW, 400 * _CHUNK)
