@@ -1,6 +1,6 @@
 """Helpers shared by the model modules: the time and grid checks, the
-scale check, the scalar-or-array return convention, the pole floor of decay
-rates and the double-angle kernel."""
+scale check, the scalar-or-array return convention, the decay rate -F'/F
+with its pole floor and the double-angle kernel."""
 
 from __future__ import annotations
 
@@ -12,6 +12,13 @@ from .errors import DomainError
 
 # A decay rate -F'/F is undefined where the factor F is at (or below) this.
 POLE_FLOOR = 1e-12
+
+
+def pole_rate(factor, slope):
+    """The decay rate -F'/F of a factor F with slope F', and the mask of its
+    poles: the points where F <= POLE_FLOOR, at which the rate is NaN."""
+    poles = factor <= POLE_FLOOR
+    return np.where(poles, np.nan, -slope / np.where(poles, 1.0, factor)), poles
 
 
 def check_times(t) -> np.ndarray:

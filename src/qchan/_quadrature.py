@@ -160,7 +160,8 @@ def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
     in use.  A floor scales with its panel's integral of |f|, so bisection
     does not shrink their sum: if the first panels' floors of a row exceed
     ``tol``, none is split.  Returns (lo, hi, estimates, errors) of the
-    final panels in ascending order; the caller checks the summed errors.
+    final panels in ascending order and ``floor``, the largest row sum of
+    the first panels' floors; the caller checks the summed errors.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -169,8 +170,9 @@ def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
     hi = edges[1:]
     values, errors, floors = rule(f, lo, hi)
     total_err = errors.sum(axis=1)
-    if np.all(total_err <= tol) or np.any(floors.sum(axis=1) > tol):
-        return lo, hi, values, errors
+    floor = floors.sum(axis=1).max()
+    if np.all(total_err <= tol) or floor > tol:
+        return lo, hi, values, errors, floor
 
     # the initial panels wait in a queue of decreasing largest row error, the
     # added ones in a max-heap of (-largest row error, index); added panels
@@ -229,7 +231,7 @@ def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
         return np.concatenate(parts, axis=1)
 
     return (join(lo[None], added_lo)[0], join(hi[None], added_hi)[0],
-            join(values, added_values), join(errors, added_errors))
+            join(values, added_values), join(errors, added_errors), floor)
 
 
 # Modified moments of T_k (k <= _P) against cos(kx), sin(kx), 1 - cos(kx) on

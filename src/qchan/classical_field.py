@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import (
-    POLE_FLOOR,
     check_grid,
     check_square,
     check_times,
+    pole_rate,
     scalar_or_array,
 )
 from ._rng import monte_carlo_sums, realization_normals
@@ -105,10 +105,10 @@ def polarization_factor(noise: IsotropicGaussianNoise, t):
 def classical_decay_rate(noise: IsotropicGaussianNoise, t):
     """gamma(t) = -f'(t)/f(t) from the analytic derivative of f."""
     tt = check_times(t)
-    f, df = _factor_and_slope(noise, tt)
-    if np.any(f <= POLE_FLOOR):
+    rate, poles = pole_rate(*_factor_and_slope(noise, tt))
+    if np.any(poles):
         raise PoleError("polarization factor at its floor; rate undefined")
-    return scalar_or_array(-df / f, tt)
+    return scalar_or_array(rate, tt)
 
 
 def rotate_bloch(sample: NoiseSample, coupling, t, start: BlochVector) -> BlochVector:

@@ -362,9 +362,9 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
     """
     knots = density.frequencies
     value, slope, value_err, slope_err = np.zeros((4, times.size))
-    panels = first_panels = 0
+    panels = first_panels = floor = 0
     if knots.size > 2:
-        lo, hi, coef, errors = integrate_adaptive(
+        lo, hi, coef, errors, floor = integrate_adaptive(
             _filon_weights(density, beta), knots[1:], tol / 2, max_panels - 1, rule=chebyshev
         )
         value, slope = filon(times, lo, hi, coef)
@@ -375,11 +375,12 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
     for start in range(0, times.size, _FIRST_GROUP):
         group = slice(start, start + _FIRST_GROUP)
         n = times[group].size
-        lo, hi, values, errors = integrate_adaptive(
+        lo, hi, values, errors, first_floor = integrate_adaptive(
             _continuum_integrand(density, beta, times[group]), knots[:2], tol / 2,
             max_panels - panels, rule=gauss_kronrod(2 * n),
         )
         first_panels = max(first_panels, lo.size)
+        floor = max(floor, first_floor)
         for total, part in zip((value, slope, value_err, slope_err),
                                (values[:n], values[n:], errors[:n], errors[n:])):
             total[group] += part.sum(axis=1)
@@ -389,12 +390,14 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
         )
     worst = max(np.max(value_err, initial=0.0), np.max(slope_err, initial=0.0))
     if worst > tol:
-        raise QuadratureError(
-            f"quadrature error estimate {worst:.3e} above tolerance {tol:.3e} "
-            f"after {panels + first_panels} panels",
-            estimate=value[0],
-            error=value_err[0],
-        )
+        message = (f"quadrature error estimate {worst:.3e} above tolerance {tol:.3e} "
+                   f"after {panels + first_panels} panels")
+        if 2 * floor > tol:
+            # each pass has tol/2, and stops at once if its rounding floors
+            # exceed that: no panel budget would help
+            message = (f"quadrature tolerance {tol:.3e} lies below its rounding floor "
+                       f"{2 * floor:.3e} (error estimate {worst:.3e})")
+        raise QuadratureError(message, estimate=value[0], error=value_err[0])
     return value, slope, value_err, slope_err
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import POLE_FLOOR
+from ._common import pole_rate
 from .errors import DomainError, UnclassifiableError
 
 MEANING_BLOCH_FACTOR = "bloch-factor"
@@ -175,11 +175,10 @@ def rate_from_series(series: TimeSeries) -> RateSeries:
         return RateSeries(series.times, deriv, estimate, flagged)
 
     factor = y if series.meaning == MEANING_BLOCH_FACTOR else 1.0 - y
-    flagged = factor < POLE_FLOOR
     deriv, destimate = _derivative(factor, h)
-    safe = np.where(flagged, 1.0, factor)
-    rate = np.where(flagged, np.nan, -deriv / safe)
-    estimate = np.where(flagged, np.nan, destimate / np.abs(safe))
+    rate, flagged = pole_rate(factor, deriv)
+    # |-e/F| = e/|F| exactly, and NaN at the same poles
+    estimate = np.abs(pole_rate(factor, destimate)[0])
     return RateSeries(series.times, rate, estimate, flagged)
 
 

@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from ._common import POLE_FLOOR, check_times, scalar_or_array
+from ._common import POLE_FLOOR, check_times, pole_rate, scalar_or_array
 from .errors import DomainError, PoleError, ResourceError
 
 _WEIGHT_TOL = 1e-12
@@ -362,10 +362,9 @@ def decay_rate(ensemble: CouplingEnsemble, t):
     (rate undefined at full depolarization).
     """
     times = check_times(t)
-    f, df = _factor_and_slope(ensemble, times)
-    if np.any(f <= POLE_FLOOR):
+    rate, poles = pole_rate(*_factor_and_slope(ensemble, times))
+    if np.any(poles):
         raise PoleError(
             f"Bloch factor at or below {POLE_FLOOR}; decay rate undefined there"
         )
-    rate = -df / f
     return scalar_or_array(rate, times)

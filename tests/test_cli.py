@@ -147,6 +147,52 @@ def test_config_file_precedence(tmp_path):
     main(["depol-classical", "--config", str(cfg), "--sigma", "3.0", "--out", str(out2)])
     assert '"sigma": 3.0' in out2.read_text()
 
+    # null leaves a key at its default, and so does false for a switch
+    cfg.write_text(json.dumps({"sigma": None, "steps": 25}))
+    assert main(["depol-classical", "--config", str(cfg), "--out", str(out)]) == 0
+    assert '"sigma": 1.0' in out.read_text()
+
+
+# the source a generating command runs with when the entry under test is not
+# itself a source
+BASE_SOURCE = {"dephasing-quantum": ["--single-mode"], "dephasing-classical": ["--cosine", "1:1"]}
+SOURCE_FLAGS = {"--single-mode", "--ohmic-amplitude", "--white-noise"}
+
+
+def typed_entries():
+    """(command, entry) for every entry of a generating command whose flag
+    parses its text: a number, a choice or a switch."""
+    for name, command in cli._COMMANDS.items():
+        flags = [entry[0] for entry in command.entries]
+        if command.config and "--t-max" in flags:
+            for entry in command.entries:
+                if entry[1] in (int, float, bool) or isinstance(entry[1], tuple):
+                    yield pytest.param(name, entry, id=f"{name}{entry[0]}")
+
+
+@pytest.mark.parametrize("name, entry", typed_entries())
+def test_flag_and_config_write_the_same_bytes(tmp_path, name, entry):
+    flag, kind, default, _ = entry
+    if kind is bool:
+        value, text = True, []
+    elif isinstance(kind, tuple):
+        value = next(choice for choice in kind if choice not in (default, "custom"))
+        text = [value]
+    else:
+        # an integer literal, for float keys too
+        value = int(default or 0) + 2
+        text = [str(value)]
+    assert value != default
+    base = [] if flag in SOURCE_FLAGS else BASE_SOURCE.get(name, [])
+    out = str(tmp_path / "run.out")
+    assert main([name, *base, flag, *text, "--out", out]) == 0
+    by_flag = Path(out).read_bytes()
+    Path(out).unlink()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({flag.lstrip("-"): value}))
+    assert main([name, *base, "--config", str(config), "--out", out]) == 0
+    assert Path(out).read_bytes() == by_flag
+
 
 def test_unknown_config_key_is_config_error(tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -172,6 +218,13 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         "spectral_nan.txt": "0 0\n1 nan\n2 1\n",
         "steps.json": json.dumps({"steps": "abc"}),
         "mc.json": json.dumps({"mc": "x"}),
+        # config values are parsed like their flags: whole numbers for
+        # integer keys, no booleans for numbers, and false leaves a switch unset
+        "beta_list.json": json.dumps({"beta": [1], "single-mode": True}),
+        "steps_fraction.json": json.dumps({"steps": 7.9}),
+        "mc_fraction.json": json.dumps({"mc": 2.5}),
+        "sigma_bool.json": json.dumps({"sigma": True}),
+        "switch_false.json": json.dumps({"single-mode": False}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -187,6 +240,11 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         ["dephasing-classical", "--cosine", "1:nan", "--out", out],
         ["depol-classical", "--config", str(tmp_path / "steps.json"), "--out", out],
         ["reproduce", "fig1", "--config", str(tmp_path / "mc.json"), "--out-dir", str(tmp_path)],
+        ["dephasing-quantum", "--config", str(tmp_path / "beta_list.json"), "--out", out],
+        ["depol-classical", "--config", str(tmp_path / "steps_fraction.json"), "--out", out],
+        ["depol-classical", "--config", str(tmp_path / "mc_fraction.json"), "--out", out],
+        ["depol-classical", "--config", str(tmp_path / "sigma_bool.json"), "--out", out],
+        ["dephasing-quantum", "--config", str(tmp_path / "switch_false.json"), "--out", out],
         ["depol-spinbath", "--ensemble", "custom", "--components", "[[1]]", "--out", out],
         ["depol-spinbath", "--g", "nan", "--out", out],
         ["depol-classical", "--sigma", "inf", "--out", out],
@@ -198,9 +256,18 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     for argv in commands:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("qchan: configuration error:"), argv
+        assert err.startswith("qchan: configuration error:") and err.count("\n") == 1, argv
         if "--t-max" in argv:
             assert "t-max must be finite and > 0" in err, argv
+    assert not Path(out).exists()
+
+    # a switch set false is unset, so it is not a second source
+    (tmp_path / "switch_false.json").write_text(
+        json.dumps({"single-mode": False, "ohmic-amplitude": 1})
+    )
+    assert main(["dephasing-quantum", "--config", str(tmp_path / "switch_false.json"),
+                 "--out", out]) == 0
+    assert '"ohmic_amplitude": 1.0' in Path(out).read_text()
 
 
 @pytest.mark.parametrize(
@@ -256,7 +323,7 @@ def test_squared_scale_overflow_exits_2(tmp_path, capsys, argv, name):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_numerical_failure_exits_3(tmp_path, monkeypatch):
+def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     # an unresolvable quadrature tolerance is a numerical failure, not config
     grid = np.linspace(0.0, 40.0, 401)
     path = tmp_path / "ohmic.txt"
@@ -273,14 +340,21 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
         return integrate(wrapped, *args, **kwargs)
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", counting)
+    capsys.readouterr()
     code = main(
         ["dephasing-quantum", "--spectral-file", str(path),
          "--tol", "1e-30", "--t-max", "40", "--steps", "6", "--out", out]
     )
     assert code == 3
     # the rounding floors alone exceed 1e-30, so each pass stops after its
-    # first rule call instead of bisecting to 50000 panels
+    # first rule call instead of bisecting to 50000 panels, and says so
     assert len(calls) == 2
+    err = capsys.readouterr().err
+    floor = re.fullmatch(
+        r"qchan: numerical failure: quadrature tolerance 1\.000e-30 lies below its rounding "
+        r"floor (\S+) \(error estimate \S+\)\n", err
+    )
+    assert floor and 1e-16 < float(floor.group(1)) < 1e-12, err
 
     # so is a size cap, checked before any table is built or matrix diagonalized
     def no_work(*args, **kwargs):

@@ -82,8 +82,8 @@ def test_monte_carlo_cap_checked_before_any_draw():
 
 def test_monte_carlo_cap_counts_components(monkeypatch):
     # 200 cosine components on 201 points: under the former cap of 10^9
-    # realizations x points, but about 4.6e-7 s per point-realization, so
-    # ~7 minutes of work
+    # realizations x points, but 8.2e9 units of monte_carlo_cost, 5.5 times
+    # the cap; at 5e-9 to 1.3e-8 s a unit that is 40 s to 2 minutes of work
     monkeypatch.setattr(dephasing, "realization_normals", no_draw)
     process = CosineSumProcess(tuple((1.0, 1.0 + 0.01 * i) for i in range(200)))
     grid = np.linspace(0.0, 10.0, 201)
