@@ -1,24 +1,23 @@
-"""Adaptive panel quadrature: one driver, two panel rules, and Filon sums.
+"""Adaptive panel quadrature: one driver, one panel rule, and Filon sums.
 
 :func:`integrate_adaptive` keeps a list of panels, each with the estimates
 and the error bounds a panel rule gives it, and bisects the panel with the
 largest error until every row of the summed errors meets the tolerance or
 the panel budget is spent.  It returns the panels; the caller combines them.
 
-* :func:`gauss_kronrod` is QUADPACK's qk15 rule (Piessens et al., 1983): 15
-  Kronrod nodes whose odd entries are the nodes of the embedded 7-point
-  Gauss rule, so |K15 - G7| estimates the error from 15 integrand values.
-* :func:`chebyshev` interpolates a smooth two-row integrand at the p + 1
-  Chebyshev points of each panel.  Its estimates are the interpolants'
-  Chebyshev coefficients, and its errors bound the integral of
-  |f - P_p f| by the trailing coefficients.  :func:`filon` integrates the
-  interpolants exactly against 1 - cos(wt) and sin(wt) through modified
-  moments (Piessens & Branders, Math. Comp. 1975), so that bound holds for
-  every t at once: the panels do not depend on the times.
+:func:`chebyshev` interpolates a smooth integrand at the p + 1 first-kind
+Chebyshev points of each panel, none of which is a panel end.  Its
+estimates are the interpolants' Chebyshev coefficients, and its errors bound
+the integral of |f - P_p f| by the trailing coefficients.
+:func:`integrated` integrates the interpolants over their panels, and
+:func:`filon` integrates them exactly against 1 - cos(wt) and sin(wt)
+through modified moments (Piessens & Branders, Math. Comp. 1975), so that
+bound holds for every t at once: the panels do not depend on the times.
 
-Rules evaluate panels in slabs of about 2^16 values, and :func:`filon` sums
-in slabs of as many (time, panel) moments, so memory stays bounded whatever
-the row and panel counts; the results do not depend on the slab size.
+The rule evaluates panels in slabs of about 2^16 values, and :func:`filon`
+sums in slabs of as many (time, panel) moments, so memory stays bounded
+whatever the row and panel counts; the results do not depend on the slab
+size.
 """
 
 from __future__ import annotations
@@ -30,88 +29,23 @@ import numpy as np
 
 from ._common import double_angle
 
-# qk15 abscissae in (0, 1) and weights, from the outermost node inwards; the
-# Gauss nodes are the second, fourth and sixth abscissae and the centre
-_XK_HALF = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-)
-_WK_HALF = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-)
-_WK_CENTRE = 0.209482141084727828012999174891714
-_WG_HALF = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-)
-_WG_CENTRE = 0.417959183673469387755102040816327
-
-# ascending nodes on [-1, 1]; the Gauss weights sit on the odd indices
-_XK = np.array([-x for x in _XK_HALF] + [0.0] + list(_XK_HALF[::-1]))
-_WK = np.array(list(_WK_HALF) + [_WK_CENTRE] + list(_WK_HALF[::-1]))
-_WG = np.zeros(15)
-_WG[1::2] = list(_WG_HALF) + [_WG_CENTRE] + list(_WG_HALF[::-1])
 # values per slab (integrand values, or (time, panel) moments in filon)
 _SLAB = 2**16
 # rounding floor of a panel's error estimate, in units of its absolute
 # integral (QUADPACK's 50 eps): it covers the rounding of the node sums and
-# of the panel sum, which |K15 - G7| does not see
+# of the panel sum, which the trailing coefficients do not see
 _ROUNDING = 50.0 * np.finfo(float).eps
 
-
-def _in_slabs(rule, f, lo, hi, per_panel):
-    """``rule(f, lo, hi)`` over slabs of panels holding about ``_SLAB``
-    values, ``per_panel`` values each; the parts are joined panel-wise."""
-    step = max(1, _SLAB // per_panel)
-    if lo.size <= step:
-        return rule(f, lo, hi)
-    slabs = [rule(f, lo[i : i + step], hi[i : i + step]) for i in range(0, lo.size, step)]
-    return tuple(np.concatenate(parts, axis=1) for parts in zip(*slabs))
-
-
-def gauss_kronrod(rows: int):
-    """The qk15 panel rule for an integrand ``f`` of ``rows`` rows: estimates
-    K15, errors |K15 - G7| + rounding floor, and the floors, all
-    (rows, panels)."""
-
-    def estimates(f, lo, hi):
-        half = 0.5 * (hi - lo)
-        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
-        fk = f(nodes.ravel()).reshape(rows, *nodes.shape)
-        # einsum sums each panel's 15 values in one order whatever the slab's
-        # shape, so results do not depend on the slab size; a matrix product's
-        # BLAS kernel, and with it the rounding, changes with the shape
-        kronrod = half * np.einsum("rpk,k->rp", fk, _WK)
-        gauss = half * np.einsum("rpk,k->rp", fk, _WG)
-        floor = _ROUNDING * half * np.einsum("rpk,k->rp", np.abs(fk), _WK)
-        return kronrod, np.abs(kronrod - gauss) + floor, floor
-
-    return lambda f, lo, hi: _in_slabs(estimates, f, lo, hi, rows * _XK.size)
-
-
-# Chebyshev rule: degree _P on the Chebyshev-Lobatto points cos(j pi / _P).
-# 12 was the fastest of 12, 14 and 16 on the benchmark's 1001-knot tables,
-# which it resolves without a split.
+# Chebyshev rule: degree _P on the first-kind Chebyshev points
+# cos(pi (j + 1/2) / (_P + 1)).  12 was the fastest of 12, 14 and 16 on the
+# benchmark's 1001-knot tables, which it resolves without a split.
 _P = 12
 _K = np.arange(_P + 1)
 _EVEN = _K % 2 == 0
-_CHEB_X = np.cos(np.pi * _K / _P)
-# the DCT-I from values at _CHEB_X to the coefficients of sum_k c_k T_k
-_TO_COEF = (2.0 / _P) * np.cos(np.pi * np.outer(_K, _K) / _P)
-_TO_COEF[:, [0, -1]] *= 0.5
-_TO_COEF[[0, -1]] *= 0.5
+_CHEB_X = np.cos(np.pi * (_K + 0.5) / _K.size)
+# the DCT-II from values at _CHEB_X to the coefficients of sum_k c_k T_k
+_TO_COEF = (2.0 / _K.size) * np.cos(np.pi * np.outer(_K, _K + 0.5) / _K.size)
+_TO_COEF[0] *= 0.5
 # einsum sums over k with these in one order whatever the slab's shape; an
 # axis reduction need not
 _ONES = np.ones(_K.size)
@@ -125,29 +59,46 @@ def _t_integrals(n: int) -> np.ndarray:
     return out
 
 
-def chebyshev(f, lo, hi):
-    """The Chebyshev panel rule for a smooth integrand ``f`` of two rows
-    (v, w).  Estimates: the coefficients of their degree-_P interpolants,
-    (2, panels, _P + 1), v's first.  Errors, (2, panels): bounds on the
-    integrals of 2 |v - P v| and |w - P w| (|1 - cos| <= 2, |sin| <= 1)
-    from the two trailing coefficients, plus a rounding floor.  Floors,
-    (2, panels): that floor."""
+def chebyshev(scale):
+    """The Chebyshev panel rule for a smooth integrand ``f`` of
+    len(``scale``) rows.  Estimates: the coefficients of the rows'
+    degree-_P interpolants, (rows, panels, _P + 1).  Errors, (rows,
+    panels): ``scale`` times bounds on the integrals of |f - P f| from the
+    two trailing coefficients, plus a rounding floor.  Floors, (rows,
+    panels): that floor, also times ``scale``."""
+    scale = np.asarray(scale, dtype=float)[:, None]
 
     def estimates(f, lo, hi):
         half = 0.5 * (hi - lo)
         nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _CHEB_X
-        values = f(nodes.ravel()).reshape(2, *nodes.shape)
+        values = f(nodes.ravel()).reshape(scale.size, *nodes.shape)
+        # einsum sums each panel's values in one order whatever the slab's
+        # shape, so results do not depend on the slab size; a matrix product's
+        # BLAS kernel, and with it the rounding, changes with the shape
         coef = np.einsum("rpj,kj->rpk", values, _TO_COEF)
         # int |g - P g| <= 2 (b - a) sum_{k > p} |c_k|, and the sum is at most
         # |c_{p-1}| / 2 while the coefficients decay at least as 2^-k
-        errors = 2.0 * half * (np.abs(coef[:, :, -1]) + np.abs(coef[:, :, -2]))
-        floors = _ROUNDING * 2.0 * half * np.einsum("rpk,k->rp", np.abs(coef), _ONES)
-        errors += floors
-        errors[0] *= 2.0
-        floors[0] *= 2.0
-        return coef, errors, floors
+        floors = scale * (_ROUNDING * 2.0 * half * np.einsum("rpk,k->rp", np.abs(coef), _ONES))
+        errors = scale * (2.0 * half * (np.abs(coef[:, :, -1]) + np.abs(coef[:, :, -2])))
+        return coef, errors + floors, floors
 
-    return _in_slabs(estimates, f, lo, hi, 2 * _K.size)
+    def rule(f, lo, hi):
+        step = max(1, _SLAB // (scale.size * _K.size))
+        slabs = [estimates(f, lo[i : i + step], hi[i : i + step]) for i in range(0, lo.size, step)]
+        return tuple(np.concatenate(parts, axis=1) for parts in zip(*slabs))
+
+    return rule
+
+
+def integrated(rule):
+    """A :func:`chebyshev` ``rule`` whose estimates are the integrals of the
+    interpolants over their panels, (rows, panels): 1/13 the coefficients' size."""
+
+    def panel_integrals(f, lo, hi):
+        coef, errors, floors = rule(f, lo, hi)
+        return 0.5 * (hi - lo) * np.einsum("rpk,k->rp", coef, _t_integrals(_K.size)), errors, floors
+
+    return panel_integrals
 
 
 def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
@@ -160,78 +111,63 @@ def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
     in use.  A floor scales with its panel's integral of |f|, so bisection
     does not shrink their sum: if the first panels' floors of a row exceed
     ``tol``, none is split.  Returns (lo, hi, estimates, errors) of the
-    final panels in ascending order and ``floor``, the largest row sum of
-    the first panels' floors; the caller checks the summed errors.
+    final panels, a split's left half in its parent's place and its right
+    half appended, and ``floor``, the largest row sum of the first panels'
+    floors; the caller checks the summed errors.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly ascending with >= 2 entries")
-    lo = edges[:-1]
-    hi = edges[1:]
+    # copies: a split writes its left half into them
+    lo = edges[:-1].copy()
+    hi = edges[1:].copy()
     values, errors, floors = rule(f, lo, hi)
     total_err = errors.sum(axis=1)
     floor = floors.sum(axis=1).max()
     if np.all(total_err <= tol) or floor > tol:
         return lo, hi, values, errors, floor
 
-    # the initial panels wait in a queue of decreasing largest row error, the
-    # added ones in a max-heap of (-largest row error, index); added panels
-    # take the indices from n on, and ties go to the lower index
+    # the first panels wait in a queue of decreasing largest row error, the
+    # halves in a max-heap of (-largest row error, index); a left half keeps
+    # its parent's index, a right half takes the next one from n on, and ties
+    # go to the lower index
     n = lo.size
     largest = errors.max(axis=0)
     queue = np.argsort(-largest, kind="stable")
     head = 0
     heap = []
-    split = np.zeros(n, dtype=bool)
-    added_lo, added_hi, added_values, added_errors, added_split = [], [], [], [], []
+    added = []  # (lo, hi, estimates, errors) of the right halves
     # each split adds one live panel
-    while np.any(total_err > tol) and n + len(added_lo) // 2 < max_panels:
+    while np.any(total_err > tol) and n + len(added) < max_panels:
         first = largest[queue[head]] if head < n else 0.0
         if heap and -heap[0][0] > first:
             i = heapq.heappop(heap)[1]
-            a, b, old = added_lo[i - n], added_hi[i - n], added_errors[i - n]
         elif first > 0.0:
             i = queue[head]
             head += 1
-            a, b, old = lo[i], hi[i], errors[:, i]
         else:
             # a largest error of 0 leaves no panel that a split can improve
             break
+        a, b, _, old = (lo[i], hi[i], None, errors[:, i]) if i < n else added[i - n]
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # panel no longer splittable at float resolution: it stays live
             continue
-        if i < n:
-            split[i] = True
-        else:
-            added_split[i - n] = True
         vals, errs, _ = rule(f, np.array([a, mid]), np.array([mid, b]))
         total_err += errs.sum(axis=1) - old
-        for a2, b2, v2, e2 in zip((a, mid), (mid, b), np.moveaxis(vals, 1, 0), errs.T):
-            heapq.heappush(heap, (-e2.max(), n + len(added_lo)))
-            added_lo.append(a2)
-            added_hi.append(b2)
-            added_values.append(v2)
-            added_errors.append(e2)
-            added_split.append(False)
-    # the live panels in ascending order: the runs of unsplit initial panels
-    # as slices (a gather along the panel axis costs ~10x a copy), and in
-    # place of each split one its live descendants, which lie below its hi
-    kids = np.flatnonzero(~np.array(added_split, dtype=bool))
-    kids = kids[np.argsort(np.array(added_lo)[kids])]
-    cuts = np.flatnonzero(split)
-    ends = np.searchsorted(np.array(added_lo)[kids], hi[cuts])
-    runs = list(zip(np.r_[0, cuts + 1], np.r_[cuts, n]))
-
-    def join(initial, added):
-        added = np.moveaxis(np.reshape(added, (len(added), *initial[:, 0].shape)), 0, 1)
-        parts = [initial[:, slice(*runs[0])]]
-        for begin, end, run in zip(np.r_[0, ends[:-1]], ends, runs[1:]):
-            parts += [added[:, kids[begin:end]], initial[:, slice(*run)]]
-        return np.concatenate(parts, axis=1)
-
-    return (join(lo[None], added_lo)[0], join(hi[None], added_hi)[0],
-            join(values, added_values), join(errors, added_errors), floor)
+        if i < n:
+            hi[i], values[:, i], errors[:, i] = mid, vals[:, 0], errs[:, 0]
+        else:
+            added[i - n] = (a, mid, vals[:, 0], errs[:, 0])
+        heapq.heappush(heap, (-errs[:, 0].max(), i))
+        heapq.heappush(heap, (-errs[:, 1].max(), n + len(added)))
+        added.append((mid, b, vals[:, 1], errs[:, 1]))
+    if added:
+        added_lo, added_hi, added_values, added_errors = zip(*added)
+        lo, hi = np.r_[lo, added_lo], np.r_[hi, added_hi]
+        values = np.concatenate([values, *(v[:, None] for v in added_values)], axis=1)
+        errors = np.concatenate([errors, *(e[:, None] for e in added_errors)], axis=1)
+    return lo, hi, values, errors, floor
 
 
 # Modified moments of T_k (k <= _P) against cos(kx), sin(kx), 1 - cos(kx) on

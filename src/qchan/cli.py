@@ -80,10 +80,15 @@ def _grid(cfg: dict) -> np.ndarray:
     return np.linspace(0.0, cfg["t_max"], cfg["steps"])
 
 
+# the strings that stand for the non-finite floats json.dumps writes bare
+_NON_FINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+
+
 def _config_echo(cfg: dict) -> str:
-    """The configuration as JSON, with an infinite float written as "inf"."""
-    clean = {k: "inf" if isinstance(v, float) and math.isinf(v) else v for k, v in cfg.items()}
-    return json.dumps(clean, sort_keys=True)
+    """The configuration as strict JSON: a non-finite float, also in a list
+    or dict, is the string "inf", "-inf" or "nan"."""
+    clean = json.loads(json.dumps(cfg), parse_constant=_NON_FINITE.get)
+    return json.dumps(clean, sort_keys=True, allow_nan=False)
 
 
 def _write_output(command: str, cfg: dict, columns: dict) -> None:

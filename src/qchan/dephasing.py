@@ -30,7 +30,7 @@ import numpy as np
 
 from ._common import check_grid, check_square, check_times, double_angle, scalar_or_array
 from . import _quadrature
-from ._quadrature import chebyshev, filon, gauss_kronrod, integrate_adaptive
+from ._quadrature import chebyshev, filon, integrate_adaptive, integrated
 from ._rng import monte_carlo_sums, realization_normals
 from .errors import DomainError, QuadratureError, UnsupportedQueryError
 from .states import QubitState
@@ -340,9 +340,9 @@ def _ohmic_and_slope(density: OhmicExpDensity, beta: float, t: np.ndarray):
     return value, density.amplitude * slope / (8.0 * math.pi)
 
 
-# The first knot interval's G7-K15 pass takes the times in groups whose two
+# The first knot interval's pass takes the times in groups whose two
 # integrand rows per time fill about one slab per panel.
-_FIRST_GROUP = _quadrature._SLAB // (2 * _quadrature._XK.size)
+_FIRST_GROUP = _quadrature._SLAB // (2 * _quadrature._CHEB_X.size)
 
 
 # a knot interval too narrow for the nodes gives inf or NaN: a QuadratureError
@@ -357,38 +357,38 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
     to tol/2 by a bound that holds for every t, then integrated exactly
     against the oscillators (:func:`_quadrature.filon`).  On the first knot
     interval W/w ~ 1/w at finite beta and only 1 - cos wt cancels it, so
-    G7-K15 integrates the full integrands there, to tol/2.  ``max_panels``
-    bounds the Filon panels plus the first interval's.
+    the same rule integrates the full integrands there, to tol/2, at nodes
+    other than w = 0.  ``max_panels`` bounds the Filon panels plus these.
     """
     knots = density.frequencies
-    value, slope, value_err, slope_err = np.zeros((4, times.size))
+    totals = np.zeros((4, times.size))  # Gamma, Gamma', their error estimates
     panels = first_panels = floor = 0
     if knots.size > 2:
+        # |1 - cos wt| <= 2 and |sin wt| <= 1 scale the bounds of (W/w, W)
         lo, hi, coef, errors, floor = integrate_adaptive(
-            _filon_weights(density, beta), knots[1:], tol / 2, max_panels - 1, rule=chebyshev
+            _filon_weights(density, beta), knots[1:], tol / 2, max_panels - 1,
+            rule=chebyshev((2.0, 1.0)),
         )
-        value, slope = filon(times, lo, hi, coef)
+        totals[:2] = filon(times, lo, hi, coef)
         # both integrands vanish at t = 0, and so does the bound's part there
-        value_err += np.where(times > 0.0, errors[0].sum(), 0.0)
-        slope_err += np.where(times > 0.0, errors[1].sum(), 0.0)
+        totals[2:] = np.where(times > 0.0, errors.sum(axis=1)[:, None], 0.0)
         panels = lo.size
     for start in range(0, times.size, _FIRST_GROUP):
-        group = slice(start, start + _FIRST_GROUP)
-        n = times[group].size
+        group = times[start : start + _FIRST_GROUP]
         lo, hi, values, errors, first_floor = integrate_adaptive(
-            _continuum_integrand(density, beta, times[group]), knots[:2], tol / 2,
-            max_panels - panels, rule=gauss_kronrod(2 * n),
+            _continuum_integrand(density, beta, group), knots[:2], tol / 2,
+            max_panels - panels, rule=integrated(chebyshev(np.ones(2 * group.size))),
         )
         first_panels = max(first_panels, lo.size)
         floor = max(floor, first_floor)
-        for total, part in zip((value, slope, value_err, slope_err),
-                               (values[:n], values[n:], errors[:n], errors[n:])):
-            total[group] += part.sum(axis=1)
-    if not np.all(np.isfinite([value, slope, value_err, slope_err])):
+        # rows: Gamma, then Gamma', at each time of the group
+        sums = np.concatenate([values, errors]).sum(axis=1)
+        totals[:, start : start + group.size] += sums.reshape(4, group.size)
+    if not np.all(np.isfinite(totals)):
         raise QuadratureError(
             f"quadrature gave a non-finite Gamma or Gamma' after {panels + first_panels} panels"
         )
-    worst = max(np.max(value_err, initial=0.0), np.max(slope_err, initial=0.0))
+    worst = np.max(totals[2:], initial=0.0)
     if worst > tol:
         message = (f"quadrature error estimate {worst:.3e} above tolerance {tol:.3e} "
                    f"after {panels + first_panels} panels")
@@ -397,8 +397,8 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
             # exceed that: no panel budget would help
             message = (f"quadrature tolerance {tol:.3e} lies below its rounding floor "
                        f"{2 * floor:.3e} (error estimate {worst:.3e})")
-        raise QuadratureError(message, estimate=value[0], error=value_err[0])
-    return value, slope, value_err, slope_err
+        raise QuadratureError(message, estimate=totals[0, 0], error=totals[2, 0])
+    return tuple(totals)
 
 
 def _continuum_and_slope(
@@ -441,8 +441,8 @@ def gamma_continuum(
 
     whose psi terms vanish at beta = inf.  A tabulated density is
     integrated by Filon-Chebyshev product integration on panels that do not
-    depend on t, with G7-K15 on the first knot interval (see
-    :func:`_tabulated`); Gamma and Gamma' share the panels, and ``tol`` and
+    depend on t, and by the same Chebyshev rule on the first knot interval
+    (see :func:`_tabulated`); Gamma and Gamma' share the panels, and ``tol`` and
     ``max_panels`` bound that quadrature: both values have an estimated
     error <= ``tol``.  Non-convergence raises :class:`QuadratureError`
     carrying the partial estimate of Gamma.

@@ -136,7 +136,6 @@ _EDGE = {
     -2: np.array([-1.0, 6.0, -18.0, 10.0, 3.0]),
     -1: np.array([3.0, -16.0, 36.0, -48.0, 25.0]),
 }
-_CENTRAL_2ND = np.array([-1.0, 0.0, 1.0])  # units of 1/(2h), for the residual
 
 
 def _derivative(values: np.ndarray, h: float):

@@ -153,6 +153,32 @@ def test_config_file_precedence(tmp_path):
     assert '"sigma": 1.0' in out.read_text()
 
 
+def strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("value", ["-inf", "inf", "nan"])
+def test_config_echo_is_strict_json(tmp_path, value):
+    # the fixed ensemble ignores G and components, so non-finite values run
+    # and are echoed as strings
+    out = tmp_path / "run.out"
+    argv = ["depol-spinbath", f"--G={value}", "--steps", "5", "--out", str(out)]
+    assert main(argv) == 0
+    config = out.read_text().splitlines()[1]
+    assert config.startswith("# config = ")
+    assert strict_json(config[len("# config = "):])["G"] == value
+    assert main([*argv, "--format", "json"]) == 0
+    assert strict_json(out.read_text())["meta"]["config"]["G"] == value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"components": [[0.5, {json.dumps(float(value))}, 1]]}}')
+    assert main(["depol-spinbath", "--config", str(cfg), "--steps", "5", "--out", str(out)]) == 0
+    echoed = strict_json(out.read_text().splitlines()[1][len("# config = "):])
+    assert echoed["components"] == [[0.5, value, 1]]
+
+
 # the source a generating command runs with when the entry under test is not
 # itself a source
 BASE_SOURCE = {"dephasing-quantum": ["--single-mode"], "dephasing-classical": ["--cosine", "1:1"]}
@@ -623,9 +649,9 @@ def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
     panels, tangents = [], []
     integrate, tangent = dephasing.integrate_adaptive, _quadrature.double_angle
 
-    def recording(*args, rule, **kwargs):
-        result = integrate(*args, rule=rule, **kwargs)
-        if rule is _quadrature.chebyshev:
+    def recording(f, edges, *args, **kwargs):
+        result = integrate(f, edges, *args, **kwargs)
+        if np.array_equal(edges, grid[1:]):  # the Filon pass
             panels.append(np.concatenate(result[:2]))
         return result
 

@@ -243,7 +243,8 @@ def test_tabulated_validation(tmp_path):
 
 def test_quadrature_budget_error_carries_estimate():
     # the 4000 knot intervals already exceed the budget, so no panel is
-    # split, and one G7-K15 panel on [0, 0.1] misses cos(40 w) by more than tol
+    # split, and one Chebyshev panel on [0, 0.1] misses cos(40 w) by more
+    # than tol
     grid = np.linspace(0.0, 400.0, 4001)
     table = TabulatedDensity(grid, FIG2_DENSITY(grid))
     with pytest.raises(QuadratureError) as info:
@@ -253,42 +254,24 @@ def test_quadrature_budget_error_carries_estimate():
     assert info.value.error > 0
 
 
-def test_kronrod_pair_is_exact_to_its_degree():
-    x, wk, wg = _quadrature._XK, _quadrature._WK, _quadrature._WG
-    nodes7, weights7 = np.polynomial.legendre.leggauss(7)
-    assert np.max(np.abs(x[1::2] - nodes7)) <= 1e-15
-    assert np.max(np.abs(wg[1::2] - weights7)) <= 1e-15
-    assert np.all(wg[::2] == 0.0)
-    assert wk.sum() == pytest.approx(2.0, abs=1e-15)
-    assert wg.sum() == pytest.approx(2.0, abs=1e-15)
-    for k in range(23):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert abs(wk @ x**k - exact) <= 1e-15, k
-        if k <= 13:
-            assert abs(wg @ x**k - exact) <= 1e-15, k
-    # and no further: the degrees are sharp
-    assert abs(wk @ x**24 - 2.0 / 25) > 1e-12
-    assert abs(wg @ x**14 - 2.0 / 15) > 1e-12
-
-
 def test_tabulated_times_match_single_times_and_quad_vec(monkeypatch):
-    # all 37 times share one Filon pass and one G7-K15 pass on the first knot
+    # all 37 times share one Filon pass and one pass on the first knot
     # interval; a shuffled copy gives the same values
     grid = np.linspace(0.0, 20.0, 401)
     density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
     table = TabulatedDensity(grid, density)
     times = np.linspace(0.0, 30.0, 37)
     tol = 1e-8
-    rules = []
+    passes = []
     integrate = dephasing.integrate_adaptive
 
-    def recording(*args, rule, **kwargs):
-        rules.append(rule)
-        return integrate(*args, rule=rule, **kwargs)
+    def recording(f, edges, *args, **kwargs):
+        passes.append(edges)
+        return integrate(f, edges, *args, **kwargs)
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
     value, slope, value_err, slope_err = dephasing._tabulated(table, 1.0, times, tol, 50000)
-    assert len(rules) == 2 and rules[0] is _quadrature.chebyshev
+    assert len(passes) == 2 and np.array_equal(passes[0], grid[1:])
     assert np.all(value_err <= tol) and np.all(slope_err <= tol)
     shuffled = np.random.default_rng(5).permutation(37)
     for got, want in zip(dephasing._continuum_and_slope(table, 1.0, times[shuffled], tol),
@@ -378,7 +361,7 @@ def test_tabulated_results_do_not_depend_on_slab_size(monkeypatch):
     monkeypatch.setattr(dephasing, "integrate_adaptive", counting)
     monkeypatch.setattr(_quadrature, "_SLAB", 1)  # one panel, one time per slab
     single = dephasing._continuum_and_slope(table, 1.0, times, tol=1e-12)
-    assert set(calls) == {_quadrature._XK.size, _quadrature._CHEB_X.size}
+    assert set(calls) == {13}
     for got, want in zip(single, default):
         assert got.tobytes() == want.tobytes()
 

@@ -50,7 +50,7 @@ def test_chebyshev_rule_is_exact_to_its_degree():
     coef = np.random.default_rng(2).normal(size=_quadrature._K.size)
     coef[-2:] = 0.0
     poly = np.polynomial.Chebyshev(coef, domain=[2.0, 3.0])
-    got, errors, _ = _quadrature.chebyshev(
+    got, errors, _ = _quadrature.chebyshev((2.0, 1.0))(
         lambda w: np.stack([poly(w), 2.0 * poly(w)]), np.array([2.0]), np.array([3.0])
     )
     assert np.max(np.abs(got[:, 0].ravel() - np.concatenate([coef, 2.0 * coef]))) <= 1e-13
@@ -114,7 +114,7 @@ def test_filon_sums_match_quad_vec_on_a_polynomial():
     lo, hi = np.array([0.5, 1.0, 1.5]), np.array([1.0, 1.5, 2.5])
     v = np.polynomial.Polynomial([0.3, -0.2, 0.1, 0.05])
     w = np.polynomial.Polynomial([1.0, 0.5, -0.25])
-    coef, _, _ = _quadrature.chebyshev(lambda x: np.stack([v(x), w(x)]), lo, hi)
+    coef, _, _ = _quadrature.chebyshev((2.0, 1.0))(lambda x: np.stack([v(x), w(x)]), lo, hi)
     times = np.array([0.0, 1e-6, 0.3, 7.0, 60.0, 900.0])
     value, slope = _quadrature.filon(times, lo, hi, coef)
     ref, err = quad_vec(
@@ -143,3 +143,59 @@ def test_unsplittable_panels_end_the_refinement():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _adaptive_cases():
+    """(integrand, edges, rule, tol, max_panels) of the two passes of
+    :func:`dephasing._tabulated`, each of which splits: the Filon pass on a
+    401-knot table at tol 1e-12, and the first knot interval of the fig2
+    density on 21 knots at 201 times and tol 1e-10."""
+    grid = np.linspace(0.0, 20.0, 401)
+    density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
+    filon_pass = (dephasing._filon_weights(TabulatedDensity(grid, density), 1.0), grid[1:],
+                  _quadrature.chebyshev((2.0, 1.0)))
+    wide = np.linspace(0.0, 40.0, 21)
+    times = np.linspace(0.0, 40.0, 201)
+    table = TabulatedDensity(wide, 8.0 * math.pi * wide * np.exp(-wide))
+    first_pass = (dephasing._continuum_integrand(table, 1.0, times), wide[:2],
+                  _quadrature.integrated(_quadrature.chebyshev(np.ones(2 * times.size))))
+    return {
+        "filon-splits": (*filon_pass, 0.5e-12, 50000),
+        "first-interval-splits": (*first_pass, 0.5e-10, 50000),
+        "budget": (*filon_pass, 0.5e-12, grid.size),  # two of the three splits
+    }
+
+
+@pytest.mark.parametrize("case", ["filon-splits", "first-interval-splits", "budget"])
+def test_adaptive_panels_tile_the_edges(case):
+    f, edges, rule, tol, max_panels = _adaptive_cases()[case]
+    # the live panels with their estimates and errors, replayed from the
+    # rule's calls: the first call holds the first panels, each later one the
+    # halves of a split
+    live, totals = {}, []
+
+    def recording(f, lo, hi):
+        out = rule(f, lo, hi)
+        if live:
+            del live[(lo[0], hi[1])]
+        live.update({(a, b): (v, e) for a, b, v, e in
+                     zip(lo, hi, np.moveaxis(out[0], 1, 0), out[1].T)})
+        totals.append(sum(e for _, e in live.values()))
+        return out
+
+    lo, hi, estimates, errors, _ = _quadrature.integrate_adaptive(f, edges, tol, max_panels,
+                                                                  rule=recording)
+    assert lo.size > edges.size - 1  # some panel was split
+    order = np.argsort(lo)
+    assert lo[order][0] == edges[0] and hi[order][-1] == edges[-1]
+    assert np.array_equal(lo[order][1:], hi[order][:-1])  # no gap, no overlap
+    assert lo.size == len(live) <= max_panels
+    assert estimates.shape[1] == errors.shape[1] == lo.size
+    for a, b, v, e in zip(lo, hi, np.moveaxis(estimates, 1, 0), errors.T):
+        assert np.array_equal(v, live[(a, b)][0]) and np.array_equal(e, live[(a, b)][1])
+    assert np.allclose(errors.sum(axis=1), totals[-1], rtol=1e-12, atol=0.0)
+    if case == "budget":
+        assert lo.size == max_panels and np.max(totals[-1]) > tol
+    else:
+        # it stopped on the tolerance, and not one split later
+        assert np.max(totals[-1]) <= tol < np.max(totals[-2])
