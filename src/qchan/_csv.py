@@ -25,7 +25,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-SLAB_ROWS = 1024  # table rows formatted and written at a time
+SLAB_ROWS = 4096  # table rows formatted and written at a time
 
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
 # scales s with a normal double-double 10^s and a split of |x| that cannot
@@ -42,10 +42,10 @@ _X_BASE = 400  # decimal exponents lie in [-324, 309]
 
 @functools.cache
 def _powers() -> np.ndarray:
-    """Per scale s from _S_BASE on, a row: H = fl(10^s), its split (hi, lo),
+    """Per scale s from _S_BASE on, a column: H = fl(10^s), its split (hi, lo),
     L = fl(10^s - H) and the certification bound (-1 where 10^s = H)."""
-    table = np.full((_S_END - _S_BASE, 5), math.nan)
-    table[:, 4] = math.inf
+    table = np.full((5, _S_END - _S_BASE), math.nan)
+    table[4] = math.inf
     for s in range(_S_MIN, _S_MAX + 1):
         if s >= 0:
             big = float(10**s)
@@ -56,7 +56,7 @@ def _powers() -> np.ndarray:
         mant, exp = math.frexp(big)
         c = mant * _SPLIT
         hi = c - (c - mant)
-        table[s - _S_BASE] = (
+        table[:, s - _S_BASE] = (
             big, math.ldexp(hi, exp), math.ldexp(mant - hi, exp), small,
             -1.0 if small == 0.0 else _TOL,
         )
@@ -68,14 +68,14 @@ def _scaled(a: np.ndarray, s: np.ndarray):
     product plus a L.  The sum is exact where L = 0; otherwise its error is
     at most 2 (a H) 2^-106 from L and a L plus half an ulp of t (|t| < 20),
     4.2e-15 for p < 1.1e17.  NaN where 10^s or the split of a is out of range."""
-    big, big_hi, big_lo, small, tol = np.take(_powers(), s - _S_BASE, axis=0).T
+    big, big_hi, big_lo, small, tol = np.take(_powers(), s - _S_BASE, axis=1)
     c = a * _SPLIT
     a_hi = c - (c - a)
     a_lo = a - a_hi
     p = a * big
     t = ((a_hi * big_hi - p) + a_hi * big_lo + a_lo * big_hi) + a_lo * big_lo
     t += a * small
-    return p, t, tol.copy()
+    return p, t, tol
 
 
 def _outside(p: np.ndarray, t: np.ndarray):
@@ -250,9 +250,10 @@ def csv_rows(columns: dict) -> Iterator[bytes]:
             rows = format_cells(np.concatenate([col[start:stop] for col in floats.values()]))
         widths = [len(rows) if j in floats else texts[j][0].itemsize for j in range(len(columns))]
         ends = np.cumsum(np.add(widths, 1))  # each column's bytes, then its separator
-        slab = np.zeros((count, ends[-1]), dtype=np.uint8)
-        slab[:, ends - 1] = ord(",")
-        slab[:, -1] = ord("\n")
+        template = np.zeros(ends[-1], dtype=np.uint8)
+        template[ends - 1] = ord(",")
+        template[-1] = ord("\n")
+        slab = np.tile(template, (count, 1))
         cell = [slice(end - 1 - width, end - 1) for end, width in zip(ends, widths)]
         for b, j in enumerate(floats):
             slab[:, cell[j]] = rows[:, b * count : (b + 1) * count].T
@@ -262,4 +263,4 @@ def csv_rows(columns: dict) -> Iterator[bytes]:
             else:
                 raw = spelled[np.fromiter(map(index.__getitem__, values[start:stop]), np.intp)]
             slab[:, cell[j]] = raw[..., None].view(np.uint8)
-        yield slab[slab != 0].tobytes()
+        yield slab.tobytes().translate(None, b"\0")

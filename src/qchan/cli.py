@@ -133,7 +133,9 @@ def _columns(times, factor, slope, error=None, exponent=None, capped=None) -> di
         gamma = np.where(flagged, np.nan, slope)
         flag = "capped"
     error = np.zeros_like(times) if error is None else error
-    flags = [flag if bad else "" for bad in flagged]
+    flags = [""] * len(times)
+    for i in np.flatnonzero(flagged).tolist():
+        flags[i] = flag
     return dict(zip(_BASE_COLUMNS, (times, factor, p, gamma, error, flags)))
 
 

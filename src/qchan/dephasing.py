@@ -343,6 +343,9 @@ def _ohmic_and_slope(density: OhmicExpDensity, beta: float, t: np.ndarray):
 # The first knot interval's pass takes the times in groups whose two
 # integrand rows per time fill about one slab per panel.
 _FIRST_GROUP = _quadrature._SLAB // (2 * _quadrature._CHEB_X.size)
+# Its first panels have kappa = h max(t) / 2 at most this: the trailing Chebyshev
+# coefficients of exp(i kappa x) bound nothing until they decay, for k > kappa.
+_FIRST_KAPPA = 0.5 * _quadrature._P
 
 
 # a knot interval too narrow for the nodes gives inf or NaN: a QuadratureError
@@ -358,7 +361,8 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
     against the oscillators (:func:`_quadrature.filon`).  On the first knot
     interval W/w ~ 1/w at finite beta and only 1 - cos wt cancels it, so
     the same rule integrates the full integrands there, to tol/2, at nodes
-    other than w = 0.  ``max_panels`` bounds the Filon panels plus these.
+    other than w = 0, from panels that resolve the largest time
+    (``_FIRST_KAPPA``).  ``max_panels`` bounds the Filon panels plus these.
     """
     knots = density.frequencies
     totals = np.zeros((4, times.size))  # Gamma, Gamma', their error estimates
@@ -375,8 +379,11 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
         panels = lo.size
     for start in range(0, times.size, _FIRST_GROUP):
         group = times[start : start + _FIRST_GROUP]
+        kappa = 0.5 * (knots[1] - knots[0]) * np.max(group)
+        pieces = max(1, min(math.ceil(kappa / _FIRST_KAPPA), max_panels - panels))
         lo, hi, values, errors, first_floor = integrate_adaptive(
-            _continuum_integrand(density, beta, group), knots[:2], tol / 2,
+            _continuum_integrand(density, beta, group),
+            np.linspace(knots[0], knots[1], pieces + 1), tol / 2,
             max_panels - panels, rule=integrated(chebyshev(np.ones(2 * group.size))),
         )
         first_panels = max(first_panels, lo.size)

@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from ._common import POLE_FLOOR, check_times, pole_rate, scalar_or_array
+from ._common import POLE_FLOOR, check_times, double_angle, pole_rate, scalar_or_array
 from .errors import DomainError, PoleError, ResourceError
 
 _WEIGHT_TOL = 1e-12
@@ -67,11 +67,17 @@ def _finite(name: str, value) -> float:
     return value
 
 
+def _cos_sin(theta: np.ndarray):
+    """(cos theta, sin theta) from one tangent of theta / 2."""
+    sin, vers = double_angle(0.5 * theta)
+    return np.subtract(1.0, vers, out=vers), sin
+
+
 def _sharp(g: float, m: float, t: np.ndarray):
     """Envelope of a sharp coupling g: cos(m g t / 2) and its time derivative."""
     half_freq = m * g / 2.0
-    theta = half_freq * t
-    return np.cos(theta), -half_freq * np.sin(theta)
+    cos, sin = _cos_sin(half_freq * t)
+    return cos, np.multiply(sin, -half_freq, out=sin)
 
 
 class _SingleSpin:
@@ -115,12 +121,8 @@ class GaussianCoupling(_SingleSpin):
     def _envelope(self, m, t):
         decay = np.exp(-(m**2) * self.sigma**2 * t**2 / 8.0)
         phase = m * self.mean / 2.0
-        env = decay * np.cos(phase * t)
-        denv = decay * (
-            -(m**2) * self.sigma**2 * t / 4.0 * np.cos(phase * t)
-            - phase * np.sin(phase * t)
-        )
-        return env, denv
+        cos, sin = _cos_sin(phase * t)
+        return decay * cos, decay * (-(m**2) * self.sigma**2 * t / 4.0 * cos - phase * sin)
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,9 @@ class UniformCoupling(_SingleSpin):
         kappa = m / 2.0
         mid = 0.5 * (self.low + self.high)
         halfspan = 0.5 * (self.high - self.low)
-        u = kappa * mid * t
-        v = kappa * halfspan * t
-        env = np.cos(u) * _sinc(v)
-        denv = -kappa * mid * np.sin(u) * _sinc(v) + kappa * halfspan * np.cos(u) * _sinc_prime(v)
-        return env, denv
+        cos, sin = _cos_sin(kappa * mid * t)
+        sinc, dsinc = _sinc(kappa * halfspan * t)
+        return cos * sinc, -kappa * mid * sin * sinc + kappa * halfspan * cos * dsinc
 
 
 @dataclass(frozen=True)
@@ -308,17 +308,14 @@ def max_depolarization(spin) -> Fraction:
     return 8 * l * (l + 1) / (3 * (2 * l + 1) ** 2)
 
 
-def _sinc(x):
-    return np.sinc(x / np.pi)
-
-
-def _sinc_prime(x):
-    """d/dx sin(x)/x, stable near zero."""
-    x = np.asarray(x, dtype=float)
+def _sinc(x: np.ndarray):
+    """sin(x)/x and its derivative (cos x - sin(x)/x)/x; below |x| = 1e-4
+    their Taylor series, whose next terms are under 1e-18."""
+    cos, sin = _cos_sin(x)
     small = np.abs(x) < 1e-4
     xs = np.where(small, 1.0, x)
-    out = np.where(small, -x / 3.0 + x**3 / 30.0, (np.cos(xs) - _sinc(xs)) / xs)
-    return out
+    sinc = np.where(small, 1.0 - x * x / 6.0, sin / xs)
+    return sinc, np.where(small, -x / 3.0 + x**3 / 30.0, (cos - sinc) / xs)
 
 
 def _factor_and_slope(ensemble: CouplingEnsemble, t: np.ndarray):
@@ -326,16 +323,19 @@ def _factor_and_slope(ensemble: CouplingEnsemble, t: np.ndarray):
     sectors = getattr(ensemble, "_sectors", None)
     if sectors is None:
         raise DomainError(f"unknown ensemble type {type(ensemble).__name__}")
-    f = np.zeros_like(t)
-    df = np.zeros_like(t)
+    times = t.reshape(-1)  # 0-d t as 1-d: the sums work in place
+    f, df = np.zeros((2, times.size))
     for l, q, envelope in sectors():
         a = float(4 * l * l + 4 * l + 3)
         b = float(8 * l * (l + 1))
         d = float(3 * (2 * l + 1) ** 2)
-        phi, dphi = envelope(float(2 * l + 1), t)
-        f = f + q * ((a + b * phi) / d)
-        df = df + q * (b * dphi / d)
-    return f, df
+        phi, dphi = envelope(float(2 * l + 1), times)
+        # f += q ((a + b phi) / d) and df += q (b phi' / d), rounded in that order
+        phi *= b
+        dphi *= b
+        f += np.multiply(np.divide(np.add(phi, a, out=phi), d, out=phi), q, out=phi)
+        df += np.multiply(np.divide(dphi, d, out=dphi), q, out=dphi)
+    return f.reshape(t.shape), df.reshape(t.shape)
 
 
 def bloch_factor(ensemble: CouplingEnsemble, t):

@@ -174,6 +174,23 @@ def test_bytes_do_not_depend_on_slab_size(monkeypatch, slab):
     assert b"".join(csv_rows(columns)) == _row_template(columns)
 
 
+def test_bytes_across_slab_edges_at_the_production_slab_size():
+    rows = 2 * SLAB_ROWS + 3
+    columns = _table(rows)
+    # NaN, infinities and -0.0 on both sides of each slab edge, mixed flags
+    edges = [0, SLAB_ROWS - 1, SLAB_ROWS, 2 * SLAB_ROWS - 1, 2 * SLAB_ROWS, rows - 1]
+    specials = [math.nan, math.inf, -math.inf, -0.0, math.nan, -math.inf]
+    for name in ("f_or_coherence", "gamma", "omega_phase"):
+        columns[name][edges] = specials
+        specials = specials[1:] + specials[:1]
+    columns["gamma_err"][2 * SLAB_ROWS] = -0.0  # a lone -0.0 makes the column floats
+    for i, flag in zip(edges, ["pole", "capped", "pole", "", "capped", "pole"]):
+        columns["flags"][i] = flag
+    chunks = list(csv_rows(columns))
+    assert len(chunks) == 3
+    assert b"".join(chunks) == _row_template(columns)
+
+
 def _peak_bytes(columns) -> int:
     tracemalloc.start()
     try:

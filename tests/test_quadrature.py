@@ -98,8 +98,10 @@ def tables(draw):
     st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3),
 )
 def test_tabulated_error_estimates_bound_quad_vec(table, beta, times):
-    knots, values = table
-    times = np.array([0.0, *times])
+    _assert_estimates_bound_quad_vec(*table, beta, np.array([0.0, *times]))
+
+
+def _assert_estimates_bound_quad_vec(knots, values, beta, times):
     value, slope, value_err, slope_err = dephasing._tabulated(
         TabulatedDensity(knots, values), beta, times, 1e-8, 50000
     )
@@ -107,6 +109,19 @@ def test_tabulated_error_estimates_bound_quad_vec(table, beta, times):
     assert value[0] == 0.0 and slope[0] == 0.0
     assert np.all(np.abs(slope - ref_slope) <= slope_err + ref_err)
     assert np.all(np.abs(value - ref_value) <= value_err + ref_err)
+
+
+def test_first_interval_estimate_bounds_an_unresolved_oscillation():
+    # one panel of the first knot interval [0.7, 1.27] at t = 195 has
+    # kappa = h t / 2 ~ 56, far beyond the rule's degree: its trailing
+    # coefficients had not begun to decay, and the true errors were 1.65x
+    # (Gamma) and 1.44x (Gamma') the estimates
+    knots = np.array([0.7, 1.2695067484941043, 1.4228436355621334, 1.6979650374038087,
+                      1.7549162817656627, 2.2])
+    values = np.array([0.0, 1e-8, 1 / 3, 0.2517762779772426, 1.5676321741926391,
+                       0.06262292181759578])
+    _assert_estimates_bound_quad_vec(knots, values, 0.1, np.array([0.0, 195.2018024936222,
+                                                                   671.3104020381983]))
 
 
 def test_filon_sums_match_quad_vec_on_a_polynomial():

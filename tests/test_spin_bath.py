@@ -279,3 +279,89 @@ def test_spin_star_factor_and_rate_share_one_table(monkeypatch):
     decay_rate(star, t)
     assert len(calls) == 4  # l = 7/2, 5/2, 3/2, 1/2, built once
     assert sector_weights(7) is sector_weights(7)
+
+
+# ------------------------------------------------- tangent envelopes vs libm
+
+EPS = np.finfo(float).eps
+
+
+def _libm_sharp(g):
+    def envelope(m, t):
+        theta = m * g / 2.0 * t
+        return np.cos(theta), -(m * g / 2.0) * np.sin(theta), m * abs(g) / 2.0
+
+    return envelope
+
+
+def _libm_gaussian(mean, sigma):
+    def envelope(m, t):
+        decay = np.exp(-((m * sigma) ** 2) * t**2 / 8.0)
+        phase = m * mean / 2.0
+        drift = (m * sigma) ** 2 * t / 4.0
+        slope = -decay * (drift * np.cos(phase * t) + phase * np.sin(phase * t))
+        return decay * np.cos(phase * t), slope, decay * (drift + abs(phase))
+
+    return envelope
+
+
+def _libm_uniform(low, high):
+    def envelope(m, t):
+        kappa, mid, half = m / 2.0, (low + high) / 2.0, (high - low) / 2.0
+        u, v = kappa * mid * t, kappa * half * t
+        sinc = np.sinc(v / np.pi)
+        # d sinc / dv: its series below |v| = 1e-4; above, (cos v - sinc v) / v
+        # cancels, and its rounding grows as 2 eps / |v|
+        series = np.abs(v) < 1e-4
+        vs = np.where(series, 1.0, v)
+        dsinc = np.where(series, -v / 3.0 + v**3 / 30.0, (np.cos(vs) - np.sinc(vs / np.pi)) / vs)
+        slope = kappa * (-mid * np.sin(u) * sinc + half * np.cos(u) * dsinc)
+        return np.cos(u) * sinc, slope, kappa * (abs(mid) + half * np.where(series, 1.0, 2.0 / vs))
+
+    return envelope
+
+
+TANGENT_CASES = {
+    "fixed": (FixedCoupling(2.5, 1.3), [(Fraction(5, 2), 1.0, _libm_sharp(1.3))]),
+    "spin-star": (SpinStar(40, 1.0), [(row.spin, float(row.weight), _libm_sharp(1.0))
+                                      for row in sector_weights(40).rows]),
+    "custom": (CustomEnsemble(((0.5, 1.0, 0.25), (1.5, -0.3, 0.5), (4, 2.2, 0.25))),
+               [(Fraction(1, 2), 0.25, _libm_sharp(1.0)), (Fraction(3, 2), 0.5, _libm_sharp(-0.3)),
+                (Fraction(4), 0.25, _libm_sharp(2.2))]),
+    "gaussian": (GaussianCoupling(1.5, 0.7, 0.05), [(Fraction(3, 2), 1.0, _libm_gaussian(0.7, 0.05))]),
+    "uniform": (UniformCoupling(1, 0.5, 1.5), [(Fraction(1), 1.0, _libm_uniform(0.5, 1.5))]),
+}
+
+
+def _libm_factor(sectors, t):
+    """F, F' and the scale of F' (its terms with each sine and cosine at 1)
+    by the mixture rule, from np.cos, np.sin and np.sinc."""
+    f, df, scale = np.zeros((3, t.size))
+    for l, q, envelope in sectors:
+        a, b, d = (float(x) for x in (4 * l * l + 4 * l + 3, 8 * l * (l + 1), 3 * (2 * l + 1) ** 2))
+        phi, dphi, size = envelope(float(2 * l + 1), t)
+        f += q * (a + b * phi) / d
+        df += q * b * dphi / d
+        scale += q * b * size / d
+    return f, df, scale
+
+
+@pytest.mark.parametrize("case", TANGENT_CASES)
+def test_tangent_envelopes_match_libm(case):
+    ensemble, sectors = TANGENT_CASES[case]
+    # times down into the series window of the uniform law's sinc (|v| < 1e-4
+    # at t < 1.3e-4), and a grid up to 1e3
+    t = np.concatenate([[0.0], np.geomspace(1e-9, 1e-2, 71), np.linspace(0.0, 1e3, 20001)])
+    f, df = spin_bath._factor_and_slope(ensemble, t)
+    ref, ref_slope, scale = _libm_factor(sectors, t)
+    assert np.max(np.abs(f - ref)) <= 8 * EPS
+    assert np.all(np.abs(df - ref_slope) <= 8 * EPS * scale)
+    assert f[0] == 1.0 and bloch_factor(ensemble, 0.0) == 1.0
+    # 0-d times, through the public functions
+    for i in (1, 40, 5000, -1):
+        value = bloch_factor(ensemble, float(t[i]))
+        assert isinstance(value, float) and abs(value - ref[i]) <= 8 * EPS
+        if ref[i] > 1e-3:
+            rate = decay_rate(ensemble, float(t[i]))
+            assert isinstance(rate, float)
+            assert abs(rate * ref[i] + ref_slope[i]) <= 8 * EPS * scale[i] + 16 * EPS * abs(ref_slope[i])
