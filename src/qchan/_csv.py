@@ -219,29 +219,23 @@ def format_cells(x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _text_column(values) -> tuple:
-    """The bytes of each distinct value, and the index of each value's bytes
-    (None where every row spells the same)."""
-    distinct = sorted(set(values), key=str)
-    spelled = np.array([str(v).encode() for v in distinct], dtype=bytes)
-    return spelled, None if len(distinct) == 1 else {v: i for i, v in enumerate(distinct)}
-
-
 def csv_rows(columns: dict) -> Iterator[bytes]:
-    """The CSV data rows of ``columns``: ``'%.17g'`` floats, the ``flags``
-    column as text, comma-separated, formatted in numpy ``SLAB_ROWS`` rows at
-    a time; a column of +0.0 is written as text."""
+    """The CSV data rows of ``columns``: ``'%.17g'`` floats and the text of
+    the ``flags`` column, comma-separated, formatted in numpy ``SLAB_ROWS``
+    rows at a time; a column of +0.0 is written as text.  ``flags`` is a pair
+    (spellings, codes): row i reads spellings[codes[i]]."""
     length = len(next(iter(columns.values())))
     floats, texts = {}, {}
     for j, (name, values) in enumerate(columns.items()):
         if name == "flags":
-            texts[j] = (*_text_column(values), values)
+            words, codes = values
+            texts[j] = (np.array([word.encode() for word in words], dtype=bytes), codes)
             continue
         col = np.asarray(values, dtype=float)
         if col.any() or np.signbit(col).any():
             floats[j] = col
         else:  # all +0.0, like a closed form's gamma_err
-            texts[j] = (np.array([b"0"]), None, None)
+            texts[j] = (np.array([b"0"]), None)
     for start in range(0, length, SLAB_ROWS):
         stop = min(start + SLAB_ROWS, length)
         count = stop - start
@@ -257,10 +251,7 @@ def csv_rows(columns: dict) -> Iterator[bytes]:
         cell = [slice(end - 1 - width, end - 1) for end, width in zip(ends, widths)]
         for b, j in enumerate(floats):
             slab[:, cell[j]] = rows[:, b * count : (b + 1) * count].T
-        for j, (spelled, index, values) in texts.items():
-            if index is None:
-                raw = np.asarray(spelled[0], dtype=spelled.dtype)
-            else:
-                raw = spelled[np.fromiter(map(index.__getitem__, values[start:stop]), np.intp)]
-            slab[:, cell[j]] = raw[..., None].view(np.uint8)
+        for j, (spelled, codes) in texts.items():
+            raw = spelled[:1] if codes is None else spelled[codes[start:stop]]
+            slab[:, cell[j]] = raw[:, None].view(np.uint8)
         yield slab.tobytes().translate(None, b"\0")

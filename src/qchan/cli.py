@@ -23,11 +23,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import classical_field, damping, dephasing, exact, rates, spin_bath
+# each runner imports the model modules it uses, so that a command loads
+# only its own; this module needs numpy, the errors and the pole rule
 from ._common import pole_rate
-from ._csv import csv_rows
 from .errors import DomainError, QChanError
-from .states import BlochVector, state_from_bloch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,12 +95,14 @@ def _write_output(command: str, cfg: dict, columns: dict) -> None:
     if cfg["format"] == "json":
         payload = {"meta": {"command": command, "config": json.loads(_config_echo(cfg))}}
         payload["columns"] = {
-            name: list(values) if name == "flags"
+            name: [values[0][code] for code in values[1].tolist()] if name == "flags"
             else [None if v != v else v for v in np.asarray(values, dtype=float).tolist()]
             for name, values in columns.items()
         }
         chunks = [(json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()]
     else:
+        from ._csv import csv_rows
+
         head = f"# qchan {command}\n# config = {_config_echo(cfg)}\n{','.join(columns)}\n"
         chunks = itertools.chain([head.encode()], csv_rows(columns))
     if path == "-":
@@ -122,6 +123,7 @@ def _columns(times, factor, slope, error=None, exponent=None, capped=None) -> di
     itself, p = 1 - exp(-Gamma), and ``factor`` is the written coherence or
     amplitude; ``capped`` samples are flagged.  Flagged points get gamma NaN.
     ``error`` is gamma_err: the error estimate of the slope, 0 unless given.
+    ``flags`` is the pair (spellings, codes): row i reads spellings[codes[i]].
     """
     if exponent is None:
         gamma, flagged = pole_rate(factor, slope)
@@ -133,15 +135,15 @@ def _columns(times, factor, slope, error=None, exponent=None, capped=None) -> di
         gamma = np.where(flagged, np.nan, slope)
         flag = "capped"
     error = np.zeros_like(times) if error is None else error
-    flags = [""] * len(times)
-    for i in np.flatnonzero(flagged).tolist():
-        flags[i] = flag
+    flags = (("", flag), flagged.astype(np.uint8))
     return dict(zip(_BASE_COLUMNS, (times, factor, p, gamma, error, flags)))
 
 
 # ---------------------------------------------------------------- spin bath
 
 def _build_ensemble(cfg: dict):
+    from . import spin_bath
+
     kind = cfg["ensemble"]
     if kind == "fixed":
         return spin_bath.FixedCoupling(cfg["l"], cfg["g"])
@@ -165,6 +167,8 @@ def _build_ensemble(cfg: dict):
 
 
 def _run_depol_spinbath(cfg: dict) -> None:
+    from . import spin_bath
+
     ensemble = _build_ensemble(cfg)
     times = _grid(cfg)
     columns = _columns(times, *spin_bath._factor_and_slope(ensemble, times))
@@ -174,6 +178,8 @@ def _run_depol_spinbath(cfg: dict) -> None:
 # ---------------------------------------------------------- classical field
 
 def _run_depol_classical(cfg: dict) -> None:
+    from . import classical_field
+
     noise = classical_field.IsotropicGaussianNoise(cfg["g"], cfg["sigma"])
     times = _grid(cfg)
     factor, slope = classical_field._factor_and_slope(noise, times)
@@ -190,6 +196,8 @@ def _run_depol_classical(cfg: dict) -> None:
 
 def _dephasing_exponent(cfg: dict, times: np.ndarray):
     """Gamma, Gamma' and the error estimate of Gamma' of the configured bath."""
+    from . import dephasing
+
     beta = _beta_value(cfg["beta"])
     sources = ("single_mode", "modes", "ohmic_amplitude", "spectral_file")
     if sum(cfg[key] is not None for key in sources) != 1:
@@ -221,6 +229,8 @@ def _dephasing_exponent(cfg: dict, times: np.ndarray):
 
 
 def _run_dephasing_quantum(cfg: dict) -> None:
+    from . import dephasing
+
     times = _grid(cfg)
     exponent, slope, error = _dephasing_exponent(cfg, times)
     # checks Gamma(0) = 0 and Gamma >= 0
@@ -232,6 +242,8 @@ def _run_dephasing_quantum(cfg: dict) -> None:
 # ------------------------------------------------------- classical dephasing
 
 def _run_dephasing_classical(cfg: dict) -> None:
+    from . import dephasing
+
     if (cfg["white_noise"] is not None) == (cfg["cosine"] is not None):
         raise DomainError("pick exactly one of --white-noise or --cosine")
     if cfg["white_noise"] is not None:
@@ -259,6 +271,8 @@ def _run_dephasing_classical(cfg: dict) -> None:
 # ----------------------------------------------------------- amplitude damping
 
 def _run_amp_damping(cfg: dict) -> None:
+    from . import damping
+
     omega = cfg["omega"]
     if cfg["modes"] is not None:
         modes = _parse_pairs(cfg["modes"], "mode")
@@ -279,10 +293,12 @@ def _run_amp_damping(cfg: dict) -> None:
 
 # ----------------------------------------------------------------- analyze
 
-# --col -> the column it reads and that column's meaning
+# --col -> the column it reads and that column's meaning, as spelled by
+# rates.MEANING_BLOCH_FACTOR and rates.MEANING_PROBABILITY; the command table
+# names no qchan.rates attribute, so that importing this module skips rates
 _COLUMNS = {
-    "f": ("f_or_coherence", rates.MEANING_BLOCH_FACTOR),
-    "p": ("p", rates.MEANING_PROBABILITY),
+    "f": ("f_or_coherence", "bloch-factor"),
+    "p": ("p", "probability"),
 }
 
 
@@ -310,6 +326,8 @@ def read_series_csv(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_analyze(cfg: dict) -> None:
+    from . import rates
+
     column, meaning = _COLUMNS[cfg["col"]]
     series = rates.TimeSeries(*read_series_csv(cfg["file"], column), meaning)
     verdict = rates.classify(rates.rate_from_series(series), cfg["eps_abs"], cfg["eps_rel"])
@@ -357,6 +375,9 @@ def _run_reproduce(cfg: dict) -> None:
 # ------------------------------------------------------------------- oracle
 
 def _run_oracle(cfg: dict) -> None:
+    from . import classical_field, damping, dephasing, exact
+    from .states import BlochVector, state_from_bloch
+
     model = cfg["model"]
     if model == "spin-bath":
         bloch = _parse_vector(cfg["bloch"], "--bloch")
@@ -491,7 +512,7 @@ _COMMANDS = {
         ("file", str, None, None),
         ("--col", tuple(_COLUMNS), "f", None),
         ("--eps-abs", float, None, None),
-        ("--eps-rel", float, rates.DEFAULT_EPS_REL, None),
+        ("--eps-rel", float, 1e-6, None),  # rates.DEFAULT_EPS_REL
         ("--out", str, None, "optional JSON report path"),
     )),
     "reproduce": _Command("emit figure-reproduction datasets", _run_reproduce, (

@@ -81,6 +81,11 @@ def per_cell_writer():
         return format(float(value), ".17g")
 
     def _build(command: str, cfg: dict, columns: dict) -> str:
+        # the flags pair (spellings, codes) as one text per row
+        columns = {
+            name: [values[0][code] for code in values[1]] if name == "flags" else values
+            for name, values in columns.items()
+        }
         if cfg["format"] == "json":
             payload = {"meta": {"command": command, "config": json.loads(_config_echo(cfg))}}
             cols = {}

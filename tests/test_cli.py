@@ -22,7 +22,7 @@ from qchan import (
     rate_from_series,
     spin_bath,
 )
-from qchan import _quadrature, cli
+from qchan import _quadrature, cli, rates
 from qchan._rng import MONTE_CARLO_CAP
 from qchan.cli import main, read_series_csv
 from qchan.exact import MODE_CAP
@@ -720,14 +720,65 @@ def test_finite_differences_agree_with_analytic_rates(tmp_path, argv):
     assert np.all(np.abs(extracted.values - gamma) <= extracted.error)
 
 
-def test_cli_import_leaves_scipy_out(tmp_path):
+# the qchan modules every run loads: the CLI, the pole rule and the errors
+CLI_CORE = {"qchan", "qchan.cli", "qchan._common", "qchan.errors"}
+# argv (None: import qchan.cli only) -> the qchan modules the run loads on
+# top of CLI_CORE, and whether it loads scipy (Monte Carlo normals only)
+IMPORT_SETS = {
+    "import": (None, set(), False),
+    "help": (["--help"], set(), False),
+    "analyze": (["analyze", "series.csv"], {"rates"}, False),
+    "depol-spinbath": (["depol-spinbath"], {"_csv", "spin_bath"}, False),
+    "amp-damping": (["amp-damping"], {"_csv", "channels", "damping", "states"}, False),
+    "depol-classical": (["depol-classical"], {"_csv", "_rng", "classical_field", "states"},
+                        False),
+    "depol-classical-mc": (["depol-classical", "--mc", "50"],
+                           {"_csv", "_rng", "classical_field", "states"}, True),
+    "reproduce-fig2": (["reproduce", "fig2"],
+                       {"_csv", "_quadrature", "_rng", "dephasing", "states"}, False),
+}
+
+# runs ``python -m qchan`` with the given arguments (or only imports
+# qchan.cli) and prints the modules it loaded as the last line
+IMPORT_PROBE = """
+import json, runpy, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import qchan.cli
+else:
+    sys.argv[1:] = argv
+    try:
+        runpy.run_module("qchan", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("case", IMPORT_SETS)
+def test_command_loads_only_its_modules(tmp_path, case):
+    argv, extra, scipy = IMPORT_SETS[case]
     src = Path(dephasing.__file__).resolve().parents[1]
-    probe = "import sys, qchan.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert main(["depol-spinbath", "--out", str(tmp_path / "series.csv")]) == 0
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
     )
-    assert result.stdout.strip() == "[]"
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert {m for m in loaded if m.split(".")[0] == "qchan"} == CLI_CORE | {
+        f"qchan.{name}" for name in extra
+    }
+    assert "numpy" in loaded
+    assert any(m.split(".")[0] == "scipy" for m in loaded) == scipy
+
+
+def test_analyze_table_spells_the_rates_constants():
+    # the command table holds these values so that importing the CLI skips rates
+    assert cli._COLUMNS == {
+        "f": ("f_or_coherence", rates.MEANING_BLOCH_FACTOR),
+        "p": ("p", rates.MEANING_PROBABILITY),
+    }
+    assert cli._defaults(cli._COMMANDS["analyze"])["eps_rel"] == rates.DEFAULT_EPS_REL
 
 
 def test_parser_reuse_keeps_runs_independent(tmp_path, monkeypatch):
@@ -787,6 +838,12 @@ FLAGGED = {"fixed-poles": "pole", "spin-star-poles": "pole", "damping-capped": "
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
 
 
+def flag_column(texts):
+    """The writer's flags pair (spellings, codes) for one text per row."""
+    words = ("", "pole", "capped")
+    return words, np.array([words.index(text) for text in texts], dtype=np.uint8)
+
+
 def assert_writer_matches(tmp_path, reference, command, cfg, columns):
     for fmt in ("csv", "json"):
         out = tmp_path / f"written.{fmt}"
@@ -803,7 +860,8 @@ def test_writer_matches_per_cell_builder(tmp_path, monkeypatch, per_cell_writer,
     assert main([*GENERATING[name], "--out", str(tmp_path / "run.csv")]) == 0
     ((command, cfg, columns),) = calls
     if name in FLAGGED:
-        assert FLAGGED[name] in columns["flags"]
+        words, codes = columns["flags"]
+        assert words[1] == FLAGGED[name] and codes.any()
     assert_writer_matches(tmp_path, per_cell_writer, command, cfg, columns)
 
 
@@ -821,11 +879,12 @@ def test_out_dash_writes_the_file_text_to_stdout(capsys, monkeypatch, per_cell_w
     "columns",
     [
         {"t": np.arange(6.0), "x": np.array(SPECIAL_FLOATS),
-         "y": np.array(SPECIAL_FLOATS[::-1]), "flags": ["", "pole", "", "capped", "", ""]},
-        {"t": np.array([0.0]), "f_or_coherence": np.array([-0.0]), "flags": ["pole"]},
+         "y": np.array(SPECIAL_FLOATS[::-1]),
+         "flags": flag_column(["", "pole", "", "capped", "", ""])},
+        {"t": np.array([0.0]), "f_or_coherence": np.array([-0.0]), "flags": flag_column(["pole"])},
         # 600 rows of special values, and an all +0.0 column
         {"t": np.arange(600.0), "x": np.resize(SPECIAL_FLOATS, 600),
-         "zero": np.zeros(600), "flags": ["", "pole", "capped"] * 200},
+         "zero": np.zeros(600), "flags": flag_column(["", "pole", "capped"] * 200)},
     ],
     ids=["special-values", "one-row", "special-values-600-rows"],
 )

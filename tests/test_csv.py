@@ -144,24 +144,28 @@ def test_no_warnings_at_the_extremes():
 # ------------------------------------------------------------------ slabs
 
 
+FLAG_WORDS = ("", "pole", "capped")
+
+
 def _table(rows: int) -> dict:
     t = np.linspace(0.0, 10.0, rows)
-    flags = [""] * rows
-    flags[rows // 3] = "pole"
+    codes = np.zeros(rows, dtype=np.uint8)
+    codes[rows // 3] = FLAG_WORDS.index("pole")
     return {
         "t": t,
         "f_or_coherence": np.cos(t) ** 2,
         "p": 1.0 - np.cos(t) ** 2,
         "gamma": 2.0 * np.tan(t),
         "gamma_err": np.zeros(rows),
-        "flags": flags,
+        "flags": (FLAG_WORDS, codes),
         "omega_phase": -0.3 * t,
     }
 
 
 def _row_template(columns) -> bytes:
     rows = zip(*(
-        map(str, values) if name == "flags" else (format(v, ".17g") for v in values.tolist())
+        map(values[0].__getitem__, values[1].tolist()) if name == "flags"
+        else (format(v, ".17g") for v in values.tolist())
         for name, values in columns.items()
     ))
     return "".join(",".join(row) + "\n" for row in rows).encode()
@@ -185,7 +189,7 @@ def test_bytes_across_slab_edges_at_the_production_slab_size():
         specials = specials[1:] + specials[:1]
     columns["gamma_err"][2 * SLAB_ROWS] = -0.0  # a lone -0.0 makes the column floats
     for i, flag in zip(edges, ["pole", "capped", "pole", "", "capped", "pole"]):
-        columns["flags"][i] = flag
+        columns["flags"][1][i] = FLAG_WORDS.index(flag)
     chunks = list(csv_rows(columns))
     assert len(chunks) == 3
     assert b"".join(chunks) == _row_template(columns)

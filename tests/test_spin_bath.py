@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -349,7 +350,7 @@ def _libm_factor(sectors, t):
 @pytest.mark.parametrize("case", TANGENT_CASES)
 def test_tangent_envelopes_match_libm(case):
     ensemble, sectors = TANGENT_CASES[case]
-    # times down into the series window of the uniform law's sinc (|v| < 1e-4
+    # times down to where the libm reference takes its sinc series (|v| < 1e-4
     # at t < 1.3e-4), and a grid up to 1e3
     t = np.concatenate([[0.0], np.geomspace(1e-9, 1e-2, 71), np.linspace(0.0, 1e3, 20001)])
     f, df = spin_bath._factor_and_slope(ensemble, t)
@@ -365,3 +366,32 @@ def test_tangent_envelopes_match_libm(case):
             rate = decay_rate(ensemble, float(t[i]))
             assert isinstance(rate, float)
             assert abs(rate * ref[i] + ref_slope[i]) <= 8 * EPS * scale[i] + 16 * EPS * abs(ref_slope[i])
+
+
+def _mpmath_uniform_rate(l, low, high, t):
+    """gamma = -F'/F of a uniform coupling law at 40 digits."""
+    with mpmath.workdps(40):
+        kappa = mpmath.mpf(2 * l + 1) / 2
+        a, b = 4 * l * l + 4 * l + 3, 8 * l * (l + 1)
+        mid, half = (mpmath.mpf(low) + high) / 2, (mpmath.mpf(high) - low) / 2
+        u, v = kappa * mid * mpmath.mpf(t), kappa * half * mpmath.mpf(t)
+        sinc = mpmath.sin(v) / v
+        dsinc = (v * mpmath.cos(v) - mpmath.sin(v)) / v**2
+        phi = mpmath.cos(u) * sinc
+        dphi = kappa * (-mid * mpmath.sin(u) * sinc + half * mpmath.cos(u) * dsinc)
+        return float(-b * dphi / (a + b * phi))
+
+
+@pytest.mark.parametrize("l, low, high", [(1, -0.5, 1.5), (0.5, -1.0, 1.0)])
+def test_uniform_rate_keeps_a_few_ulp_across_the_sinc_series_window(l, low, high):
+    # v = kappa * halfspan * t on both sides of the series window, where both
+    # terms of phi' have one sign, so gamma is well conditioned; at the
+    # symmetric law (mid = 0) gamma is the sinc derivative alone; the
+    # difference (cos v - sinc v)/v would miss by up to ~16 ulp at v = 0.5
+    inside = np.concatenate([np.geomspace(1e-7, 0.3, 40), np.linspace(0.3, 0.999, 60)[1:]])
+    v = np.concatenate([inside, np.linspace(1.0, 1.5, 30)])
+    assert inside[-1] < spin_bath._SINC_WINDOW <= v[inside.size]
+    t = v / ((2 * l + 1) / 2 * (high - low) / 2)
+    rate = decay_rate(UniformCoupling(l, low, high), t)
+    exact = np.array([_mpmath_uniform_rate(l, low, high, x) for x in t.tolist()])
+    assert np.all(np.abs(rate - exact) <= 6 * EPS * np.abs(exact))
