@@ -19,15 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import (
-    check_grid,
-    check_square,
-    check_times,
-    pole_rate,
-    scalar_or_array,
-)
+from ._common import check_grid, check_square, check_times, rate_view, scalar_or_array
 from ._rng import monte_carlo_sums, realization_normals
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .states import BlochVector
 
 
@@ -82,7 +76,7 @@ class MonteCarloEstimate:
 
 
 def _factor_and_slope(noise: IsotropicGaussianNoise, t):
-    """(f, f') at the times ``t``; with u = 2 g^2 s^2 t^2,
+    """(f, f') at any array of times ``t``; with u = 2 g^2 s^2 t^2,
     f'(t) = (2/3) e^{-u} (2u - 3) du/dt and du/dt = 4 g^2 s^2 t."""
     tt = check_times(t)
     # u <= (2 g s t)^2 / 2 and |f'| < (2 g s)^2 max(t, t^2): both must be finite
@@ -98,17 +92,12 @@ def _factor_and_slope(noise: IsotropicGaussianNoise, t):
 
 def polarization_factor(noise: IsotropicGaussianNoise, t):
     """Ensemble-averaged Bloch contraction f(t); f(0) = 1, f(inf) = 1/3."""
-    tt = check_times(t)
-    return scalar_or_array(_factor_and_slope(noise, tt)[0], tt)
+    return scalar_or_array(_factor_and_slope(noise, t)[0], t)
 
 
 def classical_decay_rate(noise: IsotropicGaussianNoise, t):
     """gamma(t) = -f'(t)/f(t) from the analytic derivative of f."""
-    tt = check_times(t)
-    rate, poles = pole_rate(*_factor_and_slope(noise, tt))
-    if np.any(poles):
-        raise PoleError("polarization factor at its floor; rate undefined")
-    return scalar_or_array(rate, tt)
+    return rate_view(*_factor_and_slope(noise, t), t, "polarization factor")
 
 
 def rotate_bloch(sample: NoiseSample, coupling, t, start: BlochVector) -> BlochVector:

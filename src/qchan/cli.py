@@ -24,9 +24,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 # each runner imports the model modules it uses, so that a command loads
-# only its own; this module needs numpy, the errors and the pole rule
-from ._common import pole_rate
-from .errors import DomainError, QChanError
+# only its own; this module needs numpy, the errors, the pole and grid rules
+from ._common import pole_rate, time_grid
+from .errors import AccuracyError, DomainError, QChanError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,7 +76,7 @@ def _parse_vector(text, what: str) -> np.ndarray:
 
 
 def _grid(cfg: dict) -> np.ndarray:
-    return np.linspace(0.0, cfg["t_max"], cfg["steps"])
+    return time_grid(cfg["t_max"], cfg["steps"])
 
 
 # the strings that stand for the non-finite floats json.dumps writes bare
@@ -124,6 +124,8 @@ def _columns(times, factor, slope, error=None, exponent=None, capped=None) -> di
     amplitude; ``capped`` samples are flagged.  Flagged points get gamma NaN.
     ``error`` is gamma_err: the error estimate of the slope, 0 unless given.
     ``flags`` is the pair (spellings, codes): row i reads spellings[codes[i]].
+    A non-finite value at an unflagged point, where a model's scales
+    overflow, raises :class:`AccuracyError` naming its column and first t.
     """
     if exponent is None:
         gamma, flagged = pole_rate(factor, slope)
@@ -135,6 +137,11 @@ def _columns(times, factor, slope, error=None, exponent=None, capped=None) -> di
         gamma = np.where(flagged, np.nan, slope)
         flag = "capped"
     error = np.zeros_like(times) if error is None else error
+    for name, values in zip(_BASE_COLUMNS[1:5], (factor, p, gamma, error)):
+        bad = np.flatnonzero(~np.isfinite(values) & ~flagged)
+        if bad.size:
+            raise AccuracyError(f"{name} is {values[bad[0]]} at t = {_fmt(times[bad[0]])}: "
+                                "the model's scales overflow float64")
     flags = (("", flag), flagged.astype(np.uint8))
     return dict(zip(_BASE_COLUMNS, (times, factor, p, gamma, error, flags)))
 
@@ -221,20 +228,12 @@ def _dephasing_exponent(cfg: dict, times: np.ndarray):
         density = dephasing.load_tabulated(cfg["spectral_file"])
     else:
         density = dephasing.OhmicExpDensity(cfg["ohmic_amplitude"], cfg["cutoff"])
-    tol = cfg["tol"]
-    values, slope, error = dephasing._continuum_and_slope(density, beta, times, tol)
-    # a value within quadrature tolerance of zero is zero, not a violation
-    values[(values < 0.0) & (values >= -tol)] = 0.0
-    return values, slope, error
+    return dephasing._continuum_and_slope(density, beta, times, cfg["tol"])
 
 
 def _run_dephasing_quantum(cfg: dict) -> None:
-    from . import dephasing
-
     times = _grid(cfg)
     exponent, slope, error = _dephasing_exponent(cfg, times)
-    # checks Gamma(0) = 0 and Gamma >= 0
-    dephasing.DecoherenceFunction(times, exponent, "closed-form")
     columns = _columns(times, np.exp(-exponent), slope, error, exponent)
     _write_output("dephasing-quantum", cfg, columns)
 
@@ -253,7 +252,6 @@ def _run_dephasing_classical(cfg: dict) -> None:
     coupling = cfg["g"]
     times = _grid(cfg)
     exponent, slope = dephasing._classical_and_slope(process, coupling, times)
-    dephasing.DecoherenceFunction(times, exponent, "closed-form")
     columns = _columns(times, np.exp(-exponent), slope, exponent=exponent)
     if cfg["mc"] > 0:
         if not isinstance(process, dephasing.CosineSumProcess):
@@ -279,15 +277,10 @@ def _run_amp_damping(cfg: dict) -> None:
     else:
         modes = ((cfg["g"], omega),)  # resonant single mode
     spec = damping.AmplitudeKernelSpec(omega, modes)
-    solution, slope = damping._solve_with_slope(spec, cfg["t_max"], cfg["steps"] - 1)
-    columns = _columns(
-        solution.times,
-        np.exp(-0.5 * solution.gamma),
-        slope,
-        exponent=solution.gamma,
-        capped=solution.capped,
-    )
-    columns["omega_phase"] = solution.phase
+    times = _grid(cfg)
+    _, gamma, phase, capped, slope = damping._solve_with_slope(spec, times)
+    columns = _columns(times, np.exp(-0.5 * gamma), slope, exponent=gamma, capped=capped)
+    columns["omega_phase"] = phase
     _write_output("amp-damping", cfg, columns)
 
 
@@ -393,7 +386,7 @@ def _run_oracle(cfg: dict) -> None:
     elif model == "single-excitation":
         modes = _parse_pairs(cfg["modes"], "mode")
         spec = damping.AmplitudeKernelSpec(cfg["omega"], modes)
-        times = np.linspace(0.0, cfg["t_max"], cfg["steps"])
+        times = _grid(cfg)
         alpha = exact.exact_single_excitation(spec, times)
         report = {
             "t": [float(x) for x in times],
@@ -653,7 +646,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
-        command.runner(_resolve_config(command, args))
+        # an overflow shows as the non-finite value that _columns reports
+        with np.errstate(all="ignore"):
+            command.runner(_resolve_config(command, args))
     except (DomainError, OSError) as exc:
         print(f"qchan: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,7 +18,7 @@ eigenvalues Delta_k and eigenvectors v_k,
 
     u(t) = sum_k v_{0k}^2 exp(-i Delta_k t),
 
-exact at every grid point, and so is its derivative
+exact at every time, and so is its derivative
 u'(t) = sum_k -i Delta_k v_{0k}^2 exp(-i Delta_k t).  From alpha the
 channel data follow: Gamma(t) = -2 ln|alpha/alpha0|, its decay rate
 Gamma'(t) = -2 Re(u'/u), and the unwrapped phase Omega(t) =
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import check_times, time_grid
 from .channels import (
     GENERATOR_EXCITED_PROJECTOR,
     PhaseDressing,
@@ -142,15 +143,12 @@ class ExcitedPopulation:
             raise DomainError("populations cannot exceed the initial value")
 
 
-def _solve_with_slope(spec: AmplitudeKernelSpec, t_max: float, steps: int):
-    """The :func:`solve_amplitude` solution and the decay rate Gamma'(t) =
-    -2 Re(u'/u), with u'(t) = sum_k -i Delta_k v_{0k}^2 exp(-i Delta_k t)
-    summed in the same mode loop; Gamma' is NaN at capped samples."""
-    if not 0 < t_max < math.inf:
-        raise DomainError(f"t_max must be finite and > 0, got {t_max}")
-    steps = int(steps)
-    if steps < 1:
-        raise DomainError(f"need at least 1 step, got {steps}")
+def _solve_with_slope(spec: AmplitudeKernelSpec, t):
+    """(u, Gamma, Omega, capped, Gamma') at any array of times ``t``, as in
+    :class:`AmplitudeSolution`; Gamma'(t) = -2 Re(u'/u), with u' summed in
+    the same mode loop, is NaN at capped samples.  Omega is unwrapped along
+    the flattened times: continuous on an ascending grid that resolves u."""
+    times = check_times(t)
     n_modes = len(spec.modes)
     if n_modes > MODE_CAP:
         raise ResourceError(f"{n_modes} modes above the cap of {MODE_CAP}")
@@ -158,25 +156,25 @@ def _solve_with_slope(spec: AmplitudeKernelSpec, t_max: float, steps: int):
     arrow = np.diag([0.0] + [w - spec.frequency for _, w in spec.modes])
     arrow[0, 1:] = arrow[1:, 0] = [abs(c) for c, _ in spec.modes]
     detunings, vectors = np.linalg.eigh(arrow)
-    grid = np.arange(steps + 1) * (t_max / steps)
-    u = np.zeros(grid.shape, dtype=complex)
-    du = np.zeros(grid.shape, dtype=complex)
+    u = np.zeros(times.shape, dtype=complex)
+    du = np.zeros(times.shape, dtype=complex)
+    norm = 0.0
     for weight, detuning in zip(vectors[0] ** 2, detunings):
-        term = weight * np.exp(-1j * detuning * grid)
+        term = weight * np.exp(-1j * detuning * times)
         u += term
         du += -1j * detuning * term
-    # the weights sum to 1 up to rounding; make u(0) = 1 exact
-    du /= u[0]
-    u /= u[0]
+        norm += weight
+    # the weights sum to u(0) = 1 up to rounding; make u(0) = 1 exact
+    du /= norm
+    u /= norm
 
     magnitude = np.abs(u)
     capped = magnitude < AMPLITUDE_FLOOR
     gamma = -2.0 * np.log(np.maximum(magnitude, AMPLITUDE_FLOOR))
     slope = np.where(capped, np.nan, -2.0 * (du / np.where(capped, 1.0, u)).real)
     # the slowly varying u is unwrapped; the free phase omega*t is exact
-    phase = spec.frequency * grid - np.unwrap(np.angle(u))
-    ratio = np.exp(-1j * spec.frequency * grid) * u
-    return AmplitudeSolution(grid, ratio, gamma, phase, capped), slope
+    phase = spec.frequency * times - np.unwrap(np.angle(u.reshape(-1))).reshape(u.shape)
+    return u, gamma, phase, capped, slope
 
 
 def solve_amplitude(spec: AmplitudeKernelSpec, t_max: float, steps: int) -> AmplitudeSolution:
@@ -184,9 +182,17 @@ def solve_amplitude(spec: AmplitudeKernelSpec, t_max: float, steps: int) -> Ampl
     eigenmodes of the one-excitation arrowhead (see the module docstring).
 
     Raises :class:`ResourceError` above ``MODE_CAP`` modes, before any
-    diagonalization.
+    diagonalization, and above the grid cap, before any allocation.
     """
-    return _solve_with_slope(spec, t_max, steps)[0]
+    if not 0 < t_max < math.inf:
+        raise DomainError(f"t_max must be finite and > 0, got {t_max}")
+    steps = int(steps)
+    if steps < 1:
+        raise DomainError(f"need at least 1 step, got {steps}")
+    times = time_grid(t_max, steps + 1)
+    u, gamma, phase, capped, _ = _solve_with_slope(spec, times)
+    ratio = np.exp(-1j * spec.frequency * times) * u
+    return AmplitudeSolution(times, ratio, gamma, phase, capped)
 
 
 def population(solution: AmplitudeSolution, index: int, initial_amplitude) -> float:

@@ -210,7 +210,7 @@ def _coth(x):
 
 
 def _discrete_and_slope(bath: DiscreteBosonBath, t):
-    """(Gamma, Gamma') of a finite mode list at the times ``t``, with
+    """(Gamma, Gamma') of a finite mode list at any array of times ``t``, with
 
     Gamma'(t) = (1/4) sum_k |c_k|^2 coth(beta w_k / 2) sin(w_k t) / w_k.
     """
@@ -243,8 +243,7 @@ def gamma_discrete(bath: DiscreteBosonBath, t):
 
     Gamma(t) = (1/4) sum_k |c_k|^2 (1 - cos(w_k t)) coth(beta w_k / 2) / w_k^2.
     """
-    tt = check_times(t)
-    return scalar_or_array(_discrete_and_slope(bath, tt)[0], tt)
+    return scalar_or_array(_discrete_and_slope(bath, t)[0], t)
 
 
 def _thermal_weight(density: TabulatedDensity, beta: float, w):
@@ -411,12 +410,13 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
 def _continuum_and_slope(
     density: SpectralDensity, beta: float, t, tol: float = 1e-8, max_panels: int = 50000
 ):
-    """(Gamma, Gamma', error estimate of Gamma') at the times ``t``, as in
-    :func:`gamma_continuum`; the error is 0 for the Ohmic closed form.
+    """(Gamma, Gamma', error estimate of Gamma') at any array of times ``t``,
+    as in :func:`gamma_continuum`; the error is 0 for the Ohmic closed form.
 
     A tabulated density is integrated for all times in one pass (see
     :func:`_tabulated`); a :class:`QuadratureError` carries the partial
-    Gamma of the first time.
+    Gamma of the first time.  Its Gamma within ``tol`` below zero is zero,
+    and one further below raises :class:`DomainError`.
     """
     if not (beta > 0):
         raise DomainError(f"beta must be > 0 (or inf), got {beta}")
@@ -427,12 +427,15 @@ def _continuum_and_slope(
         value, slope = _ohmic_and_slope(density, beta, tt)
         return value, slope, np.zeros_like(tt)
     value, slope, _, slope_err = _tabulated(density, beta, tt.ravel(), tol, max_panels)
+    value[(value < 0.0) & (value >= -tol)] = 0.0
+    if np.any(value < -GAMMA_SLACK):
+        raise DomainError("Gamma must be nonnegative")
     return tuple(col.reshape(tt.shape) for col in (value, slope, slope_err))
 
 
 def gamma_continuum(
     density: SpectralDensity, beta: float, t, tol: float = 1e-8, max_panels: int = 50000
-) -> float:
+):
     """Decoherence exponent for a continuum of modes:
 
     Gamma(t) = (1/4) int_0^inf (J(w) / (2 pi w)) (1 - cos(w t)) coth(beta w/2) dw,
@@ -452,13 +455,14 @@ def gamma_continuum(
     (see :func:`_tabulated`); Gamma and Gamma' share the panels, and ``tol`` and
     ``max_panels`` bound that quadrature: both values have an estimated
     error <= ``tol``.  Non-convergence raises :class:`QuadratureError`
-    carrying the partial estimate of Gamma.
+    carrying the partial estimate of Gamma.  ``t`` may be a scalar or an
+    array of times, which share one quadrature pass.
     """
-    return float(_continuum_and_slope(density, beta, float(t), tol, max_panels)[0])
+    return scalar_or_array(_continuum_and_slope(density, beta, t, tol, max_panels)[0], t)
 
 
 def _classical_and_slope(process: StationaryProcess, coupling, t):
-    """(Gamma, Gamma') of a classical process at the times ``t``: cosine sums
+    """(Gamma, Gamma') of a classical process at any array of times ``t``: cosine sums
     have Gamma' = 4 g^2 sum_i sigma_i^2 sin(w_i t) / w_i, white noise the
     constant 2 g^2 sigma2."""
     g = float(coupling)
@@ -484,8 +488,7 @@ def gamma_classical(process: StationaryProcess, coupling, t):
     Cosine sums give 4 g^2 sum_i sigma_i^2 (1 - cos(w_i t)) / w_i^2; white
     noise gives the linear (constant-rate) 2 g^2 sigma2 t.
     """
-    tt = check_times(t)
-    return scalar_or_array(_classical_and_slope(process, coupling, tt)[0], tt)
+    return scalar_or_array(_classical_and_slope(process, coupling, t)[0], t)
 
 
 def correlation(process: StationaryProcess, dt):

@@ -29,8 +29,8 @@ from typing import Union
 
 import numpy as np
 
-from ._common import POLE_FLOOR, check_times, double_angle, pole_rate, scalar_or_array
-from .errors import DomainError, PoleError, ResourceError
+from ._common import check_square, check_times, double_angle, rate_view, scalar_or_array
+from .errors import DomainError, ResourceError
 
 _WEIGHT_TOL = 1e-12
 # The exact big-integer sector table grows ~N^2.3: about 2 s at the cap on a
@@ -117,6 +117,7 @@ class GaussianCoupling(_SingleSpin):
         if not 0 < self.sigma < inf:
             raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
         object.__setattr__(self, "sigma", float(self.sigma))
+        check_square("sigma", self.sigma)
 
     def _envelope(self, m, t):
         decay = np.exp(-(m**2) * self.sigma**2 * t**2 / 8.0)
@@ -336,8 +337,10 @@ def _sinc(x: np.ndarray):
     return sinc, dsinc
 
 
-def _factor_and_slope(ensemble: CouplingEnsemble, t: np.ndarray):
-    """(F, dF/dt) by the mixture rule of the module docstring."""
+def _factor_and_slope(ensemble: CouplingEnsemble, t):
+    """(F, dF/dt) at any array of times ``t`` by the mixture rule of the
+    module docstring; every view of the ensemble projects this."""
+    t = check_times(t)
     sectors = getattr(ensemble, "_sectors", None)
     if sectors is None:
         raise DomainError(f"unknown ensemble type {type(ensemble).__name__}")
@@ -361,15 +364,12 @@ def bloch_factor(ensemble: CouplingEnsemble, t):
 
     ``t`` may be a scalar or an array of nonnegative times.
     """
-    times = check_times(t)
-    f, _ = _factor_and_slope(ensemble, times)
-    return scalar_or_array(f, times)
+    return scalar_or_array(_factor_and_slope(ensemble, t)[0], t)
 
 
 def depolarization_probability(ensemble: CouplingEnsemble, t):
     """Channel parameter p(t) = 1 - F(t)."""
-    f = bloch_factor(ensemble, t)
-    return 1.0 - f
+    return 1.0 - bloch_factor(ensemble, t)
 
 
 def decay_rate(ensemble: CouplingEnsemble, t):
@@ -379,10 +379,4 @@ def decay_rate(ensemble: CouplingEnsemble, t):
     :class:`PoleError` wherever F(t) is at or below the rate floor
     (rate undefined at full depolarization).
     """
-    times = check_times(t)
-    rate, poles = pole_rate(*_factor_and_slope(ensemble, times))
-    if np.any(poles):
-        raise PoleError(
-            f"Bloch factor at or below {POLE_FLOOR}; decay rate undefined there"
-        )
-    return scalar_or_array(rate, times)
+    return rate_view(*_factor_and_slope(ensemble, t), t, "Bloch factor")

@@ -12,17 +12,21 @@ import pytest
 from scipy.integrate import quad, quad_vec
 
 from qchan import (
+    AmplitudeKernelSpec,
     DomainError,
     FixedCoupling,
+    ResourceError,
     TimeSeries,
     bloch_factor,
     classical_field,
     classify,
     dephasing,
     rate_from_series,
+    solve_amplitude,
     spin_bath,
 )
 from qchan import _quadrature, cli, rates
+from qchan._common import GRID_CAP
 from qchan._rng import MONTE_CARLO_CAP
 from qchan.cli import main, read_series_csv
 from qchan.exact import MODE_CAP
@@ -399,6 +403,79 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["depol-classical", "--steps", "201", "--mc", mc, "--out", out]) == 3
     cosine = ["dephasing-classical", "--cosine", "1:1", "--steps", "201", "--mc", mc]
     assert main([*cosine, "--out", out]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["depol-spinbath", "--g", "1e308", "--steps", "5"], 3, "f_or_coherence is nan at t = 0:"),
+        (["depol-spinbath", "--g", "4", "--t-max", "1e308"], 3,
+         "f_or_coherence is nan at t = 4.5000000000000002e+307:"),
+        (["depol-spinbath", "--ensemble", "lorentzian", "--a", "1e308"], 3,
+         "f_or_coherence is nan at t = 0:"),
+        (["depol-spinbath", "--ensemble", "uniform", "--g-lo", "1", "--g-hi", "1e308"], 3,
+         "f_or_coherence is nan at t = 3.6000000000000001:"),
+        (["depol-spinbath", "--ensemble", "spin-star", "--N", "40", "--g", "1e307"], 3,
+         "f_or_coherence is nan at t = 0:"),
+        (["dephasing-classical", "--white-noise", "--intensity", "1e308", "--g", "1e10"], 3,
+         "f_or_coherence is nan at t = 0:"),
+        (["dephasing-quantum", "--modes", "1e100:1e100", "--t-max", "1e300"], 3,
+         "f_or_coherence is nan at t = 4.0000000000000001e+297:"),
+        # self.sigma**2 once raised a bare OverflowError (exit 1)
+        (["depol-spinbath", "--ensemble", "gaussian", "--sigma", "1e200"], 2,
+         "sigma = 1e+200 is too large: its square overflows"),
+    ],
+    ids=["fixed-g", "fixed-t-max", "lorentzian", "uniform", "spin-star", "white-noise", "modes",
+         "gaussian-sigma"],
+)
+def test_overflowing_scales_do_not_write_nan(tmp_path, capsys, argv, code, message):
+    # these wrote NaN rows and exited 0, where the model's scales overflow
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == code
+    kind = "numerical failure" if code == 3 else "configuration error"
+    err = capsys.readouterr().err
+    assert err.startswith(f"qchan: {kind}: {message}"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_grid_cap_is_checked_before_allocating(tmp_path, monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated above the cap")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    monkeypatch.setattr(np, "arange", no_grid)
+    points = GRID_CAP + 1
+    out = tmp_path / "x.csv"
+    capsys.readouterr()
+    assert main(["depol-spinbath", "--steps", str(points), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"qchan: numerical failure: {points} grid points above the cap of {GRID_CAP}\n"
+    )
+    assert not out.exists()
+    assert main(["oracle", "--model", "single-excitation", "--steps", str(points)]) == 3
+    with pytest.raises(ResourceError, match="grid points above the cap"):
+        solve_amplitude(AmplitudeKernelSpec(1.0, ((1.0, 1.0),)), 1.0, GRID_CAP)
+
+
+def test_negative_tabulated_gamma_exits_2(tmp_path, monkeypatch, capsys):
+    # Gamma >= 0 can only break on the tabulated path; force it to -2 tol
+    tabulated = dephasing._tabulated
+
+    def negative(density, beta, times, tol, max_panels):
+        value, *rest = tabulated(density, beta, times, tol, max_panels)
+        return (np.where(times > 0.0, -2.0 * tol, value), *rest)
+
+    monkeypatch.setattr(dephasing, "_tabulated", negative)
+    path = tmp_path / "table.txt"
+    path.write_text("0 0\n1 1\n2 0.5\n")
+    out = tmp_path / "x.csv"
+    capsys.readouterr()
+    assert main(["dephasing-quantum", "--spectral-file", str(path), "--steps", "5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "qchan: configuration error: Gamma must be nonnegative\n", err
+    assert not out.exists()
 
 
 def test_amp_damping_fewest_steps(tmp_path):
@@ -812,6 +889,160 @@ def test_python_m_qchan_runs_the_cli(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("usage: qchan")
+
+
+# ------------------------------------------------------ one evaluation path
+
+# one command of each generating model family; amp-damping once built its
+# own grid, whose last point at these settings was 11.999999999999998
+LAST_TIME = {
+    "depol-spinbath": ["depol-spinbath", "--ensemble", "uniform"],
+    "depol-classical": ["depol-classical"],
+    "dephasing-quantum": ["dephasing-quantum", "--ohmic-amplitude", "8", "--beta", "1"],
+    "dephasing-classical": ["dephasing-classical", "--cosine", "1:1"],
+    "amp-damping": ["amp-damping"],
+}
+
+
+@pytest.mark.parametrize("name", LAST_TIME)
+def test_last_time_is_t_max(tmp_path, name):
+    out = tmp_path / "run.csv"
+    assert main([*LAST_TIME[name], "--t-max", "12", "--steps", "10001", "--out", str(out)]) == 0
+    times, _ = read_series_csv(out, "p")
+    assert times.size == 10001 and times[-1] == 12.0
+    assert np.array_equal(times, np.linspace(0.0, 12.0, 10001))
+
+
+def test_solve_amplitude_ends_at_t_max():
+    spec = AmplitudeKernelSpec(1.0, ((1.0, 1.0),))
+    assert solve_amplitude(spec, 12.0, 10000).times[-1] == 12.0
+
+
+def spin_views(ensemble):
+    return {
+        "f_or_coherence": lambda t: spin_bath.bloch_factor(ensemble, t),
+        "p": lambda t: spin_bath.depolarization_probability(ensemble, t),
+        "gamma": lambda t: spin_bath.decay_rate(ensemble, t),
+    }
+
+
+def exponent_views(gamma):
+    return {
+        "f_or_coherence": lambda t: np.exp(-gamma(t)),
+        "p": lambda t: 1.0 - np.exp(-gamma(t)),
+    }
+
+
+def damping_views(modes, t_max, steps):
+    def solution(_):
+        return solve_amplitude(AmplitudeKernelSpec(1.0, modes), t_max, steps - 1)
+
+    return {
+        "t": lambda t: solution(t).times,
+        "f_or_coherence": lambda t: np.exp(-0.5 * solution(t).gamma),
+        "p": lambda t: 1.0 - np.exp(-solution(t).gamma),
+        "omega_phase": lambda t: solution(t).phase,
+    }
+
+
+NOISE = classical_field.IsotropicGaussianNoise(1.5, 0.5)
+KNOTS = np.linspace(0.0, 40.0, 401)
+TABLE = dephasing.TabulatedDensity(KNOTS, KNOTS * np.exp(-KNOTS / 3.0))
+
+# generating command -> (argv, {column: the public view of the same model});
+# "TABLE" stands for the file of the density TABLE
+VIEWS = {
+    "fixed-poles": (
+        ["depol-spinbath", "--l", "1", "--t-max", "4", "--steps", "81"],
+        spin_views(spin_bath.FixedCoupling(1, 1.0)),
+    ),
+    "gaussian": (
+        ["depol-spinbath", "--ensemble", "gaussian", "--l", "1", "--G", "0.5", "--sigma", "0.7"],
+        spin_views(spin_bath.GaussianCoupling(1, 0.5, 0.7)),
+    ),
+    "lorentzian": (
+        ["depol-spinbath", "--ensemble", "lorentzian", "--l", "1.5", "--a", "0.8"],
+        spin_views(spin_bath.LorentzianCoupling(1.5, 0.8)),
+    ),
+    "uniform": (
+        ["depol-spinbath", "--ensemble", "uniform", "--g-lo", "0.5", "--g-hi", "1.5"],
+        spin_views(spin_bath.UniformCoupling(0.5, 0.5, 1.5)),
+    ),
+    "spin-star": (
+        ["depol-spinbath", "--ensemble", "spin-star", "--N", "10"],
+        spin_views(spin_bath.SpinStar(10, 1.0)),
+    ),
+    "custom": (
+        ["depol-spinbath", "--ensemble", "custom", "--components", "[[0.5, 1, 0.25], [1.5, 2, 0.75]]"],
+        spin_views(spin_bath.CustomEnsemble(((0.5, 1.0, 0.25), (1.5, 2.0, 0.75)))),
+    ),
+    "classical": (
+        ["depol-classical", "--g", "1.5", "--sigma", "0.5"],
+        {
+            "f_or_coherence": lambda t: classical_field.polarization_factor(NOISE, t),
+            "p": lambda t: 1.0 - classical_field.polarization_factor(NOISE, t),
+            "gamma": lambda t: classical_field.classical_decay_rate(NOISE, t),
+        },
+    ),
+    "modes": (
+        ["dephasing-quantum", "--modes", "1:1,0.5:2", "--beta", "2"],
+        exponent_views(lambda t: dephasing.gamma_discrete(
+            dephasing.DiscreteBosonBath(((1.0, 1.0), (0.5, 2.0)), 2.0), t)),
+    ),
+    "ohmic": (
+        ["dephasing-quantum", "--ohmic-amplitude", "8", "--beta", "1"],
+        exponent_views(lambda t: dephasing.gamma_continuum(
+            dephasing.OhmicExpDensity(8.0, 1.0), 1.0, t)),
+    ),
+    "tabulated": (
+        ["dephasing-quantum", "--spectral-file", "TABLE", "--beta", "1", "--tol", "1e-9"],
+        exponent_views(lambda t: dephasing.gamma_continuum(
+            TABLE, 1.0, t, 1e-9)),
+    ),
+    "cosine": (
+        ["dephasing-classical", "--cosine", "1:1,0.5:2", "--g", "0.7"],
+        exponent_views(lambda t: dephasing.gamma_classical(
+            dephasing.CosineSumProcess(((1.0, 1.0), (0.5, 2.0))), 0.7, t)),
+    ),
+    "white-noise": (
+        ["dephasing-classical", "--white-noise", "--intensity", "0.3", "--g", "2"],
+        exponent_views(lambda t: dephasing.gamma_classical(
+            dephasing.WhiteNoiseProcess(0.3), 2.0, t)),
+    ),
+    "damping-capped": (
+        ["amp-damping", "--t-max", repr(math.pi), "--steps", "3143"],
+        damping_views(((1.0, 1.0),), math.pi, 3143),
+    ),
+    "damping-3-modes": (
+        ["amp-damping", "--modes", "1:1,0.5:1.5,0.3:0.7", "--t-max", "12", "--steps", "10001"],
+        damping_views(((1.0, 1.0), (0.5, 1.5), (0.3, 0.7)), 12.0, 10001),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VIEWS)
+def test_columns_are_the_public_views(tmp_path, name):
+    # the CLI and the public views share one evaluator per model, so every
+    # written column is the view at the file's t, bit for bit; gamma is
+    # compared at the unflagged points, where the rate views are defined
+    table = tmp_path / "table.txt"
+    np.savetxt(table, np.column_stack([TABLE.frequencies, TABLE.values]))  # exact round trip
+    argv, views = VIEWS[name]
+    argv = [str(table) if arg == "TABLE" else arg for arg in argv]
+    out = tmp_path / "run.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    columns = json.loads(out.read_text())["columns"]
+    times = np.array(columns["t"], dtype=float)
+    flagged = np.array(columns["flags"]) != ""
+    if name.endswith(("poles", "capped")):
+        assert flagged.any()
+    for column, view in views.items():
+        written = np.array(columns[column], dtype=float)
+        if column == "gamma":
+            written, at = written[~flagged], times[~flagged]
+        else:
+            at = times
+        assert np.array_equal(written, view(at)), column
 
 
 # ------------------------------------------------------------ writer and reader

@@ -52,9 +52,10 @@ def test_rate_matches_exact_block_derivative(rng, n_modes):
     # block, whose error is ~h^2 times the third derivative plus eps/h
     couplings = rng.uniform(0.05, 0.5, n_modes) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_modes))
     spec = AmplitudeKernelSpec(1.0, tuple(zip(couplings, rng.uniform(0.5, 1.5, n_modes))))
-    sol, slope = _solve_with_slope(spec, 10.0, 200)
+    times = np.linspace(0.0, 10.0, 201)
+    slope = _solve_with_slope(spec, times)[-1]
     h = 1e-6
-    ahead, behind = (np.abs(exact_single_excitation(spec, sol.times + d)) for d in (h, -h))
+    ahead, behind = (np.abs(exact_single_excitation(spec, times + d)) for d in (h, -h))
     central = -(np.log(ahead) - np.log(behind)) / h
     assert np.all(np.abs(slope[1:] - central[1:]) <= 1e-7 * (1.0 + np.abs(central[1:])))
     assert slope[0] == 0.0

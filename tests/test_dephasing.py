@@ -298,6 +298,21 @@ def test_tabulated_times_match_single_times_and_quad_vec(monkeypatch):
     assert np.all(np.abs(slope - reference[37:]) <= slope_err + reference_err)
 
 
+@pytest.mark.parametrize("density", [fig2_table(401), FIG2_DENSITY], ids=["table", "ohmic"])
+def test_gamma_continuum_takes_arrays(density):
+    # like gamma_discrete and gamma_classical: an array of times in, an array
+    # out from the one evaluator; a 0-d time gives a float
+    times = np.linspace(0.0, 30.0, 37).reshape(37, 1)
+    tol = 1e-8
+    got = gamma_continuum(density, 1.0, times, tol)
+    assert got.shape == times.shape
+    assert np.array_equal(got, dephasing._continuum_and_slope(density, 1.0, times, tol)[0])
+    single = np.array([gamma_continuum(density, 1.0, t, tol) for t in times.ravel()])
+    assert all(type(value) is float for value in single.tolist())
+    assert np.max(np.abs(got.ravel() - single)) <= 2.0 * tol
+    assert type(gamma_continuum(density, 1.0, np.float64(2.0), tol)) is float
+
+
 class _Enough(Exception):
     pass
 
