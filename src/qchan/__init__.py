@@ -42,7 +42,7 @@ _EXPORTS = {
         "monte_carlo_polarization", "polarization_factor", "rotate_bloch",
     ),
     "dephasing": (
-        "CoherenceEstimate", "CosineSumProcess", "DecoherenceFunction", "DiscreteBosonBath",
+        "CoherenceEstimate", "CosineSumProcess", "DiscreteBosonBath",
         "OhmicExpDensity", "TabulatedDensity", "WhiteNoiseProcess", "correlation",
         "dephasing_channel_at", "gamma_classical", "gamma_continuum", "gamma_discrete",
         "load_tabulated", "monte_carlo_coherence",

@@ -13,8 +13,10 @@ from .errors import DomainError, PoleError, ResourceError
 # A decay rate -F'/F is undefined where the factor F is at (or below) this.
 POLE_FLOOR = 1e-12
 # The most points a time grid may have.  At the cap a closed-form command
-# takes ~1 s and peaks at <= 0.2 GB (CSV) or ~7 s and <= 1.1 GB (JSON) on a
-# 2-core x86-64 VM; a tabulated density costs panels x points on top.
+# takes ~1 s (CSV) or 3-6 s (JSON) and peaks at <= 0.2 GB either way on a
+# 2-core x86-64 VM.  A tabulated density's panels x points have their own
+# cap, dephasing.TABULATED_CAP; spin-star sectors or amplitude modes x
+# points have none, and take minutes at worst.
 GRID_CAP = 1_000_001
 
 

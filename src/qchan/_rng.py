@@ -28,17 +28,18 @@ _CHUNK = 1024
 _DRAW = 2**17
 # values per evaluated block: larger blocks cost memory and gain no speed
 _BLOCK = 2**14
-# Cost of a run, in units of one grid point of one realization (5e-9 to
-# 1.3e-8 s on a 2-core x86-64 VM): each realization also costs about 18 units
-# plus 4 per normal drawn, and each grid point 1/64 more per normal.  At the
-# cap a run takes 8-20 s, whatever its grid and its draw count.
-MONTE_CARLO_CAP = 1_500_000_000
+# Cost of a run, in units of one grid point of one realization: each
+# realization also costs 5 units plus 11 per normal drawn, and each grid
+# point 1/55 more per normal.  Fitted to ten run shapes (3 to 400 normals,
+# 1 to 4000 points), which then took 8.8 to 12.2 ns a unit on a 2-core
+# x86-64 VM, so a run at the cap takes ~10 s whatever its grid and draws.
+MONTE_CARLO_CAP = 1_000_000_000
 
 
 def monte_carlo_cost(n: int, width: int, normals: int) -> float:
     """Estimated cost of ``n`` realizations of ``normals`` normals each on
     ``width`` grid points, in the units of ``MONTE_CARLO_CAP``."""
-    return n * (18.0 + 4.0 * normals + width * (1.0 + normals / 64.0))
+    return n * (5.0 + 11.0 * normals + width * (1.0 + normals / 55.0))
 
 
 # Philox-4x64 round multipliers and key increments.
@@ -109,13 +110,12 @@ def monte_carlo_sums(n: int, width: int, normals: int, draw, samples) -> list:
             blocks = samples(rows[lo : lo + size])
             sums = sums or [np.zeros_like(block[0]) for block in blocks]
             # add row after row, as ``total += row`` would; numpy reduces a
-            # lone column pairwise, and a lone row needs no reduction
+            # lone column pairwise, so that one is accumulated
             for total, block in zip(sums, blocks):
-                if 1 in block.shape:
-                    for row in block:
-                        total += row
+                block[0] += total
+                if block.shape[1] == 1:
+                    total[:] = np.add.accumulate(block, axis=0)[-1]
                 else:
-                    block[0] += total
                     np.add.reduce(block, axis=0, out=total)
         totals = sums if totals is None else [t + s for t, s in zip(totals, sums)]
     return totals

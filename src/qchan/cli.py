@@ -90,23 +90,52 @@ def _config_echo(cfg: dict) -> str:
     return json.dumps(clean, sort_keys=True, allow_nan=False)
 
 
+# json's spellings of the floats whose repr is not JSON; NaN cells are null
+_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_chunks(command: str, cfg: dict, columns: dict):
+    """The bytes of ``json.dumps(payload, sort_keys=True, indent=1)`` for
+    the payload {"columns": ..., "meta": ...}, with NaN cells as null, a
+    slab of one column at a time: json writes a finite float as its repr."""
+    from ._csv import SLAB_ROWS
+
+    yield b'{\n "columns": {'
+    for index, name in enumerate(sorted(columns)):
+        values = columns[name]
+        yield f'{"," if index else ""}\n  {json.dumps(name)}: ['.encode()
+        if name == "flags":
+            spellings = [json.dumps(text) for text in values[0]]
+            values = values[1]
+        else:
+            values = np.asarray(values, dtype=float)
+        for start in range(0, len(values), SLAB_ROWS):
+            slab = values[start : start + SLAB_ROWS]
+            if name == "flags":
+                cells = list(map(spellings.__getitem__, slab.tolist()))
+            else:
+                cells = list(map(float.__repr__, slab.tolist()))
+                for i in np.flatnonzero(~np.isfinite(slab)).tolist():
+                    cells[i] = _JSON_NON_FINITE[cells[i]]
+            yield (("," if start else "") + "\n   " + ",\n   ".join(cells)).encode()
+        yield b"\n  ]"
+    meta = {"meta": {"command": command, "config": json.loads(_config_echo(cfg))}}
+    # the meta entry, one level in: json.dumps without its outer braces
+    yield f"\n }},\n{json.dumps(meta, sort_keys=True, indent=1)[2:]}\n".encode()
+
+
 def _write_output(command: str, cfg: dict, columns: dict) -> None:
     path = cfg["out"]
     if cfg["format"] == "json":
-        payload = {"meta": {"command": command, "config": json.loads(_config_echo(cfg))}}
-        payload["columns"] = {
-            name: [values[0][code] for code in values[1].tolist()] if name == "flags"
-            else [None if v != v else v for v in np.asarray(values, dtype=float).tolist()]
-            for name, values in columns.items()
-        }
-        chunks = [(json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()]
+        chunks = _json_chunks(command, cfg, columns)
     else:
         from ._csv import csv_rows
 
         head = f"# qchan {command}\n# config = {_config_echo(cfg)}\n{','.join(columns)}\n"
         chunks = itertools.chain([head.encode()], csv_rows(columns))
     if path == "-":
-        sys.stdout.write(b"".join(chunks).decode())
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
     else:
         # a 64 KiB buffer writes a small file, header and rows, in one call
         with open(path, "wb", buffering=1 << 16) as fh:
@@ -372,6 +401,8 @@ def _run_oracle(cfg: dict) -> None:
     from .states import BlochVector, state_from_bloch
 
     model = cfg["model"]
+    if model is None:
+        raise DomainError("oracle requires --model")
     if model == "spin-bath":
         bloch = _parse_vector(cfg["bloch"], "--bloch")
         state = state_from_bloch(BlochVector.from_array(bloch))
@@ -412,7 +443,10 @@ def _run_oracle(cfg: dict) -> None:
         sample = classical_field.NoiseSample(*xi)
         out = exact.unitary_noise_conjugation(sample, cfg["g"], cfg["t"], state)
         report = {"bloch_out": [float(x) for x in out.bloch().as_array()]}
-    print(json.dumps(report, sort_keys=True))
+    for key in sorted(report):
+        if report[key] is not None and not np.all(np.isfinite(report[key])):
+            raise AccuracyError(f"{key} is not finite: the model's scales overflow float64")
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
 
 
 # ------------------------------------------------------------------ commands
@@ -424,16 +458,13 @@ class _Command(NamedTuple):
     a config file sets with ``true`` and leaves unset with ``false``;
     ``None`` takes the flag's text, or any JSON value from a config file,
     for the runner to check.  A name without dashes is a positional
-    argument, and a default of ``_REQUIRED`` makes a flag required.  Only a
-    command with ``config`` takes a ``--config`` file."""
+    argument.  Every command takes a ``--config`` file."""
 
     help: str
     runner: Callable[[dict], None]
     entries: tuple
-    config: bool = True
 
 
-_REQUIRED = object()
 _FORMAT = ("--format", ("csv", "json"), "csv", None)
 # the sampling settings of the two commands with a Monte Carlo check
 _MONTE_CARLO = (
@@ -517,7 +548,7 @@ _COMMANDS = {
     )),
     "oracle": _Command("query the brute-force reference simulators", _run_oracle, (
         ("--model", ("spin-bath", "single-excitation", "dephasing-mode", "noise-rotation"),
-         _REQUIRED, None),
+         None, None),
         ("--l", float, 0.5, None),
         ("--g", float, 1.0, None),
         ("--c", float, 1.0, None),
@@ -529,7 +560,7 @@ _COMMANDS = {
         ("--modes", str, "1:1", None),
         ("--xi", str, "0,0,1", None),
         ("--bloch", str, "0,0,1", None),
-    ), config=False),
+    )),
 }
 
 
@@ -550,8 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        if command.config:
-            p.add_argument("--config", help="JSON config file mirroring the flag names")
+        p.add_argument("--config", help="JSON config file mirroring the flag names")
         # no defaults here: an option left as None was not given
         for flag, kind, default, text in command.entries:
             if kind is bool:
@@ -560,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                 kwargs = {"choices": kind}
             else:
                 kwargs = {"type": kind}
-            if default is _REQUIRED:
-                kwargs["required"] = True
             p.add_argument(flag, help=text, **kwargs)
     return parser
 
@@ -625,14 +653,14 @@ def _read_config(path: str, command: _Command) -> dict:
 def _resolve_config(command: _Command, args: argparse.Namespace) -> dict:
     """Defaults, overridden by the JSON config file, overridden by flags."""
     cfg = _defaults(command)
-    if command.config and args.config:
+    if args.config:
         cfg.update(_read_config(args.config, command))
     for key in cfg:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
-    if not command.config:
-        return cfg  # the oracle runs its flags as given
+    if "t" in cfg and not 0 <= cfg["t"] < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {cfg['t']}")
     if "t_max" in cfg and not 0 < cfg["t_max"] < math.inf:
         raise DomainError(f"t-max must be finite and > 0, got {cfg['t_max']}")
     if "steps" in cfg and cfg["steps"] < 5:

@@ -32,10 +32,20 @@ from ._common import check_grid, check_square, check_times, double_angle, scalar
 from . import _quadrature
 from ._quadrature import chebyshev, filon, integrate_adaptive, integrated
 from ._rng import monte_carlo_sums, realization_normals
-from .errors import DomainError, QuadratureError, UnsupportedQueryError
+from .errors import DomainError, QuadratureError, ResourceError, UnsupportedQueryError
 from .states import QubitState
 
 GAMMA_SLACK = 1e-12
+# The most quadrature panels one tabulated-density evaluation may use.
+MAX_PANELS = 50000
+# Cost of a tabulated-density evaluation, in units of one (time, Filon
+# panel) sum; a (time, first-interval starting piece) costs _FIRST_PIECE_COST
+# units, its refinement included.  A unit took 48-74 ns on a 2-core x86-64
+# VM (tables of 2 to 48001 knots, up to 100001 times), so a run at the cap
+# takes 7-11 s; ~140 ns, so ~21 s, where a small tol refines the first
+# interval hard.  ResourceError above the cap, before any sum.
+_FIRST_PIECE_COST = 80
+TABULATED_CAP = 150_000_000
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,6 @@ class TabulatedDensity:
 
     frequencies: np.ndarray
     values: np.ndarray
-    interpolation: str = "linear"
 
     def __post_init__(self):
         w = np.asarray(self.frequencies, dtype=float)
@@ -110,8 +119,6 @@ class TabulatedDensity:
             raise DomainError("frequencies must be nonnegative")
         if np.any(j < 0):
             raise DomainError("spectral density must be nonnegative")
-        if self.interpolation != "linear":
-            raise DomainError(f"unsupported interpolation rule {self.interpolation!r}")
         w.flags.writeable = False
         j.flags.writeable = False
         object.__setattr__(self, "frequencies", w)
@@ -173,36 +180,6 @@ class WhiteNoiseProcess:
 
 
 StationaryProcess = CosineSumProcess | WhiteNoiseProcess
-
-_PROVENANCES = ("discrete-sum", "quadrature", "closed-form", "monte-carlo")
-
-
-@dataclass(frozen=True, eq=False)
-class DecoherenceFunction:
-    """Sampled decoherence exponent Gamma(t) with its provenance."""
-
-    times: np.ndarray
-    values: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        g = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or g.shape != t.shape or t.size == 0:
-            raise DomainError("need matching nonempty 1-d time and value arrays")
-        if np.any(np.diff(t) <= 0):
-            raise DomainError("time grid must be strictly ascending")
-        if self.provenance not in _PROVENANCES:
-            raise DomainError(f"unknown provenance {self.provenance!r}")
-        if t[0] == 0.0 and abs(g[0]) > GAMMA_SLACK:
-            raise DomainError(f"Gamma(0) must be 0, got {g[0]}")
-        if np.any(g < -GAMMA_SLACK):
-            raise DomainError("Gamma must be nonnegative")
-        t.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", g)
-
 
 def _coth(x):
     """coth(x) for x > 0, with x = inf -> 1."""
@@ -349,7 +326,7 @@ _FIRST_KAPPA = 0.5 * _quadrature._P
 
 # a knot interval too narrow for the nodes gives inf or NaN: a QuadratureError
 @np.errstate(all="ignore")
-def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
+def _tabulated(density: TabulatedDensity, beta: float, times, tol):
     """(Gamma, Gamma', their error estimates) of a tabulated density at the
     1-d ``times``.
 
@@ -361,7 +338,7 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
     interval W/w ~ 1/w at finite beta and only 1 - cos wt cancels it, so
     the same rule integrates the full integrands there, to tol/2, at nodes
     other than w = 0, from panels that resolve the largest time
-    (``_FIRST_KAPPA``).  ``max_panels`` bounds the Filon panels plus these.
+    (``_FIRST_KAPPA``).  ``MAX_PANELS`` bounds the Filon panels plus these.
     """
     knots = density.frequencies
     totals = np.zeros((4, times.size))  # Gamma, Gamma', their error estimates
@@ -369,21 +346,35 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
     if knots.size > 2:
         # |1 - cos wt| <= 2 and |sin wt| <= 1 scale the bounds of (W/w, W)
         lo, hi, coef, errors, floor = integrate_adaptive(
-            _filon_weights(density, beta), knots[1:], tol / 2, max_panels - 1,
+            _filon_weights(density, beta), knots[1:], tol / 2, MAX_PANELS - 1,
             rule=chebyshev((2.0, 1.0)),
         )
+        panels = lo.size
+    # the first knot interval takes the times in groups, each starting on
+    # pieces that resolve its largest time
+    starts = range(0, times.size, _FIRST_GROUP)
+    groups = [times[start : start + _FIRST_GROUP] for start in starts]
+    half_width = 0.5 * (knots[1] - knots[0])
+    pieces = [max(1, min(math.ceil(half_width * np.max(group) / _FIRST_KAPPA), MAX_PANELS - panels))
+              for group in groups]
+    cost = times.size * panels + _FIRST_PIECE_COST * sum(
+        n * group.size for n, group in zip(pieces, groups)
+    )
+    if cost > TABULATED_CAP:
+        raise ResourceError(
+            f"{panels} quadrature panels and {max(pieces)} first-interval pieces at "
+            f"{times.size} times cost {cost:.3g}, above the tabulated-density cap "
+            f"{TABULATED_CAP:.3g}"
+        )
+    if panels:
         totals[:2] = filon(times, lo, hi, coef)
         # both integrands vanish at t = 0, and so does the bound's part there
         totals[2:] = np.where(times > 0.0, errors.sum(axis=1)[:, None], 0.0)
-        panels = lo.size
-    for start in range(0, times.size, _FIRST_GROUP):
-        group = times[start : start + _FIRST_GROUP]
-        kappa = 0.5 * (knots[1] - knots[0]) * np.max(group)
-        pieces = max(1, min(math.ceil(kappa / _FIRST_KAPPA), max_panels - panels))
+    for start, group, n in zip(starts, groups, pieces):
         lo, hi, values, errors, first_floor = integrate_adaptive(
             _continuum_integrand(density, beta, group),
-            np.linspace(knots[0], knots[1], pieces + 1), tol / 2,
-            max_panels - panels, rule=integrated(chebyshev(np.ones(2 * group.size))),
+            np.linspace(knots[0], knots[1], n + 1), tol / 2,
+            MAX_PANELS - panels, rule=integrated(chebyshev(np.ones(2 * group.size))),
         )
         first_panels = max(first_panels, lo.size)
         floor = max(floor, first_floor)
@@ -407,9 +398,7 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol, max_panels):
     return tuple(totals)
 
 
-def _continuum_and_slope(
-    density: SpectralDensity, beta: float, t, tol: float = 1e-8, max_panels: int = 50000
-):
+def _continuum_and_slope(density: SpectralDensity, beta: float, t, tol: float = 1e-8):
     """(Gamma, Gamma', error estimate of Gamma') at any array of times ``t``,
     as in :func:`gamma_continuum`; the error is 0 for the Ohmic closed form.
 
@@ -426,16 +415,14 @@ def _continuum_and_slope(
     if isinstance(density, OhmicExpDensity):
         value, slope = _ohmic_and_slope(density, beta, tt)
         return value, slope, np.zeros_like(tt)
-    value, slope, _, slope_err = _tabulated(density, beta, tt.ravel(), tol, max_panels)
+    value, slope, _, slope_err = _tabulated(density, beta, tt.ravel(), tol)
     value[(value < 0.0) & (value >= -tol)] = 0.0
     if np.any(value < -GAMMA_SLACK):
         raise DomainError("Gamma must be nonnegative")
     return tuple(col.reshape(tt.shape) for col in (value, slope, slope_err))
 
 
-def gamma_continuum(
-    density: SpectralDensity, beta: float, t, tol: float = 1e-8, max_panels: int = 50000
-):
+def gamma_continuum(density: SpectralDensity, beta: float, t, tol: float = 1e-8):
     """Decoherence exponent for a continuum of modes:
 
     Gamma(t) = (1/4) int_0^inf (J(w) / (2 pi w)) (1 - cos(w t)) coth(beta w/2) dw,
@@ -453,12 +440,12 @@ def gamma_continuum(
     integrated by Filon-Chebyshev product integration on panels that do not
     depend on t, and by the same Chebyshev rule on the first knot interval
     (see :func:`_tabulated`); Gamma and Gamma' share the panels, and ``tol`` and
-    ``max_panels`` bound that quadrature: both values have an estimated
+    ``MAX_PANELS`` bound that quadrature: both values have an estimated
     error <= ``tol``.  Non-convergence raises :class:`QuadratureError`
     carrying the partial estimate of Gamma.  ``t`` may be a scalar or an
     array of times, which share one quadrature pass.
     """
-    return scalar_or_array(_continuum_and_slope(density, beta, t, tol, max_panels)[0], t)
+    return scalar_or_array(_continuum_and_slope(density, beta, t, tol)[0], t)
 
 
 def _classical_and_slope(process: StationaryProcess, coupling, t):

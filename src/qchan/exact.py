@@ -21,6 +21,10 @@ from .spin_bath import half_integer
 from .states import PAULIS, QubitState
 
 SPIN_CAP = Fraction(25)
+# The most quanta exact_dephasing_single_mode keeps: its dense complex
+# Hamiltonian has 2 (n_max + 1) rows, and at the cap the evolution takes
+# ~9 s and ~0.9 GB on a 2-core x86-64 VM.
+FOCK_CAP = 1200
 # exact_single_excitation shares damping.MODE_CAP, so it can check every
 # input the solver accepts; its dense complex (M+1)^2 block is O(M^3), about
 # 10 s at the cap on a 2-core x86 VM.
@@ -122,18 +126,27 @@ def thermal_cutoff(beta: float, frequency: float, tail: float = 1e-12, coupling=
     Covers the initial thermal tail (weight below ``tail``) plus the Fock
     reach of the dynamical displacement, which climbs to amplitude
     ~4 kappa / omega even from the vacuum (``coupling`` uses the same
-    channel-facing normalization as the simulator).
+    channel-facing normalization as the simulator).  Raises
+    :class:`ResourceError` if that level is above ``FOCK_CAP``.
     """
+    if not (0 < frequency < math.inf and beta * frequency > 0 and math.isfinite(abs(coupling))):
+        raise DomainError(f"need beta * frequency > 0, a finite frequency and a finite "
+                          f"coupling, got {beta}, {frequency}, {coupling}")
     if math.isinf(beta):
         n_thermal = 0
         occupancy = 0.0
     else:
-        n_thermal = math.ceil(-math.log(tail) / (beta * frequency))
-        occupancy = 1.0 / math.expm1(beta * frequency)
+        n_thermal = -math.log(tail) / (beta * frequency)
+        # above 700 the occupancy is 0 to double precision, and expm1 overflows
+        occupancy = 1.0 / math.expm1(min(beta * frequency, 700.0))
     reach = 4.0 * abs(coupling) * COUPLING_BRIDGE / frequency
     spread = math.sqrt(2.0 * occupancy + 1.0)
-    n_displacement = math.ceil(reach**2 * spread**2 + 8.0 * reach * spread)
-    return n_thermal + n_displacement + 12
+    # either part alone past the cap is refused before its square or ceiling overflows
+    if max(n_thermal, reach * spread) <= FOCK_CAP:
+        n_max = math.ceil(n_thermal) + math.ceil(reach**2 * spread**2 + 8.0 * reach * spread) + 12
+        if n_max <= FOCK_CAP:
+            return n_max
+    raise ResourceError(f"the mode needs more quanta than the Fock cap of {FOCK_CAP}")
 
 
 def exact_dephasing_single_mode(
@@ -154,6 +167,8 @@ def exact_dephasing_single_mode(
     n_max = int(n_max)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
+    if n_max > FOCK_CAP:
+        raise ResourceError(f"{n_max} quanta above the Fock cap of {FOCK_CAP}")
     if not math.isinf(beta):
         tail = math.exp(-beta * w * (n_max + 1))
         if tail >= 1e-12:

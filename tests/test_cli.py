@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +195,7 @@ def typed_entries():
     parses its text: a number, a choice or a switch."""
     for name, command in cli._COMMANDS.items():
         flags = [entry[0] for entry in command.entries]
-        if command.config and "--t-max" in flags:
+        if "--out" in flags and "--t-max" in flags:
             for entry in command.entries:
                 if entry[1] in (int, float, bool) or isinstance(entry[1], tuple):
                     yield pytest.param(name, entry, id=f"{name}{entry[0]}")
@@ -353,6 +354,44 @@ def test_squared_scale_overflow_exits_2(tmp_path, capsys, argv, name):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_tabulated_cost_cap_exits_3_before_any_sum(tmp_path, monkeypatch, capsys):
+    grid = np.linspace(0.0, 40.0, 401)
+    path = tmp_path / "ohmic.txt"
+    np.savetxt(path, np.column_stack([grid, 8.0 * math.pi * grid * np.exp(-grid)]))
+    argv = ["dephasing-quantum", "--spectral-file", str(path), "--beta", "1", "--t-max", "25",
+            "--steps", "11", "--out", str(tmp_path / "x.csv")]
+    passes = []
+    integrate = dephasing.integrate_adaptive
+
+    def recording(f, edges, *args, **kwargs):
+        passes.append((edges, integrate(f, edges, *args, **kwargs)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
+    assert main(argv) == 0
+    # 11 times on the Filon panels, and on the first interval's one starting piece
+    (_, filon_pass), (first_edges, _) = passes
+    assert first_edges.size == 2
+    panels = filon_pass[0].size
+    cost = 11 * panels + dephasing._FIRST_PIECE_COST * 11
+    monkeypatch.setattr(dephasing, "TABULATED_CAP", cost)
+    assert main(argv) == 0
+    passes.clear()
+    (tmp_path / "x.csv").unlink()
+
+    def no_sum(*args):
+        raise AssertionError("the cap must be checked before the Filon sums")
+
+    monkeypatch.setattr(dephasing, "filon", no_sum)
+    monkeypatch.setattr(dephasing, "TABULATED_CAP", cost - 1)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qchan: numerical failure: ") and "tabulated-density cap" in err, err
+    assert len(passes) == 1  # the Filon panels only: no first-interval pass
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     # an unresolvable quadrature tolerance is a numerical failure, not config
     grid = np.linspace(0.0, 40.0, 401)
@@ -462,8 +501,8 @@ def test_negative_tabulated_gamma_exits_2(tmp_path, monkeypatch, capsys):
     # Gamma >= 0 can only break on the tabulated path; force it to -2 tol
     tabulated = dephasing._tabulated
 
-    def negative(density, beta, times, tol, max_panels):
-        value, *rest = tabulated(density, beta, times, tol, max_panels)
+    def negative(density, beta, times, tol):
+        value, *rest = tabulated(density, beta, times, tol)
         return (np.where(times > 0.0, -2.0 * tol, value), *rest)
 
     monkeypatch.setattr(dephasing, "_tabulated", negative)
@@ -556,6 +595,62 @@ def test_oracle_noise_rotation(capsys):
                  "--t", str(math.pi / 4.0), "--bloch", "1,0,0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert np.allclose(report["bloch_out"], [0.0, 1.0, 0.0], atol=1e-12)
+
+
+# each input misbehaved before the oracle took the common checks: it printed
+# NaN or Infinity, evolved backwards, sampled negative or no times, or died
+# with a traceback
+ORACLE_FAULTS = [
+    ("--model single-excitation --t-max inf", 2, "t-max must be finite and > 0"),
+    ("--model single-excitation --t-max -5", 2, "t-max must be finite and > 0"),
+    ("--model single-excitation --steps -1", 2, "steps must be >= 5"),
+    ("--model single-excitation --steps 0", 2, "steps must be >= 5"),
+    ("--model spin-bath --t -2", 2, "t must be finite and >= 0"),
+    ("--model noise-rotation --t nan", 2, "t must be finite and >= 0"),
+    ("--l 1", 2, "oracle requires --model"),
+    ("--model single-excitation --modes 1e308:1", 3, "alpha_im is not finite"),
+    ("--model single-excitation --omega 1e308", 3, "alpha_im is not finite"),
+    ("--model dephasing-mode --c 1e200", 3, "Fock cap"),
+    ("--model dephasing-mode --c 1000", 3, "Fock cap"),  # ~2e6 rows, never allocated
+    ("--model dephasing-mode --beta 1e-300", 3, "Fock cap"),
+    ("--model dephasing-mode --omega 0", 2, "need beta * frequency > 0"),
+    ("--model dephasing-mode --c nan", 2, "finite coupling"),
+]
+
+
+@pytest.mark.parametrize("args, code, message", ORACLE_FAULTS, ids=[a for a, _, _ in ORACLE_FAULTS])
+def test_oracle_faults_exit_with_one_line(capsys, args, code, message):
+    capsys.readouterr()
+    assert main(["oracle", *args.split()]) == code
+    out, err = capsys.readouterr()
+    kind = {2: "configuration error", 3: "numerical failure"}[code]
+    assert out == "" and err.startswith(f"qchan: {kind}: ") and err.count("\n") == 1, err
+    assert message in err, err
+
+
+def test_oracle_cold_mode_runs(capsys):
+    # beta omega = 1000: the thermal occupancy underflows to 0, it must not overflow
+    assert main(["oracle", "--model", "dephasing-mode", "--beta", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_max"] == 22
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--model", "single-excitation", "--modes", "1:1,0.5:2", "--t-max", "5", "--steps", "7"],
+     {"model": "single-excitation", "modes": "1:1,0.5:2", "t-max": 5, "steps": 7}),
+    (["--model", "dephasing-mode", "--beta", "2", "--c", "1.5", "--t", "3"],
+     {"model": "dephasing-mode", "beta": 2, "c": 1.5, "t": 3}),
+])
+def test_oracle_config_prints_what_its_flags_print(tmp_path, capsys, flags, config):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["oracle", *flags]) == 0
+    by_flags = capsys.readouterr().out
+    assert main(["oracle", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == by_flags
+    # flags still override the file
+    assert main(["oracle", "--config", str(path), "--model", "spin-bath"]) == 0
+    assert "bloch_out" in json.loads(capsys.readouterr().out)
 
 
 def test_all_readme_commands_run(tmp_path, monkeypatch, per_cell_writer):
@@ -1121,6 +1216,38 @@ def test_out_dash_writes_the_file_text_to_stdout(capsys, monkeypatch, per_cell_w
 )
 def test_writer_special_values_match_per_cell_builder(tmp_path, per_cell_writer, columns):
     assert_writer_matches(tmp_path, per_cell_writer, "depol-classical", {"seed": 1}, columns)
+
+
+def test_json_writer_matches_json_dumps_across_slabs(tmp_path, capsys, per_cell_writer):
+    # 9000 rows span three 4096-row slabs; NaN, +-inf and flags in each
+    rows = 9000
+    columns = {"t": np.linspace(0.0, 1.0, rows), "gamma": np.resize(SPECIAL_FLOATS, rows),
+               "mc_f": np.cos(np.arange(rows)), "diff": np.full(rows, math.nan),
+               "flags": flag_column(["", "pole", "", "capped"] * (rows // 4))}
+    cfg = {"seed": 1, "format": "json"}
+    expected = per_cell_writer("depol-classical", {**cfg, "out": "-"}, columns)
+    capsys.readouterr()
+    cli._write_output("depol-classical", {**cfg, "out": "-"}, columns)
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "written.json"
+    cli._write_output("depol-classical", {**cfg, "out": str(out)}, columns)
+    # the reference echoes its own "out" in the config
+    assert out.read_text() == expected.replace('"out": "-"', f'"out": {json.dumps(str(out))}')
+
+
+def test_json_writer_memory_is_bounded(tmp_path):
+    # the whole-payload writer held every cell as a Python float and the
+    # whole text twice, ~27 MB here; by slabs it takes ~1 MB
+    times = np.linspace(0.0, 10.0, 40_001)
+    columns = cli._columns(times, np.cos(times) ** 2, -np.sin(2.0 * times))
+    cfg = {"format": "json", "out": str(tmp_path / "big.json")}
+    tracemalloc.start()
+    try:
+        cli._write_output("depol-spinbath", cfg, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("argv", GENERATING.values(), ids=GENERATING)

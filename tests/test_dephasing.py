@@ -10,7 +10,6 @@ from scipy.special import polygamma, psi
 from qchan import (
     BlochVector,
     CosineSumProcess,
-    DecoherenceFunction,
     DiscreteBosonBath,
     DomainError,
     OhmicExpDensity,
@@ -177,8 +176,9 @@ def test_ohmic_closed_form_skips_quadrature(monkeypatch):
         raise AssertionError("the Ohmic density must not reach quadrature")
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", no_quadrature)
+    monkeypatch.setattr(dephasing, "MAX_PANELS", 1)
     for beta in ORACLE_BETAS:
-        assert gamma_continuum(FIG2_DENSITY, beta, 5.0, tol=1e-30, max_panels=1) > 0.0
+        assert gamma_continuum(FIG2_DENSITY, beta, 5.0, tol=1e-30) > 0.0
 
 
 def test_digamma_trigamma_real_axis():
@@ -241,14 +241,15 @@ def test_tabulated_validation(tmp_path):
         load_tabulated(path)
 
 
-def test_quadrature_budget_error_carries_estimate():
+def test_quadrature_budget_error_carries_estimate(monkeypatch):
     # the 4000 knot intervals already exceed the budget, so no panel is
     # split, and one Chebyshev panel on [0, 0.1] misses cos(40 w) by more
     # than tol
     grid = np.linspace(0.0, 400.0, 4001)
     table = TabulatedDensity(grid, FIG2_DENSITY(grid))
+    monkeypatch.setattr(dephasing, "MAX_PANELS", 6)
     with pytest.raises(QuadratureError) as info:
-        gamma_continuum(table, math.inf, 40.0, tol=1e-13, max_panels=6)
+        gamma_continuum(table, math.inf, 40.0, tol=1e-13)
     expected = 40.0**2 / (1.0 + 40.0**2)
     assert info.value.estimate == pytest.approx(expected, abs=0.2)
     assert info.value.error > 0
@@ -270,7 +271,7 @@ def test_tabulated_times_match_single_times_and_quad_vec(monkeypatch):
         return integrate(f, edges, *args, **kwargs)
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
-    value, slope, value_err, slope_err = dephasing._tabulated(table, 1.0, times, tol, 50000)
+    value, slope, value_err, slope_err = dephasing._tabulated(table, 1.0, times, tol)
     assert len(passes) == 2 and np.array_equal(passes[0], grid[1:])
     assert np.all(value_err <= tol) and np.all(slope_err <= tol)
     shuffled = np.random.default_rng(5).permutation(37)
@@ -396,12 +397,13 @@ def test_continuum_integrand_matches_sines():
     assert np.all(np.abs(rows[37:] - slope) <= 8.0 * eps * np.abs(slope))
 
 
-def test_quadrature_error_carries_partial_gamma():
+def test_quadrature_error_carries_partial_gamma(monkeypatch):
     grid = np.linspace(0.0, 400.0, 4001)
     table = TabulatedDensity(grid, FIG2_DENSITY(grid))
     times = np.linspace(2.0, 40.0, 20)
+    monkeypatch.setattr(dephasing, "MAX_PANELS", 6)
     with pytest.raises(QuadratureError) as info:
-        dephasing._continuum_and_slope(table, math.inf, times, tol=1e-13, max_panels=6)
+        dephasing._continuum_and_slope(table, math.inf, times, tol=1e-13)
     assert str(info.value).startswith("quadrature error estimate")
     # the partial Gamma of the first time, 2^2 / (1 + 2^2)
     assert info.value.estimate == pytest.approx(4.0 / 5.0, abs=1e-2)
@@ -568,16 +570,8 @@ def test_channel_equals_dressed_kraus(rng, random_state):
         assert np.max(np.abs(direct.matrix - apply_kraus(kraus, rho).matrix)) <= 1e-12
 
 
-def test_decoherence_function_validation():
+def test_monte_carlo_coherence_rejects_descending_grid():
     t = np.linspace(0.0, 2.0, 5)
-    DecoherenceFunction(t, np.array([0.0, 0.1, 0.3, 0.2, 0.4]), "closed-form")
-    with pytest.raises(DomainError):
-        DecoherenceFunction(t, np.array([0.5, 0.1, 0.3, 0.2, 0.4]), "closed-form")
-    with pytest.raises(DomainError):
-        DecoherenceFunction(t, np.array([0.0, -0.1, 0.3, 0.2, 0.4]), "closed-form")
-    with pytest.raises(DomainError):
-        DecoherenceFunction(t, np.zeros(5), "guesswork")
-    # the Monte Carlo estimate takes the same ascending grid
     with pytest.raises(DomainError):
         monte_carlo_coherence(CosineSumProcess(((1.0, 1.0),)), 1.0, t[::-1], 10, seed=0)
 

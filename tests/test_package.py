@@ -26,7 +26,7 @@ PUBLIC = {
         "excited_population", "population", "solve_amplitude",
     ],
     "dephasing": [
-        "CoherenceEstimate", "CosineSumProcess", "DecoherenceFunction", "DiscreteBosonBath",
+        "CoherenceEstimate", "CosineSumProcess", "DiscreteBosonBath",
         "OhmicExpDensity", "TabulatedDensity", "WhiteNoiseProcess", "correlation",
         "dephasing_channel_at", "gamma_classical", "gamma_continuum", "gamma_discrete",
         "load_tabulated", "monte_carlo_coherence",
@@ -51,7 +51,7 @@ PUBLIC = {
 
 def test_all_is_the_pinned_sorted_list():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 73
+    assert len(names) == 72
     assert qchan.__all__ == names
 
 

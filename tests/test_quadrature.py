@@ -103,7 +103,7 @@ def test_tabulated_error_estimates_bound_quad_vec(table, beta, times):
 
 def _assert_estimates_bound_quad_vec(knots, values, beta, times):
     value, slope, value_err, slope_err = dephasing._tabulated(
-        TabulatedDensity(knots, values), beta, times, 1e-8, 50000
+        TabulatedDensity(knots, values), beta, times, 1e-8
     )
     ref_value, ref_slope, ref_err = _reference(knots, values, beta, times)
     assert value[0] == 0.0 and slope[0] == 0.0
