@@ -326,10 +326,39 @@ _COLUMNS = {
 
 # a comment or whitespace-only line, with the newline before it
 _SKIPPED_LINE = re.compile(r"\n(?:#[^\n]*|[^\S\n]*)(?=\n|\Z)")
+# np.loadtxt opens a path by its suffix (gzip, bz2, lzma) or fetches it as a
+# URL; such a path is read by the line filter, which opens it as text
+_NOT_PLAIN = re.compile(r"\.(?:gz|bz2|xz|lzma)\Z|://")
+
+
+def _skipped(line: str) -> bool:
+    """Whether a line is one that _SKIPPED_LINE drops."""
+    return line.startswith("#") or not line.strip()
 
 
 def read_series_csv(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
     """Read (t, column) from a qchan CSV file."""
+    # numpy's C reader takes the file as the writer made it: the header after
+    # the leading comments, then data rows only.  The first row is read here,
+    # so a file with no rows never reaches np.loadtxt's "no data" warning.
+    # Column 0 is read, so a comment row fails to parse rather than pass as
+    # data.  Any other file, or one np.loadtxt rejects, takes the line filter,
+    # which decides its arrays or its error.
+    with open(path) as fh:
+        skip = 0
+        while _skipped(line := fh.readline()) and line:
+            skip += 1
+        header = line.rstrip("\n").split(",")
+        rows_follow = not _skipped(fh.readline())
+    if rows_follow and "t" in header and column in header:
+        cols = (header.index("t"), header.index(column))
+        if 0 in cols and not _NOT_PLAIN.search(str(path)):
+            try:
+                data = np.loadtxt(path, delimiter=",", usecols=cols, skiprows=skip + 1,
+                                  comments=None, ndmin=2)
+                return data[:, 0], data[:, 1]
+            except ValueError:
+                pass
     with open(path) as fh:
         # one pass drops the skipped lines; the leading newline exposes the
         # first line to it and splits off as an empty line

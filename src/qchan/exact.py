@@ -16,19 +16,24 @@ import numpy as np
 
 from .classical_field import NoiseSample
 from .damping import MODE_CAP, AmplitudeKernelSpec
-from .errors import DomainError, ResourceError
+from .errors import AccuracyError, DomainError, ResourceError
 from .spin_bath import half_integer
 from .states import PAULIS, QubitState
 
 SPIN_CAP = Fraction(25)
-# The most quanta exact_dephasing_single_mode keeps: its dense complex
-# Hamiltonian has 2 (n_max + 1) rows, and at the cap the evolution takes
-# ~9 s and ~0.9 GB on a 2-core x86-64 VM.
-FOCK_CAP = 1200
+# The most quanta exact_dephasing_single_mode keeps: each sigma3 block of its
+# dense complex Hamiltonian has n_max + 1 rows, and at the cap the evolution
+# takes 5-7 s and ~0.6 GB on a 2-core x86-64 VM.
+FOCK_CAP = 2000
 # exact_single_excitation shares damping.MODE_CAP, so it can check every
 # input the solver accepts; its dense complex (M+1)^2 block is O(M^3), about
 # 10 s at the cap on a 2-core x86 VM.
 COMMUTATOR_TOL = 1e-12
+# eigh returns energies E with an absolute error of ~eps max|E|, so each phase
+# E t of a propagator carries ~eps max|E| max|t| radians of error; past this
+# bound the simulators refuse rather than report a phase that lost its digits.
+# The tests' and the benchmark's finite phases stay below 25 rad (~6e-15 rad).
+PHASE_TOL = 1e-10
 
 # A bath mode entering exact_dephasing_single_mode is specified by the same
 # channel-facing coupling c as gamma_discrete, whose convention makes a mode
@@ -79,9 +84,26 @@ def spin_operators(spin) -> AngularMomentumOps:
     return AngularMomentumOps(l, sx, sy, sz, squared)
 
 
-def _evolve_density(hamiltonian: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
+def _check_phase(energies: np.ndarray, t) -> None:
+    """Refuse exp(-i E t) when rounding leaves its phases above PHASE_TOL rad of error."""
+    phase = np.max(np.abs(energies)) * np.max(np.abs(t), initial=0.0)
+    error = np.finfo(float).eps * phase
+    # an overflowed phase leaves the result non-finite, which the CLI refuses by name
+    if math.isfinite(error) and error > PHASE_TOL:
+        raise AccuracyError(
+            f"phases E t up to {phase:.3g} rad carry ~{error:.2g} rad of rounding error, "
+            f"above {PHASE_TOL:g}"
+        )
+
+
+def _propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     energies, basis = np.linalg.eigh(hamiltonian)
-    propagator = (basis * np.exp(-1j * energies * t)) @ basis.conj().T
+    _check_phase(energies, t)
+    return (basis * np.exp(-1j * energies * t)) @ basis.conj().T
+
+
+def _evolve_density(hamiltonian: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
+    propagator = _propagator(hamiltonian, t)
     return propagator @ rho @ propagator.conj().T
 
 
@@ -116,6 +138,7 @@ def exact_single_excitation(spec: AmplitudeKernelSpec, t_grid) -> np.ndarray:
         block[1 + i, 0] = np.conj(c)
         block[1 + i, 1 + i] = w
     energies, basis = np.linalg.eigh(block)
+    _check_phase(energies, times)
     weights = np.abs(basis[0, :]) ** 2
     return (weights[None, :] * np.exp(-1j * np.outer(times, energies))).sum(axis=1)
 
@@ -179,11 +202,12 @@ def exact_dephasing_single_mode(
 
     dim = n_max + 1
     lower = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-    number = lower.conj().T @ lower
+    number = np.diag(np.arange(dim, dtype=complex))
     drive = kappa * lower.conj().T + np.conj(kappa) * lower
     offset = (abs(kappa) ** 2 / w) * np.eye(dim)
-    block_up = w * number + drive + offset  # sigma3 = +1 sector (|0>)
-    block_down = w * number - drive + offset  # sigma3 = -1 sector (|1>)
+    t = float(t)
+    up = _propagator(w * number + drive + offset, t)  # sigma3 = +1 sector (|0>)
+    down = _propagator(w * number - drive + offset, t)  # sigma3 = -1 sector (|1>)
 
     if math.isinf(beta):
         weights = np.zeros(dim)
@@ -191,15 +215,13 @@ def exact_dephasing_single_mode(
     else:
         weights = np.exp(-beta * w * np.arange(dim))
         weights /= weights.sum()
-    thermal = np.diag(weights).astype(complex)
 
-    hamiltonian = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    hamiltonian[:dim, :dim] = block_up
-    hamiltonian[dim:, dim:] = block_down
-    joint = np.kron(rho.matrix, thermal)
-    evolved = _evolve_density(hamiltonian, joint, float(t))
-    reduced = np.trace(evolved.reshape(2, dim, 2, dim), axis1=1, axis2=3)
-    return QubitState(reduced)
+    # The Hamiltonian keeps sigma3, so block (a, b) of rho (x) thermal evolves
+    # to rho_ab U_a thermal U_b^dag, whose trace over the mode is
+    # rho_ab sum_mn U_a[m, n] weights[n] conj(U_b[m, n]).
+    overlap = np.array([[np.vdot(b, a) for b in (up, down)]
+                        for a in (up * weights, down * weights)])
+    return QubitState(rho.matrix * overlap)
 
 
 def unitary_noise_conjugation(sample: NoiseSample, coupling, t, rho: QubitState) -> QubitState:
@@ -208,5 +230,6 @@ def unitary_noise_conjugation(sample: NoiseSample, coupling, t, rho: QubitState)
     xi = sample.as_array()
     generator = float(coupling) * float(t) * sum(x * s for x, s in zip(xi, PAULIS))
     energies, basis = np.linalg.eigh(generator)
+    _check_phase(energies, 1.0)
     unitary = (basis * np.exp(-1j * energies)) @ basis.conj().T
     return QubitState(unitary @ rho.matrix @ unitary.conj().T)

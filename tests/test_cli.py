@@ -6,10 +6,12 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, quad_vec
 
 from qchan import (
@@ -626,6 +628,30 @@ def test_oracle_faults_exit_with_one_line(capsys, args, code, message):
     kind = {2: "configuration error", 3: "numerical failure"}[code]
     assert out == "" and err.startswith(f"qchan: {kind}: ") and err.count("\n") == 1, err
     assert message in err, err
+
+
+# a propagator's phases E t carry ~eps max|E| t rad of rounding error; past
+# exact.PHASE_TOL the oracle printed confident wrong values and exited 0
+ORACLE_PHASES = [
+    ("--model spin-bath --g 1e308", 3),
+    ("--model dephasing-mode --t 1e300", 3),
+    ("--model single-excitation --t-max 1e300", 3),
+    ("--model noise-rotation --g 1e300 --bloch 1,0,0", 3),
+    # max|E| = 3g/4 at l = 1/2: eps * 3.75e5 = 8.3e-11 rad, just inside
+    ("--model spin-bath --g 5e5 --bloch 1,0,0", 0),
+]
+
+
+@pytest.mark.parametrize("args, code", ORACLE_PHASES, ids=[a for a, _ in ORACLE_PHASES])
+def test_oracle_refuses_phases_it_cannot_resolve(capsys, args, code):
+    capsys.readouterr()
+    assert main(["oracle", *args.split()]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("qchan: numerical failure: phases E t"), err
+    else:
+        expected = bloch_factor(FixedCoupling(0.5, 5e5), np.array([1.0]))[0]
+        assert json.loads(out)["factor"] == pytest.approx(expected, abs=1e-9)
 
 
 def test_oracle_cold_mode_runs(capsys):
@@ -1273,3 +1299,79 @@ def test_reader_skips_blank_and_comment_lines_and_crlf(tmp_path):
     times, values = read_series_csv(path, "f_or_coherence")
     assert times.tolist() == [0.0, 0.5, 1.0]
     assert values.tobytes() == np.array([1.0, 0.25, -0.0]).tobytes()
+
+
+def test_reader_reads_every_written_table_without_the_line_filter(tmp_path, monkeypatch):
+    class Refused:
+        def sub(self, *args):
+            raise AssertionError("the table went through the line filter")
+
+    monkeypatch.setattr(cli, "_SKIPPED_LINE", Refused())
+    for name, argv in GENERATING.items():
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        header = out.read_text().splitlines()[2].split(",")
+        for column in header:
+            if column != "flags":
+                times, _ = read_series_csv(out, column)
+                assert times[0] == 0.0, (name, column)
+
+
+@pytest.fixture(scope="module")
+def written_table(tmp_path_factory):
+    out = tmp_path_factory.mktemp("table") / "written.csv"
+    assert main(["depol-spinbath", "--ensemble", "fixed", "--l", "1", "--t-max", "4",
+                 "--steps", "41", "--out", str(out)]) == 0
+    return out
+
+
+SKIPPED_LINES = st.one_of(
+    st.text(" \t\x0b\x0c", max_size=3),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).map("#".__add__),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 41), SKIPPED_LINES), max_size=8))
+def test_reader_skips_inserted_blank_and_comment_lines(written_table, insertions):
+    lines = written_table.read_text().split("\n")  # 3 leading lines, 41 rows, then ""
+    for row, line in sorted(insertions, key=lambda pair: -pair[0]):
+        lines.insert(3 + row, line)
+    mixed = written_table.with_name("mixed.csv")
+    mixed.write_text("\n".join(lines))
+    for column in ("f_or_coherence", "gamma"):
+        expected = read_series_csv(written_table, column)
+        got = read_series_csv(mixed, column)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+# files that np.loadtxt would read otherwise than the line filter: a comment
+# row outside the columns read, a compression suffix on a plain text file
+@pytest.mark.parametrize("name, text", [
+    ("t_second.csv", "x,t,f_or_coherence\n9,0,1\n# a,1,2\n9,1,0.5\n"),
+    ("plain.csv.gz", "t,f_or_coherence\n0,1\n1,0.5\n"),
+    ("plain.csv.xz", "# qchan\nt,f_or_coherence\n0,1\n\n1,0.5\n"),
+])
+def test_reader_reads_what_the_line_filter_reads(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    times, values = read_series_csv(path, "f_or_coherence")
+    assert times.tolist() == [0.0, 1.0] and values.tolist() == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,f_or_coherence\n", "holds no data"),
+    ("# qchan\nt,f_or_coherence\n\n   \n\n", "holds no data"),
+    ("t,f_or_coherence\n# only a comment\n", "holds no data"),
+    ("t,f_or_coherence\n0,1\n0.5,0.25#x\n", "malformed data"),
+])
+def test_reader_refuses_without_a_warning(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", str(path)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("qchan: configuration error:") and message in err, err

@@ -15,6 +15,7 @@ from qchan import (
     state_from_bloch,
 )
 from qchan.exact import (
+    COUPLING_BRIDGE,
     MODE_CAP,
     exact_dephasing_single_mode,
     exact_single_excitation,
@@ -154,6 +155,38 @@ def test_dephasing_fig2_dotted_peak():
     rho = state_from_bloch(BlochVector(1.0, 0.0, 0.0))
     out = exact_dephasing_single_mode(1.0, 0.5, math.inf, thermal_cutoff(math.inf, 0.5, coupling=1.0), rho, 2.0 * math.pi)
     assert 2.0 * abs(out.matrix[0, 1]) == pytest.approx(math.exp(-2.0), abs=1e-10)
+
+
+def _joint_dephasing_single_mode(coupling, w, beta, n_max, rho, t):
+    """The reduced state from the whole 2 (n_max + 1)-row Hamiltonian and the
+    dense joint state rho (x) thermal: the reference for the sigma3 blocks."""
+    kappa = complex(coupling) * COUPLING_BRIDGE
+    dim = n_max + 1
+    lower = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    number = lower.conj().T @ lower
+    drive = kappa * lower.conj().T + np.conj(kappa) * lower
+    offset = (abs(kappa) ** 2 / w) * np.eye(dim)
+    hamiltonian = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    hamiltonian[:dim, :dim] = w * number + drive + offset
+    hamiltonian[dim:, dim:] = w * number - drive + offset
+    if math.isinf(beta):
+        weights = np.eye(dim)[0]
+    else:
+        weights = np.exp(-beta * w * np.arange(dim))
+    joint = np.kron(rho.matrix, np.diag(weights / weights.sum()))
+    evolved = _evolve_density(hamiltonian, joint, t)
+    return np.trace(evolved.reshape(2, dim, 2, dim), axis1=1, axis2=3)
+
+
+@pytest.mark.parametrize("beta", [math.inf, 2.0, 0.7])
+def test_dephasing_mode_blocks_match_the_joint_evolution(random_state, beta):
+    for c, w in ((0.8, 1.0), (2.0, 0.5), (0.3 + 0.4j, 1.3), (5.0, 2.0)):
+        n_max = thermal_cutoff(beta, w, coupling=c)
+        for t in (0.0, 0.9, 4.0, 11.0, 37.5):
+            rho = random_state()
+            out = exact_dephasing_single_mode(c, w, beta, n_max, rho, t)
+            reference = _joint_dephasing_single_mode(c, w, beta, n_max, rho, t)
+            assert np.max(np.abs(out.matrix - reference)) <= 1e-12, (c, w, t)
 
 
 def test_dephasing_truncation_guard():
