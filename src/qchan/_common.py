@@ -1,6 +1,7 @@
-"""Helpers shared by the model modules: the time and grid checks, the one
-time grid, the scale check, the scalar-or-array return convention, the decay
-rate -F'/F with its pole floor and the double-angle kernel."""
+"""Helpers shared by the model modules: the time, grid and uniform-grid
+checks, the one time grid, the scale check, the scalar-or-array return
+convention, the decay rate -F'/F with its pole floor and the double-angle
+kernel."""
 
 from __future__ import annotations
 
@@ -61,6 +62,14 @@ def check_grid(t_grid) -> np.ndarray:
     if np.any(np.diff(times) < 0):
         raise DomainError("t_grid must be ascending")
     return times
+
+
+def check_uniform(times: np.ndarray) -> None:
+    """Raise :class:`DomainError` unless the steps of ``times`` (at least two
+    points) are positive and equal to a relative 1e-9."""
+    steps = np.diff(times)
+    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise DomainError("time grid must be uniform and ascending")
 
 
 def check_square(name: str, value: float) -> None:

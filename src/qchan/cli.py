@@ -324,15 +324,13 @@ _COLUMNS = {
 }
 
 
-# a comment or whitespace-only line, with the newline before it
-_SKIPPED_LINE = re.compile(r"\n(?:#[^\n]*|[^\S\n]*)(?=\n|\Z)")
 # np.loadtxt opens a path by its suffix (gzip, bz2, lzma) or fetches it as a
 # URL; such a path is read by the line filter, which opens it as text
 _NOT_PLAIN = re.compile(r"\.(?:gz|bz2|xz|lzma)\Z|://")
 
 
 def _skipped(line: str) -> bool:
-    """Whether a line is one that _SKIPPED_LINE drops."""
+    """Whether a line is a comment or whitespace only: the line filter drops it."""
     return line.startswith("#") or not line.strip()
 
 
@@ -342,35 +340,32 @@ def read_series_csv(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
     # the leading comments, then data rows only.  The first row is read here,
     # so a file with no rows never reaches np.loadtxt's "no data" warning.
     # Column 0 is read, so a comment row fails to parse rather than pass as
-    # data.  Any other file, or one np.loadtxt rejects, takes the line filter,
-    # which decides its arrays or its error.
+    # data.  Any other file, or one np.loadtxt rejects, takes the line filter
+    # over the rows of the same handle, which decides its arrays or its error.
     with open(path) as fh:
         skip = 0
         while _skipped(line := fh.readline()) and line:
             skip += 1
         header = line.rstrip("\n").split(",")
+        body = fh.tell()
         rows_follow = not _skipped(fh.readline())
-    if rows_follow and "t" in header and column in header:
-        cols = (header.index("t"), header.index(column))
-        if 0 in cols and not _NOT_PLAIN.search(str(path)):
+        named = "t" in header and column in header
+        cols = (header.index("t"), header.index(column)) if named else None
+        if rows_follow and named and 0 in cols and not _NOT_PLAIN.search(str(path)):
             try:
                 data = np.loadtxt(path, delimiter=",", usecols=cols, skiprows=skip + 1,
                                   comments=None, ndmin=2)
                 return data[:, 0], data[:, 1]
             except ValueError:
                 pass
-    with open(path) as fh:
-        # one pass drops the skipped lines; the leading newline exposes the
-        # first line to it and splits off as an empty line
-        lines = _SKIPPED_LINE.sub("", "\n" + fh.read()).split("\n")[1:]
-    if len(lines) < 2:
+        fh.seek(body)
+        rows = [row for row in fh if not _skipped(row)]
+    if not rows:
         raise DomainError(f"{path} holds no data")
-    header = lines[0].split(",")
-    if "t" not in header or column not in header:
+    if not named:
         raise DomainError(f"{path} lacks a 't' or {column!r} column (header: {header})")
-    cols = (header.index("t"), header.index(column))
     try:
-        data = np.loadtxt(lines[1:], delimiter=",", usecols=cols, comments=None, ndmin=2)
+        data = np.loadtxt(rows, delimiter=",", usecols=cols, comments=None, ndmin=2)
     except ValueError as exc:
         raise DomainError(f"{path}: malformed data: {exc}") from exc
     return data[:, 0], data[:, 1]
@@ -458,7 +453,7 @@ def _run_oracle(cfg: dict) -> None:
         c, omega, t = cfg["c"], cfg["omega"], cfg["t"]
         n_max = exact.thermal_cutoff(beta, omega, coupling=c)
         state = state_from_bloch(BlochVector(1.0, 0.0, 0.0))
-        out = exact.exact_dephasing_single_mode(c, omega, beta, n_max, state, t)
+        out = exact.exact_dephasing_single_mode(c, omega, beta, state, t)
         bath = dephasing.DiscreteBosonBath(((c, omega),), beta)
         report = {
             "coherence_magnitude": float(2.0 * abs(out.matrix[0, 1])),
@@ -706,7 +701,7 @@ def main(argv=None) -> int:
         # an overflow shows as the non-finite value that _columns reports
         with np.errstate(all="ignore"):
             command.runner(_resolve_config(command, args))
-    except (DomainError, OSError) as exc:
+    except (DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"qchan: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QChanError as exc:

@@ -22,9 +22,12 @@ from .states import PAULIS, QubitState
 
 SPIN_CAP = Fraction(25)
 # The most quanta exact_dephasing_single_mode keeps: each sigma3 block of its
-# dense complex Hamiltonian has n_max + 1 rows, and at the cap the evolution
-# takes 5-7 s and ~0.6 GB on a 2-core x86-64 VM.
+# dense Hamiltonian (real symmetric for a real coupling) has n_max + 1 rows,
+# and at the cap an `oracle` run takes 3.5-4.7 s and ~0.46 GB peak on a 2-core
+# x86-64 VM (a complex coupling, 6-7 s and ~0.6 GB).
 FOCK_CAP = 2000
+# The initial thermal weight the Fock cutoff may leave out.
+THERMAL_TAIL = 1e-12
 # exact_single_excitation shares damping.MODE_CAP, so it can check every
 # input the solver accepts; its dense complex (M+1)^2 block is O(M^3), about
 # 10 s at the cap on a 2-core x86 VM.
@@ -143,14 +146,15 @@ def exact_single_excitation(spec: AmplitudeKernelSpec, t_grid) -> np.ndarray:
     return (weights[None, :] * np.exp(-1j * np.outer(times, energies))).sum(axis=1)
 
 
-def thermal_cutoff(beta: float, frequency: float, tail: float = 1e-12, coupling=0.0) -> int:
+def thermal_cutoff(beta: float, frequency: float, coupling=0.0) -> int:
     """Truncation level for :func:`exact_dephasing_single_mode`.
 
-    Covers the initial thermal tail (weight below ``tail``) plus the Fock
-    reach of the dynamical displacement, which climbs to amplitude
+    Covers the initial thermal tail (weight below ``THERMAL_TAIL``) plus the
+    Fock reach of the dynamical displacement, which climbs to amplitude
     ~4 kappa / omega even from the vacuum (``coupling`` uses the same
     channel-facing normalization as the simulator).  Raises
-    :class:`ResourceError` if that level is above ``FOCK_CAP``.
+    :class:`DomainError` unless beta * frequency > 0 with a finite frequency
+    and coupling, and :class:`ResourceError` if the level is above ``FOCK_CAP``.
     """
     if not (0 < frequency < math.inf and beta * frequency > 0 and math.isfinite(abs(coupling))):
         raise DomainError(f"need beta * frequency > 0, a finite frequency and a finite "
@@ -159,7 +163,7 @@ def thermal_cutoff(beta: float, frequency: float, tail: float = 1e-12, coupling=
         n_thermal = 0
         occupancy = 0.0
     else:
-        n_thermal = -math.log(tail) / (beta * frequency)
+        n_thermal = -math.log(THERMAL_TAIL) / (beta * frequency)
         # above 700 the occupancy is 0 to double precision, and expm1 overflows
         occupancy = 1.0 / math.expm1(min(beta * frequency, 700.0))
     reach = 4.0 * abs(coupling) * COUPLING_BRIDGE / frequency
@@ -172,42 +176,27 @@ def thermal_cutoff(beta: float, frequency: float, tail: float = 1e-12, coupling=
     raise ResourceError(f"the mode needs more quanta than the Fock cap of {FOCK_CAP}")
 
 
-def exact_dephasing_single_mode(
-    coupling, frequency: float, beta: float, n_max: int, rho: QubitState, t: float
-) -> QubitState:
+def exact_dephasing_single_mode(coupling, frequency: float, beta: float, rho: QubitState,
+                                t: float) -> QubitState:
     """Evolve rho (x) rho_thermal under the displaced-oscillator Hamiltonian
-    (truncated at ``n_max`` quanta) and trace out the mode.
+    (truncated at :func:`thermal_cutoff` quanta) and trace out the mode.
 
     ``coupling`` uses the channel-facing normalization of
     :func:`qchan.dephasing.gamma_discrete` (see ``COUPLING_BRIDGE``), so the
-    coherence magnitude equals exp(-Gamma(t)) of the discrete sum.
+    coherence magnitude equals exp(-Gamma(t)) of the discrete sum.  A real
+    coupling keeps the sigma3 blocks real symmetric.
     """
+    n_max = thermal_cutoff(beta, frequency, coupling=coupling)
     w = float(frequency)
-    if not w > 0:
-        raise DomainError(f"mode frequency must be > 0, got {w}")
-    if not beta > 0:
-        raise DomainError(f"beta must be > 0 (or inf), got {beta}")
-    n_max = int(n_max)
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if n_max > FOCK_CAP:
-        raise ResourceError(f"{n_max} quanta above the Fock cap of {FOCK_CAP}")
-    if not math.isinf(beta):
-        tail = math.exp(-beta * w * (n_max + 1))
-        if tail >= 1e-12:
-            raise DomainError(
-                f"thermal tail weight {tail:.2e} at n_max={n_max} is above 1e-12"
-            )
-    kappa = complex(coupling) * COUPLING_BRIDGE
+    kappa = coupling * COUPLING_BRIDGE
 
     dim = n_max + 1
-    lower = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-    number = np.diag(np.arange(dim, dtype=complex))
-    drive = kappa * lower.conj().T + np.conj(kappa) * lower
-    offset = (abs(kappa) ** 2 / w) * np.eye(dim)
+    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    drive = kappa * lower.T + np.conj(kappa) * lower
+    energy = np.diag(w * np.arange(dim) + abs(kappa) ** 2 / w)
     t = float(t)
-    up = _propagator(w * number + drive + offset, t)  # sigma3 = +1 sector (|0>)
-    down = _propagator(w * number - drive + offset, t)  # sigma3 = -1 sector (|1>)
+    up = _propagator(energy + drive, t)  # sigma3 = +1 sector (|0>)
+    down = _propagator(energy - drive, t)  # sigma3 = -1 sector (|1>)
 
     if math.isinf(beta):
         weights = np.zeros(dim)
@@ -229,7 +218,4 @@ def unitary_noise_conjugation(sample: NoiseSample, coupling, t, rho: QubitState)
     with the 2x2 exponential taken by Hermitian eigendecomposition."""
     xi = sample.as_array()
     generator = float(coupling) * float(t) * sum(x * s for x, s in zip(xi, PAULIS))
-    energies, basis = np.linalg.eigh(generator)
-    _check_phase(energies, 1.0)
-    unitary = (basis * np.exp(-1j * energies)) @ basis.conj().T
-    return QubitState(unitary @ rho.matrix @ unitary.conj().T)
+    return QubitState(_evolve_density(generator, rho.matrix, 1.0))

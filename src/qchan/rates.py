@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import pole_rate
+from ._common import check_uniform, pole_rate
 from .errors import DomainError, UnclassifiableError
 
 MEANING_BLOCH_FACTOR = "bloch-factor"
@@ -51,9 +51,7 @@ class TimeSeries:
             raise DomainError("need matching 1-d time and value arrays")
         if t.size < 5:
             raise DomainError("need at least 5 points")
-        steps = np.diff(t)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise DomainError("time grid must be uniform and ascending")
+        check_uniform(t)
         if not np.all(np.isfinite(y)):
             raise DomainError("values must be finite")
         if self.meaning not in MEANINGS:

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -261,12 +262,17 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    # bytes that are not UTF-8 text, in a data row and in a config file
+    (tmp_path / "undecodable.csv").write_bytes(b"t,f_or_coherence\n0,1\n1,0.5\xff\n")
+    (tmp_path / "undecodable.json").write_bytes(b'{"sigma": 2\xff}')
     out = str(tmp_path / "w.csv")
     commands = [
         ["analyze", str(tmp_path / "non_numeric.csv")],
         ["analyze", str(tmp_path / "short_row.csv")],
         ["analyze", str(tmp_path / "header_only.csv")],
         ["analyze", str(tmp_path / "underscore.csv")],
+        ["analyze", str(tmp_path / "undecodable.csv")],
+        ["depol-classical", "--config", str(tmp_path / "undecodable.json"), "--out", out],
         ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral.txt"), "--out", out],
         ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral_inf.txt"), "--out", out],
         ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral_nan.txt"), "--out", out],
@@ -1301,20 +1307,53 @@ def test_reader_skips_blank_and_comment_lines_and_crlf(tmp_path):
     assert values.tobytes() == np.array([1.0, 0.25, -0.0]).tobytes()
 
 
-def test_reader_reads_every_written_table_without_the_line_filter(tmp_path, monkeypatch):
-    class Refused:
-        def sub(self, *args):
-            raise AssertionError("the table went through the line filter")
+def test_reader_refuses_a_pipe(tmp_path, capsys):
+    # np.loadtxt would open the path a second time and miss the rows that the
+    # first open had buffered (or wait for a second writer); a file that
+    # cannot seek back is refused instead
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
 
-    monkeypatch.setattr(cli, "_SKIPPED_LINE", Refused())
+    def write():
+        try:
+            with open(fifo, "w") as fh:
+                fh.write("t,f_or_coherence\n" + "".join(f"{t},1\n" for t in range(9)))
+        except BrokenPipeError:
+            pass
+
+    codes = []
+    threads = [threading.Thread(target=write, daemon=True),
+               threading.Thread(target=lambda: codes.append(main(["analyze", str(fifo)])),
+                                daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert codes == [2]
+    err = capsys.readouterr().err
+    assert err.startswith("qchan: configuration error:") and "not seekable" in err
+
+
+def test_reader_reads_every_written_table_without_the_line_filter(tmp_path, monkeypatch):
+    # the line filter hands np.loadtxt a list of lines; numpy's reader takes the path
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recorded(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(cli.np, "loadtxt", recorded)
     for name, argv in GENERATING.items():
         out = tmp_path / f"{name}.csv"
         assert main([*argv, "--out", str(out)]) == 0
         header = out.read_text().splitlines()[2].split(",")
         for column in header:
             if column != "flags":
+                sources.clear()
                 times, _ = read_series_csv(out, column)
                 assert times[0] == 0.0, (name, column)
+                assert sources == [out], (name, column)
 
 
 @pytest.fixture(scope="module")

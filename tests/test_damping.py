@@ -5,6 +5,7 @@ import pytest
 
 from qchan import (
     AmplitudeKernelSpec,
+    AmplitudeSolution,
     BlochVector,
     DomainError,
     ResourceError,
@@ -217,6 +218,9 @@ def test_validation():
         solve_amplitude(RESONANT, math.inf, 100)
     with pytest.raises(DomainError):
         solve_amplitude(RESONANT, math.nan, 100)
+    uneven = np.array([0.0, 1e-10, 5e-9, 6e-9, 9e-9])  # steps from 1e-10 to 4.9e-9
+    with pytest.raises(DomainError):
+        AmplitudeSolution(uneven, np.ones(5, complex), np.zeros(5), np.zeros(5), np.zeros(5, bool))
     assert solve_amplitude(RESONANT, 1.0, 1).times.size == 2
     sol = solve_amplitude(RESONANT, 1.0, 100)
     with pytest.raises(IndexError):

@@ -205,6 +205,8 @@ def test_series_validation():
     with pytest.raises(DomainError):
         TimeSeries(np.array([0.0, 1.0, 2.0, 3.5, 4.0]), np.zeros(5), MEANING_BLOCH_FACTOR)
     with pytest.raises(DomainError):
+        TimeSeries(np.array([0.0, 1e-10, 5e-9, 6e-9, 9e-9]), np.zeros(5), MEANING_BLOCH_FACTOR)
+    with pytest.raises(DomainError):
         TimeSeries(np.linspace(0, 1, 4), np.zeros(4), MEANING_BLOCH_FACTOR)
     with pytest.raises(DomainError):
         TimeSeries(np.linspace(0, 1, 5), np.zeros(5), "mystery")
