@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# The command-line and benchmark checks of CI, run the same way anywhere:
+#
+#     bash ci/check.sh
+#
+# Each command runs qchan from this checkout's src/ in a fresh process, outside
+# pytest's warning filters, in a scratch directory that is removed at exit.
+set -euo pipefail
+
+repo=$(cd "$(dirname "$0")/.." && pwd)
+export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+# a write and a read: analyze must read the table without any warning, also
+# with CRLF endings and blank, whitespace-only and # lines among its rows (the
+# line filter), and give the same verdict
+python -m qchan --help
+python -W error -m qchan depol-classical --steps 2001 --out ci.csv
+python -W error -m qchan analyze ci.csv --col f > ci.out
+python -c "rows = open('ci.csv').read().splitlines(); rows[5:5] = ['', '  ', '# note']; rows[-1:-1] = ['\t']; open('ci_mixed.csv', 'w', newline='\r\n').write('\n'.join(rows) + '\n')"
+python -W error -m qchan analyze ci_mixed.csv --col f > ci_mixed.out
+diff ci.out ci_mixed.out
+cat ci.out
+# the dephasing oracle runs its real sigma3 blocks
+python -W error -m qchan oracle --model dephasing-mode --c 1 --omega 0.5 --beta 2 --t 3
+# each model summed by the line-sum kernel
+python -W error -m qchan dephasing-quantum --modes 1:0.5,0.3:2 --beta 2 --out modes.csv
+python -W error -m qchan dephasing-classical --cosine 1:1,0.5:2 --out cosine.csv
+python -W error -m qchan amp-damping --modes 1:1,0.5:1.5,0.3:0.7 --out amp.csv
+
+# every benchmark output checked against an independent reference: the
+# digamma closed form, quad_vec, the exact single-excitation block and the
+# exact spin-bath evolution
+python "$repo/bench/run.py" --workload all --seconds 2 | tee bench.out
+tail -n 1 bench.out | python -c "import json, sys; r = json.load(sys.stdin); sys.exit(not (r['correct'] is True and r['failed'] == 0))"

@@ -1,7 +1,7 @@
 """Helpers shared by the model modules: the time, grid and uniform-grid
 checks, the one time grid, the scale check, the scalar-or-array return
-convention, the decay rate -F'/F with its pole floor and the double-angle
-kernel."""
+convention, the decay rate -F'/F with its pole floor, the double-angle
+kernel and the line-sum kernel over it, with its work cap."""
 
 from __future__ import annotations
 
@@ -16,9 +16,14 @@ POLE_FLOOR = 1e-12
 # The most points a time grid may have.  At the cap a closed-form command
 # takes ~1 s (CSV) or 3-6 s (JSON) and peaks at <= 0.2 GB either way on a
 # 2-core x86-64 VM.  A tabulated density's panels x points have their own
-# cap, dephasing.TABULATED_CAP; spin-star sectors or amplitude modes x
-# points have none, and take minutes at worst.
+# cap, dephasing.TABULATED_CAP, and a line sum's lines x points have
+# LINE_SUM_CAP; spin-star sectors x points have none.
 GRID_CAP = 1_000_001
+# The most (line, time) terms one line sum may add, counting _LINE_TERMS more
+# per line for its fixed cost (~6.5 us a line, 5-12 ns a term).  Fitted on a
+# 2-core x86-64 VM, 999 to 994,035 lines at 6 to 1,000,001 times: 5-11 s at the cap.
+LINE_SUM_CAP = 1_000_000_000
+_LINE_TERMS = 1000
 
 
 def pole_rate(factor, slope):
@@ -102,3 +107,32 @@ def double_angle(x, sin2x=None, vers=None):
     np.divide(tan, sin2x, out=sin2x)
     sin2x *= 2.0
     return sin2x, np.multiply(tan, sin2x, out=tan)
+
+
+def check_line_work(lines: int, points: int) -> None:
+    """Raise :class:`ResourceError` if ``lines`` lines at ``points`` times
+    cost more than ``LINE_SUM_CAP``: :func:`line_sums` checks before any sum."""
+    work = lines * (points + _LINE_TERMS)
+    if work > LINE_SUM_CAP:
+        raise ResourceError(f"{lines} lines at {points} times cost {work:,} terms, "
+                            f"above the line-sum cap of {LINE_SUM_CAP:,}")
+
+
+def line_sums(freqs, weights, t):
+    """(sum_k a_k vers(w_k t), sum_k b_k sin(w_k t)) as one array, vers x =
+    1 - cos x: ``weights`` holds (a, b) on its first axis and the lines on its
+    last, and any axes between lead the times' (any shape).  One
+    :func:`double_angle` of w_k t / 2 per (line, time), added in line order:
+    exactly 0 at t = 0, and no cancellation of 1 - cos at small t."""
+    times = np.asarray(t, dtype=float)
+    check_line_work(np.size(freqs), times.size)
+    weights = np.asarray(weights, dtype=float)
+    sums = np.zeros(weights.shape[:-1] + times.shape)
+    term, trig = np.empty_like(sums), np.empty((2,) + times.shape)
+    # each line's weights, and its (vers, sin), shaped to broadcast together
+    lines = np.moveaxis(weights, -1, 0)[(..., *(None,) * times.ndim)]
+    rows = trig.reshape((2,) + (1,) * (weights.ndim - 2) + times.shape)
+    for w, line in zip(np.asarray(freqs, dtype=float), lines):
+        double_angle(np.multiply(times, 0.5 * w, out=trig[0, ...]), trig[1, ...], trig[0, ...])
+        sums += np.multiply(line, rows, out=term)
+    return sums

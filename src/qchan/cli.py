@@ -246,8 +246,7 @@ def _dephasing_exponent(cfg: dict, times: np.ndarray):
         if not omega > 0 or not weight > 0:
             raise DomainError("single mode needs omega > 0 and weight > 0")
         # weight is the combined factor |c|^2 coth(beta omega/2) / omega^2
-        coth = 1.0 if math.isinf(beta) else 1.0 / math.tanh(0.5 * beta * omega)
-        coupling = omega * math.sqrt(weight / coth)
+        coupling = omega * math.sqrt(weight / float(dephasing._coth(0.5 * beta * omega)))
         bath = dephasing.DiscreteBosonBath(((coupling, omega),), beta)
         return (*dephasing._discrete_and_slope(bath, times), None)
     if cfg["modes"] is not None:
@@ -335,31 +334,34 @@ def _skipped(line: str) -> bool:
 
 
 def read_series_csv(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read (t, column) from a qchan CSV file."""
+    """Read (t, column) from a qchan CSV file; an error names the file."""
     # numpy's C reader takes the file as the writer made it: the header after
     # the leading comments, then data rows only.  The first row is read here,
     # so a file with no rows never reaches np.loadtxt's "no data" warning.
     # Column 0 is read, so a comment row fails to parse rather than pass as
     # data.  Any other file, or one np.loadtxt rejects, takes the line filter
     # over the rows of the same handle, which decides its arrays or its error.
-    with open(path) as fh:
-        skip = 0
-        while _skipped(line := fh.readline()) and line:
-            skip += 1
-        header = line.rstrip("\n").split(",")
-        body = fh.tell()
-        rows_follow = not _skipped(fh.readline())
-        named = "t" in header and column in header
-        cols = (header.index("t"), header.index(column)) if named else None
-        if rows_follow and named and 0 in cols and not _NOT_PLAIN.search(str(path)):
-            try:
-                data = np.loadtxt(path, delimiter=",", usecols=cols, skiprows=skip + 1,
-                                  comments=None, ndmin=2)
-                return data[:, 0], data[:, 1]
-            except ValueError:
-                pass
-        fh.seek(body)
-        rows = [row for row in fh if not _skipped(row)]
+    try:
+        with open(path) as fh:
+            skip = 0
+            while _skipped(line := fh.readline()) and line:
+                skip += 1
+            header = line.rstrip("\n").split(",")
+            body = fh.tell()
+            rows_follow = not _skipped(fh.readline())
+            named = "t" in header and column in header
+            cols = (header.index("t"), header.index(column)) if named else None
+            if rows_follow and named and 0 in cols and not _NOT_PLAIN.search(str(path)):
+                try:
+                    data = np.loadtxt(path, delimiter=",", usecols=cols, skiprows=skip + 1,
+                                      comments=None, ndmin=2)
+                    return data[:, 0], data[:, 1]
+                except ValueError:
+                    pass
+            fh.seek(body)
+            rows = [row for row in fh if not _skipped(row)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DomainError(f"{path} holds no data")
     if not named:
@@ -650,7 +652,7 @@ def _read_config(path: str, command: _Command) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"config file {path} must hold a JSON object")

@@ -16,10 +16,10 @@ one-excitation Hamiltonian is the real symmetric arrowhead
 (the phases of the c_l are a gauge: only |c_l|^2 enters K).  With
 eigenvalues Delta_k and eigenvectors v_k,
 
-    u(t) = sum_k v_{0k}^2 exp(-i Delta_k t),
+    u(t) = sum_k p_k exp(-i Delta_k t),   p_k = v_{0k}^2 / sum_j v_{0j}^2,
 
-exact at every time, and so is its derivative
-u'(t) = sum_k -i Delta_k v_{0k}^2 exp(-i Delta_k t).  From alpha the
+exact at every time, and so is its derivative u'; both are sums of lines
+(:func:`qchan._common.line_sums`), with u(0) = 1 exactly.  From alpha the
 channel data follow: Gamma(t) = -2 ln|alpha/alpha0|, its decay rate
 Gamma'(t) = -2 Re(u'/u), and the unwrapped phase Omega(t) =
 -arg(alpha/alpha0), giving a dressed amplitude-damping channel with
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_times, check_uniform, time_grid
+from ._common import check_line_work, check_times, check_uniform, line_sums, time_grid
 from .channels import (
     GENERATOR_EXCITED_PROJECTOR,
     PhaseDressing,
@@ -71,11 +71,10 @@ class AmplitudeKernelSpec:
 
     def kernel(self, s):
         """K(s) = sum_l |c_l|^2 exp(-i omega_l s)."""
-        ss = np.asarray(s, dtype=float)
-        out = np.zeros(ss.shape, dtype=complex)
-        for c, w in self.modes:
-            out += abs(c) ** 2 * np.exp(-1j * w * ss)
-        return out
+        couplings, freqs = np.array(self.modes).T
+        power = np.abs(couplings) ** 2
+        drop, sin = line_sums(freqs.real, [power, -power], s)
+        return (power.sum() - drop) + 1j * sin
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,21 +151,20 @@ def _solve_with_slope(spec: AmplitudeKernelSpec, t):
     n_modes = len(spec.modes)
     if n_modes > MODE_CAP:
         raise ResourceError(f"{n_modes} modes above the cap of {MODE_CAP}")
+    check_line_work(n_modes + 1, times.size)
 
     arrow = np.diag([0.0] + [w - spec.frequency for _, w in spec.modes])
     arrow[0, 1:] = arrow[1:, 0] = [abs(c) for c, _ in spec.modes]
     detunings, vectors = np.linalg.eigh(arrow)
-    u = np.zeros(times.shape, dtype=complex)
-    du = np.zeros(times.shape, dtype=complex)
-    norm = 0.0
-    for weight, detuning in zip(vectors[0] ** 2, detunings):
-        term = weight * np.exp(-1j * detuning * times)
-        u += term
-        du += -1j * detuning * term
-        norm += weight
-    # the weights sum to u(0) = 1 up to rounding; make u(0) = 1 exact
-    du /= norm
-    u /= norm
+    weights = vectors[0] ** 2
+    weights /= weights.sum()
+    # u = 1 - sum p vers - i sum p sin and u' = -sum p Delta sin - i (sum p Delta
+    # - sum p Delta vers); the sin rows carry the minus, so that where lines cancel
+    # Im u is +0 and a real u < 0 has phase +pi, not -pi
+    rows = np.stack([weights, weights * detunings])
+    vers, sin = line_sums(detunings, [rows, -rows], times)
+    u = (1.0 - vers[0]) + 1j * sin[0]
+    du = sin[1] + 1j * (vers[1] - rows[1].sum())
 
     magnitude = np.abs(u)
     capped = magnitude < AMPLITUDE_FLOOR

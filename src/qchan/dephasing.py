@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_grid, check_square, check_times, double_angle, scalar_or_array
+from ._common import check_grid, check_square, check_times, double_angle, line_sums, scalar_or_array
 from . import _quadrature
 from ._quadrature import chebyshev, filon, integrate_adaptive, integrated
 from ._rng import monte_carlo_sums, realization_normals
@@ -181,9 +181,12 @@ class WhiteNoiseProcess:
 
 StationaryProcess = CosineSumProcess | WhiteNoiseProcess
 
+
 def _coth(x):
-    """coth(x) for x > 0, with x = inf -> 1."""
-    return 1.0 / np.tanh(x)
+    """coth(x) for x > 0, as an array: 1 / tanh(x), 1 at x = inf, and below
+    x = 1e-4 the series 1/x + x/3 (its next term is below an ulp there)."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 1e-4, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))
 
 
 def _discrete_and_slope(bath: DiscreteBosonBath, t):
@@ -192,27 +195,20 @@ def _discrete_and_slope(bath: DiscreteBosonBath, t):
     Gamma'(t) = (1/4) sum_k |c_k|^2 coth(beta w_k / 2) sin(w_k t) / w_k.
     """
     tt = check_times(t)
-    weights = []
-    for c, w in bath.modes:
-        weight = abs(c) ** 2 / w**2
-        if math.isfinite(bath.beta) and weight:
-            # coth is inf where beta omega / 2 underflows; the check below catches it
-            with np.errstate(divide="ignore", over="ignore"):
-                weight = float(weight * _coth(0.5 * bath.beta * w))
-        weights.append(weight)
+    couplings, freqs = np.array(bath.modes).T
+    weights = np.abs(couplings) ** 2 / freqs.real**2
+    if math.isfinite(bath.beta):
+        # coth is inf where beta omega / 2 underflows; the check below catches it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            weights = np.where(weights > 0, weights * _coth(0.5 * bath.beta * freqs.real), 0.0)
     # |Gamma| <= sum of the weights and |Gamma'| <= sum of weight * omega
-    bound = sum(wt * max(w, 1.0) for wt, (_, w) in zip(weights, bath.modes))
+    bound = np.sum(weights * np.maximum(freqs.real, 1.0))
     if not math.isfinite(bound):
         raise DomainError(
             "mode weights |c|^2 coth(beta omega/2)/omega^2 are too large: "
             f"their sum times max(omega, 1) is {bound}, so Gamma or Gamma' overflows"
         )
-    total = np.zeros_like(tt)
-    slope = np.zeros_like(tt)
-    for weight, (_, w) in zip(weights, bath.modes):
-        total += 0.25 * weight * 2.0 * np.sin(0.5 * w * tt) ** 2
-        slope += 0.25 * weight * w * np.sin(w * tt)
-    return total, slope
+    return line_sums(freqs.real, [0.25 * weights, 0.25 * weights * freqs.real], tt)
 
 
 def gamma_discrete(bath: DiscreteBosonBath, t):
@@ -224,15 +220,8 @@ def gamma_discrete(bath: DiscreteBosonBath, t):
 
 
 def _thermal_weight(density: TabulatedDensity, beta: float, w):
-    """W(w) = J(w) coth(beta w/2) / (8 pi) at nodes w > 0.  The w -> 0 limit
-    of the coth factor is taken from its series (removes the 0/0); beta = inf
-    gives coth = 1."""
-    x = 0.5 * beta * w
-    coth = 1.0 / np.tanh(x)
-    small = x < 1e-4
-    if np.any(small):
-        coth[small] = 1.0 / x[small] + x[small] / 3.0
-    return density(w) * coth / (8.0 * np.pi)
+    """W(w) = J(w) coth(beta w/2) / (8 pi) at nodes w > 0 (see :func:`_coth`)."""
+    return density(w) * _coth(0.5 * beta * w) / (8.0 * np.pi)
 
 
 def _continuum_integrand(density: TabulatedDensity, beta: float, times: np.ndarray):
@@ -460,13 +449,11 @@ def _classical_and_slope(process: StationaryProcess, coupling, t):
     if not isinstance(process, CosineSumProcess):
         raise DomainError(f"unknown process type {type(process).__name__}")
     check_square("coupling", g)
-    out = np.zeros_like(tt)
-    slope = np.zeros_like(tt)
-    for sigma, w in process.components:
+    for sigma, _ in process.components:
         check_square("coupling*amplitude", g * sigma)
-        out += 4.0 * g**2 * sigma**2 * 2.0 * np.sin(0.5 * w * tt) ** 2 / w**2
-        slope += 4.0 * g**2 * sigma**2 * np.sin(w * tt) / w
-    return out, slope
+    sigmas, freqs = np.array(process.components).T
+    power = 4.0 * g**2 * sigmas**2
+    return line_sums(freqs, [power / freqs**2, power / freqs], tt)
 
 
 def gamma_classical(process: StationaryProcess, coupling, t):
@@ -488,11 +475,11 @@ def correlation(process: StationaryProcess, dt):
         raise UnsupportedQueryError(
             "white noise has a delta correlation; no pointwise value exists"
         )
-    dd = np.asarray(dt, dtype=float)
-    out = np.zeros_like(dd)
-    for sigma, w in process.components:
-        out = out + sigma**2 * np.cos(w * dd)
-    return scalar_or_array(out, dd)
+    sigmas, freqs = np.array(process.components).T
+    # Phi = sum sigma^2 cos(w dt) = sum sigma^2 - sum sigma^2 vers(w dt)
+    power = sigmas**2
+    drop, _ = line_sums(freqs, [power, power], dt)
+    return scalar_or_array(power.sum() - drop, dt)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -30,7 +31,7 @@ from qchan import (
     spin_bath,
 )
 from qchan import _quadrature, cli, rates
-from qchan._common import GRID_CAP
+from qchan._common import GRID_CAP, LINE_SUM_CAP
 from qchan._rng import MONTE_CARLO_CAP
 from qchan.cli import main, read_series_csv
 from qchan.exact import MODE_CAP
@@ -298,6 +299,10 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         assert err.startswith("qchan: configuration error:") and err.count("\n") == 1, argv
         if "--t-max" in argv:
             assert "t-max must be finite and > 0" in err, argv
+        # an input file that is not text is named in the message
+        for arg in argv:
+            if "undecodable" in arg:
+                assert arg in err, argv
     assert not Path(out).exists()
 
     # a switch set false is unset, so it is not a second source
@@ -503,6 +508,31 @@ def test_grid_cap_is_checked_before_allocating(tmp_path, monkeypatch, capsys):
     assert main(["oracle", "--model", "single-excitation", "--steps", str(points)]) == 3
     with pytest.raises(ResourceError, match="grid points above the cap"):
         solve_amplitude(AmplitudeKernelSpec(1.0, ((1.0, 1.0),)), 1.0, GRID_CAP)
+
+
+def test_line_sum_cap_exits_3_at_once(tmp_path, monkeypatch, capsys):
+    # 1000 lines at the grid cap cost 1000 x (1,000,001 + 1000) terms, just
+    # above LINE_SUM_CAP; the amplitude sum has one line more than its modes,
+    # and is refused before its matrix is diagonalized
+    assert 999 * (GRID_CAP + 1000) <= LINE_SUM_CAP < 1000 * (GRID_CAP + 1000)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("line-sum cap checked after the diagonalization")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    pairs = ",".join(f"0.01:{1 + k / 1000:g}" for k in range(1000))
+    steps = ["--steps", str(GRID_CAP), "--out", str(tmp_path / "x.csv")]
+    capsys.readouterr()
+    for argv in (["dephasing-quantum", "--modes", pairs],
+                 ["dephasing-classical", "--cosine", pairs],
+                 ["amp-damping", "--modes", pairs.rsplit(",", 1)[0]]):
+        start = time.perf_counter()
+        assert main([*argv, *steps]) == 3, argv[0]
+        assert time.perf_counter() - start < 2.0, argv[0]
+        err = capsys.readouterr().err
+        assert err == ("qchan: numerical failure: 1000 lines at 1000001 times cost "
+                       "1,001,001,000 terms, above the line-sum cap of 1,000,000,000\n"), err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_negative_tabulated_gamma_exits_2(tmp_path, monkeypatch, capsys):
@@ -1331,7 +1361,8 @@ def test_reader_refuses_a_pipe(tmp_path, capsys):
         thread.join(timeout=10)
     assert codes == [2]
     err = capsys.readouterr().err
-    assert err.startswith("qchan: configuration error:") and "not seekable" in err
+    assert err.startswith(f"qchan: configuration error: cannot read {fifo}:"), err
+    assert "not seekable" in err, err
 
 
 def test_reader_reads_every_written_table_without_the_line_filter(tmp_path, monkeypatch):

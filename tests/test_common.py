@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qchan import DomainError
-from qchan._common import check_square, double_angle
+from qchan import AmplitudeKernelSpec, DomainError, ResourceError
+from qchan._common import LINE_SUM_CAP, check_line_work, check_square, double_angle, line_sums
+from qchan.damping import _solve_with_slope
 
 EPS = np.finfo(float).eps
 
@@ -46,3 +47,74 @@ def test_check_square_names_the_scale():
     for value in (1e155, -1e200, math.inf):
         with pytest.raises(DomainError, match="^sigma = "):
             check_square("sigma", value)
+
+
+def _random_table(rng, rows=()):
+    lines = int(rng.integers(1, 51))
+    freqs = rng.uniform(-1e3, 1e3, lines) * 10.0 ** rng.integers(-2, 1, lines)
+    return freqs, rng.normal(size=rows + (lines,)), rng.normal(size=rows + (lines,))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_line_sums_match_sines_and_cosines(seed):
+    rng = np.random.default_rng(seed)
+    freqs, a, b = _random_table(rng)
+    # w t up to 1e5
+    times = rng.uniform(0.0, 1e5 / np.max(np.abs(freqs)), 500)
+    vers, sin = line_sums(freqs, [a, b], times)
+    phases = np.multiply.outer(times, freqs)
+    for got, weights, trig in ((vers, a, 1.0 - np.cos(phases)), (sin, b, np.sin(phases))):
+        expected = np.array([math.fsum(row) for row in trig * weights])
+        # |terms| <= 2 |w|: a few ulps a term plus the rounding of the sum
+        bound = 2 * (freqs.size + 5) * EPS * np.sum(np.abs(weights))
+        assert np.all(np.abs(got - expected) <= bound)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_line_sums_keep_relative_accuracy_at_small_times(seed):
+    rng = np.random.default_rng(seed)
+    freqs, _, _ = _random_table(rng)
+    weights = rng.uniform(0.0, 1.0, freqs.size)
+    times = 10.0 ** rng.uniform(-12.0, -6.0, 200)
+    vers, _ = line_sums(freqs, [weights, weights], times)
+    # vers x = x^2/2 - x^4/24 + ..., and |w t| <= 1e-3 here
+    x2 = np.multiply.outer(times, freqs) ** 2
+    series = np.sum(weights * x2 / 2.0 * (1.0 - x2 / 12.0), axis=1)
+    assert np.all(np.abs(vers - series) <= 1e-14 * series)
+
+
+def test_line_sums_are_zero_at_zero_and_take_any_shapes():
+    rng = np.random.default_rng(5)
+    freqs, a, b = _random_table(rng, rows=(2,))
+    for zero in (0.0, np.zeros(3)):
+        sums = line_sums(freqs, [a, b], zero)
+        assert sums.tobytes() == np.zeros((2, 2, *np.shape(zero))).tobytes()
+    # the weights' middle axes come before the times', which keep their
+    # shape, and each row is the sum of that row alone
+    times = rng.uniform(0.0, 10.0, (3, 4))
+    sums = line_sums(freqs, [a, b], times)
+    assert sums.shape == (2, 2, 3, 4)
+    for row in range(2):
+        alone = line_sums(freqs, [a[row], b[row]], times)
+        assert sums[:, row].tobytes() == alone.tobytes()
+    assert line_sums(freqs, [a[0], b[0]], 2.5).shape == (2,)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_amplitude_starts_at_one_exactly(seed):
+    rng = np.random.default_rng(seed)
+    lines = int(rng.integers(1, 51))
+    spec = AmplitudeKernelSpec(
+        rng.uniform(-2.0, 2.0), tuple(zip(rng.normal(size=lines), rng.uniform(-3.0, 3.0, lines)))
+    )
+    u, gamma, _, _, slope = _solve_with_slope(spec, np.array([0.0, 1.0]))
+    assert u[0] == 1.0 and gamma[0] == 0.0 and slope[0] == 0.0
+
+
+def test_line_work_cap():
+    # a line costs its times plus a fixed cost of 1000 terms
+    check_line_work(LINE_SUM_CAP // 2000, 1000)
+    with pytest.raises(ResourceError, match="above the line-sum cap"):
+        check_line_work(LINE_SUM_CAP // 2000 + 1, 1000)
+    with pytest.raises(ResourceError, match="above the line-sum cap"):
+        line_sums(np.ones(LINE_SUM_CAP // 1000 + 1), [1.0, 1.0], 0.0)
