@@ -30,6 +30,27 @@ python -W error -m qchan dephasing-quantum --modes 1:0.5,0.3:2 --beta 2 --out mo
 python -W error -m qchan dephasing-classical --cosine 1:1,0.5:2 --out cosine.csv
 python -W error -m qchan amp-damping --modes 1:1,0.5:1.5,0.3:0.7 --out amp.csv
 
+# a command that must fail: its exit code is $1, and its stderr is left in err.txt
+expect() {
+    local want=$1 got=0
+    shift
+    python -W error -m qchan "$@" 2> err.txt || got=$?
+    cat err.txt
+    if [ "$got" != "$want" ]; then
+        echo "expected exit $want, got $got: qchan $*" >&2
+        exit 1
+    fi
+}
+# work above the budget exits 3 before any sum: a spin star's sectors and a
+# custom ensemble's components (too many for one argument) are lines
+expect 3 depol-spinbath --ensemble spin-star --N 4000 --steps 1000001 --out star.csv
+python -c "import json; json.dump({'ensemble': 'custom', 'components': [[0.5 + k % 4, 1 + k / 20000, 1 / 20000] for k in range(20000)]}, open('custom.json', 'w'))"
+expect 3 depol-spinbath --config custom.json --steps 1000001 --out custom.csv
+# a spectral file that fails a value check is named in the error
+printf '0 0\n1 inf\n2 1\n' > inf.txt
+expect 2 dephasing-quantum --spectral-file inf.txt --out inf.csv
+grep -q 'spectral file inf.txt:' err.txt
+
 # every benchmark output checked against an independent reference: the
 # digamma closed form, quad_vec, the exact single-excitation block and the
 # exact spin-bath evolution

@@ -1,7 +1,7 @@
 """Helpers shared by the model modules: the time, grid and uniform-grid
-checks, the one time grid, the scale check, the scalar-or-array return
-convention, the decay rate -F'/F with its pole floor, the double-angle
-kernel and the line-sum kernel over it, with its work cap."""
+checks, the one time grid, the one work budget, the scale check, the
+scalar-or-array return convention, the decay rate -F'/F with its pole floor,
+the double-angle kernel and the line-sum kernel over it."""
 
 from __future__ import annotations
 
@@ -15,15 +15,22 @@ from .errors import DomainError, PoleError, ResourceError
 POLE_FLOOR = 1e-12
 # The most points a time grid may have.  At the cap a closed-form command
 # takes ~1 s (CSV) or 3-6 s (JSON) and peaks at <= 0.2 GB either way on a
-# 2-core x86-64 VM.  A tabulated density's panels x points have their own
-# cap, dephasing.TABULATED_CAP, and a line sum's lines x points have
-# LINE_SUM_CAP; spin-star sectors x points have none.
+# 2-core x86-64 VM.  The work over the grid has the one budget below.
 GRID_CAP = 1_000_001
-# The most (line, time) terms one line sum may add, counting _LINE_TERMS more
-# per line for its fixed cost (~6.5 us a line, 5-12 ns a term).  Fitted on a
-# 2-core x86-64 VM, 999 to 994,035 lines at 6 to 1,000,001 times: 5-11 s at the cap.
-LINE_SUM_CAP = 1_000_000_000
-_LINE_TERMS = 1000
+# The one time budget: check_work refuses work that would take longer, before
+# any of it is done.
+WORK_BUDGET_S = 10
+# Nanoseconds a unit of each kernel's work takes, fitted on a 2-core x86-64 VM
+# (CHANGES.md lists the shapes):
+# - line, line_term: a line sum's lines, and its terms, one per (line, time,
+#   weight row);
+# - monte_carlo: the units of _rng.monte_carlo_cost;
+# - filon, moments: a tabulated density's Filon sums, one per (time, panel),
+#   and their moments, one set per (time, distinct panel width);
+# - first_interval: its first knot interval's (time, starting piece) passes,
+#   fitted at a small tol, which refines them the most.
+NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 16, "filon": 50, "moments": 4000,
+               "first_interval": 12_500}
 
 
 def pole_rate(factor, slope):
@@ -84,6 +91,17 @@ def check_square(name: str, value: float) -> None:
         raise DomainError(f"{name} = {value} is too large: its square overflows")
 
 
+def check_work(**units) -> None:
+    """Raise :class:`ResourceError` if the work ``units``, counted per kernel
+    (the keys of ``NS_PER_UNIT``), would take more than ``WORK_BUDGET_S`` in
+    all; the caller checks before it starts any of that work."""
+    seconds = sum(NS_PER_UNIT[kernel] * count for kernel, count in units.items()) / 1e9
+    if seconds > WORK_BUDGET_S:
+        work = ", ".join(f"{kernel}={count:,.0f}" for kernel, count in units.items())
+        raise ResourceError(f"work units {work} would take ~{seconds:.4g} s, "
+                            f"above the budget of {WORK_BUDGET_S} s")
+
+
 def scalar_or_array(values, t):
     """``values`` as a float when the times ``t`` they were computed at are 0-d."""
     return float(values) if np.ndim(t) == 0 else values
@@ -109,24 +127,16 @@ def double_angle(x, sin2x=None, vers=None):
     return sin2x, np.multiply(tan, sin2x, out=tan)
 
 
-def check_line_work(lines: int, points: int) -> None:
-    """Raise :class:`ResourceError` if ``lines`` lines at ``points`` times
-    cost more than ``LINE_SUM_CAP``: :func:`line_sums` checks before any sum."""
-    work = lines * (points + _LINE_TERMS)
-    if work > LINE_SUM_CAP:
-        raise ResourceError(f"{lines} lines at {points} times cost {work:,} terms, "
-                            f"above the line-sum cap of {LINE_SUM_CAP:,}")
-
-
 def line_sums(freqs, weights, t):
     """(sum_k a_k vers(w_k t), sum_k b_k sin(w_k t)) as one array, vers x =
     1 - cos x: ``weights`` holds (a, b) on its first axis and the lines on its
     last, and any axes between lead the times' (any shape).  One
     :func:`double_angle` of w_k t / 2 per (line, time), added in line order:
-    exactly 0 at t = 0, and no cancellation of 1 - cos at small t."""
+    exactly 0 at t = 0, and no cancellation of 1 - cos at small t.  Work
+    above the budget (:func:`check_work`) raises before any sum."""
     times = np.asarray(t, dtype=float)
-    check_line_work(np.size(freqs), times.size)
     weights = np.asarray(weights, dtype=float)
+    check_work(line=np.size(freqs), line_term=weights.size * times.size)
     sums = np.zeros(weights.shape[:-1] + times.shape)
     term, trig = np.empty_like(sums), np.empty((2,) + times.shape)
     # each line's weights, and its (vers, sin), shaped to broadcast together

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from ._common import check_work
+from .errors import DomainError
 
 _CHUNK = 1024
 # normals per draw batch (or one chunk's worth, if more)
@@ -31,14 +32,13 @@ _BLOCK = 2**14
 # Cost of a run, in units of one grid point of one realization: each
 # realization also costs 5 units plus 11 per normal drawn, and each grid
 # point 1/55 more per normal.  Fitted to ten run shapes (3 to 400 normals,
-# 1 to 4000 points), which then took 8.8 to 12.2 ns a unit on a 2-core
-# x86-64 VM, so a run at the cap takes ~10 s whatever its grid and draws.
-MONTE_CARLO_CAP = 1_000_000_000
+# 1 to 4000 points), so that a unit takes about the same time (the
+# "monte_carlo" entry of _common.NS_PER_UNIT) whatever the run's shape.
 
 
 def monte_carlo_cost(n: int, width: int, normals: int) -> float:
     """Estimated cost of ``n`` realizations of ``normals`` normals each on
-    ``width`` grid points, in the units of ``MONTE_CARLO_CAP``."""
+    ``width`` grid points, in Monte Carlo work units."""
     return n * (5.0 + 11.0 * normals + width * (1.0 + normals / 55.0))
 
 
@@ -87,17 +87,13 @@ def monte_carlo_sums(n: int, width: int, normals: int, draw, samples) -> list:
     ``draw(start, stop)`` gives one row of ``normals`` draws per realization
     in [start, stop); it is called once per draw batch, so no call returns
     more than max(``_DRAW``, one chunk's worth) values.  ``samples`` maps a
-    block of those rows to a tuple of arrays.  Runs whose
-    :func:`monte_carlo_cost` exceeds ``MONTE_CARLO_CAP`` fail before any
-    draw.
+    block of those rows to a tuple of arrays.  A run whose
+    :func:`monte_carlo_cost` is above the work budget
+    (:func:`qchan._common.check_work`) fails before any draw.
     """
     if n < 2:
         raise DomainError("need >= 2 realizations to estimate a standard error")
-    if monte_carlo_cost(n, width, normals) > MONTE_CARLO_CAP:
-        raise ResourceError(
-            f"{n} realizations of {normals} normals x {width} points exceed the "
-            f"Monte Carlo cost cap {MONTE_CARLO_CAP}"
-        )
+    check_work(monte_carlo=monte_carlo_cost(n, width, normals))
     batch = _CHUNK * max(1, _DRAW // (_CHUNK * normals))
     size = max(1, _BLOCK // width)
     totals = None

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_line_work, check_times, check_uniform, line_sums, time_grid
+from ._common import check_times, check_uniform, check_work, line_sums, time_grid
 from .channels import (
     GENERATOR_EXCITED_PROJECTOR,
     PhaseDressing,
@@ -151,7 +151,8 @@ def _solve_with_slope(spec: AmplitudeKernelSpec, t):
     n_modes = len(spec.modes)
     if n_modes > MODE_CAP:
         raise ResourceError(f"{n_modes} modes above the cap of {MODE_CAP}")
-    check_line_work(n_modes + 1, times.size)
+    # the M + 1 eigenmodes' sum has four weight rows; refused before the eigh
+    check_work(line=n_modes + 1, line_term=4 * (n_modes + 1) * times.size)
 
     arrow = np.diag([0.0] + [w - spec.frequency for _, w in spec.modes])
     arrow[0, 1:] = arrow[1:, 0] = [abs(c) for c, _ in spec.modes]
@@ -179,8 +180,9 @@ def solve_amplitude(spec: AmplitudeKernelSpec, t_max: float, steps: int) -> Ampl
     """Exact amplitude on ``steps`` uniform steps of [0, t_max], from the
     eigenmodes of the one-excitation arrowhead (see the module docstring).
 
-    Raises :class:`ResourceError` above ``MODE_CAP`` modes, before any
-    diagonalization, and above the grid cap, before any allocation.
+    Raises :class:`ResourceError` above ``MODE_CAP`` modes or the work
+    budget, before any diagonalization, and above the grid cap, before any
+    allocation.
     """
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be finite and > 0, got {t_max}")

@@ -28,24 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_grid, check_square, check_times, double_angle, line_sums, scalar_or_array
+from ._common import (check_grid, check_square, check_times, check_work, double_angle, line_sums,
+                      scalar_or_array)
 from . import _quadrature
 from ._quadrature import chebyshev, filon, integrate_adaptive, integrated
 from ._rng import monte_carlo_sums, realization_normals
-from .errors import DomainError, QuadratureError, ResourceError, UnsupportedQueryError
+from .errors import DomainError, QuadratureError, UnsupportedQueryError
 from .states import QubitState
 
 GAMMA_SLACK = 1e-12
 # The most quadrature panels one tabulated-density evaluation may use.
 MAX_PANELS = 50000
-# Cost of a tabulated-density evaluation, in units of one (time, Filon
-# panel) sum; a (time, first-interval starting piece) costs _FIRST_PIECE_COST
-# units, its refinement included.  A unit took 48-74 ns on a 2-core x86-64
-# VM (tables of 2 to 48001 knots, up to 100001 times), so a run at the cap
-# takes 7-11 s; ~140 ns, so ~21 s, where a small tol refines the first
-# interval hard.  ResourceError above the cap, before any sum.
-_FIRST_PIECE_COST = 80
-TABULATED_CAP = 150_000_000
 
 
 @dataclass(frozen=True)
@@ -135,15 +128,16 @@ def load_tabulated(path) -> TabulatedDensity:
     """Read a tabulated spectral density from a two-column text file.
 
     Columns are (omega, J) separated by whitespace, ascending in omega;
-    lines starting with ``#`` are comments.
+    lines starting with ``#`` are comments.  Every error names the file.
     """
     try:
         data = np.loadtxt(path, comments="#", ndmin=2)
-    except ValueError as exc:
-        raise DomainError(f"cannot parse spectral file {path}: {exc}") from exc
-    if data.shape[1] != 2:
-        raise DomainError(f"expected two columns (omega, J) in {path}, got {data.shape[1]}")
-    return TabulatedDensity(data[:, 0], data[:, 1])
+        if data.shape[1] != 2:
+            raise DomainError(f"expected two columns (omega, J), got {data.shape[1]}")
+        return TabulatedDensity(data[:, 0], data[:, 1])
+    except (OSError, ValueError, DomainError) as exc:
+        # a file that is not text is a ValueError too (UnicodeDecodeError)
+        raise DomainError(f"spectral file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -346,15 +340,11 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol):
     half_width = 0.5 * (knots[1] - knots[0])
     pieces = [max(1, min(math.ceil(half_width * np.max(group) / _FIRST_KAPPA), MAX_PANELS - panels))
               for group in groups]
-    cost = times.size * panels + _FIRST_PIECE_COST * sum(
-        n * group.size for n, group in zip(pieces, groups)
-    )
-    if cost > TABULATED_CAP:
-        raise ResourceError(
-            f"{panels} quadrature panels and {max(pieces)} first-interval pieces at "
-            f"{times.size} times cost {cost:.3g}, above the tabulated-density cap "
-            f"{TABULATED_CAP:.3g}"
-        )
+    # the Filon sums (and their moments, one set per distinct panel width) and
+    # the first interval's passes share the work budget, checked before either
+    check_work(filon=times.size * panels,
+               moments=times.size * (np.unique(hi - lo).size if panels else 0),
+               first_interval=sum(n * group.size for n, group in zip(pieces, groups)))
     if panels:
         totals[:2] = filon(times, lo, hi, coef)
         # both integrands vanish at t = 0, and so does the bound's part there

@@ -44,7 +44,7 @@ class UnsupportedQueryError(QChanError, TypeError):
 
 
 class ResourceError(QChanError):
-    """The requested computation exceeds the documented size caps."""
+    """The requested computation exceeds a documented size cap or the work budget."""
 
 
 class UnclassifiableError(QChanError):

@@ -13,27 +13,33 @@ law for g, and obeys one rule:
     a = 4l^2 + 4l + 3,  b = 8l(l+1),  d = 3 (2l+1)^2,
 
 where phi_k(t) = E_g[cos((2l_k+1) g t / 2)] is the characteristic function
-of the sector's coupling law.  A sharp coupling (fixed, spin-star and custom
-sectors) gives the cosine itself; Gaussian, Lorentzian and uniform laws give
-their closed-form averages.  Decay rates gamma(t) = -F'(t)/F(t) come from
-the analytic derivative F'(t) = sum_k q_k b(l_k) phi_k'(t) / d(l_k).
+of the sector's coupling law, and a + b = d.  Gaussian, Lorentzian and
+uniform laws give their closed-form averages.  A sharp coupling g_k (fixed,
+spin-star and custom sectors) gives the cosine itself, so those sectors are
+lines of frequency w_k = (2l_k+1) g_k / 2 and weight c_k = q_k b(l_k) / d(l_k):
+
+    F(t) = sum_k q_k - sum_k c_k (1 - cos w_k t),
+
+summed by :func:`qchan._common.line_sums` under its work budget.  Decay
+rates gamma(t) = -F'(t)/F(t) come from the analytic derivative
+F'(t) = sum_k q_k b(l_k) phi_k'(t) / d(l_k), for lines -sum_k c_k w_k sin w_k t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, factorial, inf, isfinite
 from typing import Union
 
 import numpy as np
 
-from ._common import check_square, check_times, double_angle, rate_view, scalar_or_array
+from ._common import check_square, check_times, double_angle, line_sums, rate_view, scalar_or_array
 from .errors import DomainError, ResourceError
 
 _WEIGHT_TOL = 1e-12
-# The exact big-integer sector table grows ~N^2.3: about 2 s at the cap on a
+# The exact big-integer sector table grows ~N^2.3: about 0.7 s at the cap on a
 # 2-core x86 VM.
 SPIN_STAR_CAP = 4000
 
@@ -73,23 +79,14 @@ def _cos_sin(theta: np.ndarray):
     return np.subtract(1.0, vers, out=vers), sin
 
 
-def _sharp(g: float, m: float, t: np.ndarray):
-    """Envelope of a sharp coupling g: cos(m g t / 2) and its time derivative."""
-    half_freq = m * g / 2.0
-    cos, sin = _cos_sin(half_freq * t)
-    return cos, np.multiply(sin, -half_freq, out=sin)
-
-
-class _SingleSpin:
-    """One bath spin whose coupling follows a law; ``_envelope(m, t)`` returns
-    the law's phi = E_g[cos(m g t / 2)] and phi' for m = 2l + 1."""
-
-    def _sectors(self):
-        return ((self.spin, 1.0, self._envelope),)
+# An ensemble is either sharp, with ``_couplings()`` giving its sectors as
+# (spin l, coupling g, weight q), or one bath spin ``spin`` whose coupling
+# follows a law, with ``_envelope(m, t)`` giving the law's
+# phi = E_g[cos(m g t / 2)] and phi' for m = 2l + 1.
 
 
 @dataclass(frozen=True)
-class FixedCoupling(_SingleSpin):
+class FixedCoupling:
     """Single bath spin with a sharp coupling constant."""
 
     spin: object
@@ -99,12 +96,12 @@ class FixedCoupling(_SingleSpin):
         object.__setattr__(self, "spin", _positive_spin(self.spin))
         object.__setattr__(self, "coupling", _finite("coupling", self.coupling))
 
-    def _envelope(self, m, t):
-        return _sharp(self.coupling, m, t)
+    def _couplings(self):
+        return ((self.spin, self.coupling, 1.0),)
 
 
 @dataclass(frozen=True)
-class GaussianCoupling(_SingleSpin):
+class GaussianCoupling:
     """Coupling constant normally distributed with the given mean and sigma."""
 
     spin: object
@@ -127,7 +124,7 @@ class GaussianCoupling(_SingleSpin):
 
 
 @dataclass(frozen=True)
-class LorentzianCoupling(_SingleSpin):
+class LorentzianCoupling:
     """Coupling constant Lorentzian-distributed around zero."""
 
     spin: object
@@ -146,7 +143,7 @@ class LorentzianCoupling(_SingleSpin):
 
 
 @dataclass(frozen=True)
-class UniformCoupling(_SingleSpin):
+class UniformCoupling:
     """Coupling constant uniform on [low, high]."""
 
     spin: object
@@ -182,11 +179,8 @@ class SpinStar:
         object.__setattr__(self, "size", _star_size(self.size))
         object.__setattr__(self, "coupling", _finite("coupling", self.coupling))
 
-    def _sectors(self):
-        envelope = partial(_sharp, self.coupling)
-        return tuple(
-            (row.spin, float(row.weight), envelope) for row in sector_weights(self.size).rows
-        )
+    def _couplings(self):
+        return tuple((row.spin, self.coupling, row.weight) for row in sector_weights(self.size).rows)
 
 
 @dataclass(frozen=True)
@@ -212,8 +206,8 @@ class CustomEnsemble:
             raise DomainError(f"custom ensemble weights sum to {total}, expected 1")
         object.__setattr__(self, "components", comps)
 
-    def _sectors(self):
-        return tuple((l, q, partial(_sharp, g)) for (l, g, q) in self.components)
+    def _couplings(self):
+        return self.components
 
 
 CouplingEnsemble = Union[
@@ -239,8 +233,9 @@ def degeneracy(n_spins: int, spin) -> int:
     k = Fraction(n_spins, 2) - l
     if k.denominator != 1 or k < 0:
         raise DomainError(f"spin {l} does not occur for {n_spins} spins")
+    # C(N, k) - C(N, k - 1) = C(N, k) (N - 2k + 1) / (N - k + 1): one comb
     k = int(k)
-    return comb(n_spins, k) - (comb(n_spins, k - 1) if k >= 1 else 0)
+    return comb(n_spins, k) * (n_spins - 2 * k + 1) // (n_spins - k + 1)
 
 
 @dataclass(frozen=True)
@@ -341,21 +336,27 @@ def _factor_and_slope(ensemble: CouplingEnsemble, t):
     """(F, dF/dt) at any array of times ``t`` by the mixture rule of the
     module docstring; every view of the ensemble projects this."""
     t = check_times(t)
-    sectors = getattr(ensemble, "_sectors", None)
-    if sectors is None:
-        raise DomainError(f"unknown ensemble type {type(ensemble).__name__}")
     times = t.reshape(-1)  # 0-d t as 1-d: the sums work in place
-    f, df = np.zeros((2, times.size))
-    for l, q, envelope in sectors():
-        a = float(4 * l * l + 4 * l + 3)
-        b = float(8 * l * (l + 1))
-        d = float(3 * (2 * l + 1) ** 2)
-        phi, dphi = envelope(float(2 * l + 1), times)
-        # f += q ((a + b phi) / d) and df += q (b phi' / d), rounded in that order
+    if hasattr(ensemble, "_couplings"):
+        spins, couplings, q = (np.array(col, dtype=float) for col in zip(*ensemble._couplings()))
+        freqs = (2.0 * spins + 1.0) * couplings / 2.0
+        weights = q * (8.0 * spins * (spins + 1.0) / (3.0 * (2.0 * spins + 1.0) ** 2))
+        vers, sin = line_sums(freqs, [weights, weights * freqs], times)
+        # F(0) is sum q added in sector order, to the last bit; F' = +0 - ...,
+        # so that gamma(0) = -F'/F is -0 as for every ensemble
+        f = np.subtract(np.add.accumulate(q)[-1], vers, out=vers)
+        df = np.subtract(0.0, sin, out=sin)
+    elif hasattr(ensemble, "_envelope"):
+        l = ensemble.spin
+        a, b, d = (float(x) for x in (4 * l * l + 4 * l + 3, 8 * l * (l + 1), 3 * (2 * l + 1) ** 2))
+        phi, dphi = ensemble._envelope(float(2 * l + 1), times)
+        # f = (a + b phi) / d and df = b phi' / d, rounded in that order
         phi *= b
         dphi *= b
-        f += np.multiply(np.divide(np.add(phi, a, out=phi), d, out=phi), q, out=phi)
-        df += np.multiply(np.divide(dphi, d, out=dphi), q, out=dphi)
+        f = np.divide(np.add(phi, a, out=phi), d, out=phi)
+        df = np.add(0.0, np.divide(dphi, d, out=dphi), out=dphi)
+    else:
+        raise DomainError(f"unknown ensemble type {type(ensemble).__name__}")
     return f.reshape(t.shape), df.reshape(t.shape)
 
 

@@ -30,14 +30,18 @@ from qchan import (
     solve_amplitude,
     spin_bath,
 )
-from qchan import _quadrature, cli, rates
-from qchan._common import GRID_CAP, LINE_SUM_CAP
-from qchan._rng import MONTE_CARLO_CAP
+from qchan import _common, _quadrature, cli, rates
+from qchan._common import GRID_CAP, NS_PER_UNIT, WORK_BUDGET_S
 from qchan.cli import main, read_series_csv
 from qchan.exact import MODE_CAP
 from qchan.spin_bath import SPIN_STAR_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def work_seconds(units):
+    """The seconds that ``_common.check_work(**units)`` counts."""
+    return sum(NS_PER_UNIT[kernel] * count for kernel, count in units.items()) / 1e9
 
 
 def run(args, cwd=None, monkeypatch=None):
@@ -251,6 +255,7 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         "spectral.txt": "0 1\n1 x\n",
         "spectral_inf.txt": "0 0\n1 inf\n2 1\n",
         "spectral_nan.txt": "0 0\n1 nan\n2 1\n",
+        "spectral_descending.txt": "0 0\n2 1\n1 1\n",
         "steps.json": json.dumps({"steps": "abc"}),
         "mc.json": json.dumps({"mc": "x"}),
         # config values are parsed like their flags: whole numbers for
@@ -266,6 +271,7 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     # bytes that are not UTF-8 text, in a data row and in a config file
     (tmp_path / "undecodable.csv").write_bytes(b"t,f_or_coherence\n0,1\n1,0.5\xff\n")
     (tmp_path / "undecodable.json").write_bytes(b'{"sigma": 2\xff}')
+    (tmp_path / "undecodable_spectral.txt").write_bytes(b"0 0\n1 1\xff\n")
     out = str(tmp_path / "w.csv")
     commands = [
         ["analyze", str(tmp_path / "non_numeric.csv")],
@@ -277,6 +283,10 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral.txt"), "--out", out],
         ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral_inf.txt"), "--out", out],
         ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral_nan.txt"), "--out", out],
+        ["dephasing-quantum", "--spectral-file", str(tmp_path / "spectral_descending.txt"),
+         "--out", out],
+        ["dephasing-quantum", "--spectral-file", str(tmp_path / "undecodable_spectral.txt"),
+         "--out", out],
         ["dephasing-classical", "--cosine", "1:nan", "--out", out],
         ["depol-classical", "--config", str(tmp_path / "steps.json"), "--out", out],
         ["reproduce", "fig1", "--config", str(tmp_path / "mc.json"), "--out-dir", str(tmp_path)],
@@ -299,10 +309,12 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         assert err.startswith("qchan: configuration error:") and err.count("\n") == 1, argv
         if "--t-max" in argv:
             assert "t-max must be finite and > 0" in err, argv
-        # an input file that is not text is named in the message
-        for arg in argv:
-            if "undecodable" in arg:
-                assert arg in err, argv
+        # an input file that is not text, and a spectral file of any fault,
+        # is named in the message
+        named = [arg for arg in argv if "undecodable" in arg]
+        named += [arg for flag, arg in zip(argv, argv[1:]) if flag == "--spectral-file"]
+        for arg in named:
+            assert arg in err, argv
     assert not Path(out).exists()
 
     # a switch set false is unset, so it is not a second source
@@ -373,34 +385,41 @@ def test_tabulated_cost_cap_exits_3_before_any_sum(tmp_path, monkeypatch, capsys
     np.savetxt(path, np.column_stack([grid, 8.0 * math.pi * grid * np.exp(-grid)]))
     argv = ["dephasing-quantum", "--spectral-file", str(path), "--beta", "1", "--t-max", "25",
             "--steps", "11", "--out", str(tmp_path / "x.csv")]
-    passes = []
-    integrate = dephasing.integrate_adaptive
+    passes, units = [], {}
+    integrate, check_work = dephasing.integrate_adaptive, dephasing.check_work
 
     def recording(f, edges, *args, **kwargs):
         passes.append((edges, integrate(f, edges, *args, **kwargs)))
         return passes[-1][1]
 
+    def recording_check(**work):
+        units.update(work)
+        check_work(**work)
+
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
+    monkeypatch.setattr(dephasing, "check_work", recording_check)
     assert main(argv) == 0
-    # 11 times on the Filon panels, and on the first interval's one starting piece
-    (_, filon_pass), (first_edges, _) = passes
+    # 11 times on the Filon panels and their distinct widths, and on the
+    # first interval's one starting piece
+    (_, (lo, hi, *_)), (first_edges, _) = passes
     assert first_edges.size == 2
-    panels = filon_pass[0].size
-    cost = 11 * panels + dephasing._FIRST_PIECE_COST * 11
-    monkeypatch.setattr(dephasing, "TABULATED_CAP", cost)
+    assert units == {"filon": 11 * lo.size, "moments": 11 * np.unique(hi - lo).size,
+                     "first_interval": 11}
+    monkeypatch.setattr(_common, "WORK_BUDGET_S", work_seconds(units))
     assert main(argv) == 0
     passes.clear()
     (tmp_path / "x.csv").unlink()
 
     def no_sum(*args):
-        raise AssertionError("the cap must be checked before the Filon sums")
+        raise AssertionError("the budget must be checked before the Filon sums")
 
+    # one Filon unit over the budget
     monkeypatch.setattr(dephasing, "filon", no_sum)
-    monkeypatch.setattr(dephasing, "TABULATED_CAP", cost - 1)
+    monkeypatch.setattr(_common, "WORK_BUDGET_S", work_seconds({**units, "filon": units["filon"] - 1}))
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("qchan: numerical failure: ") and "tabulated-density cap" in err, err
+    assert err.startswith("qchan: numerical failure: work units filon=") and "above the budget" in err, err
     assert len(passes) == 1  # the Filon panels only: no first-interval pass
     assert not (tmp_path / "x.csv").exists()
 
@@ -451,7 +470,8 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["amp-damping", "--modes", modes, "--out", out]) == 3
     monkeypatch.setattr(classical_field, "realization_normals", no_work)
     monkeypatch.setattr(dephasing, "realization_normals", no_work)
-    mc = str(MONTE_CARLO_CAP // 201 + 1)
+    # so is the work budget: a Monte Carlo unit costs at least a (realization, point)
+    mc = str(int(WORK_BUDGET_S * 1e9 / NS_PER_UNIT["monte_carlo"]) // 201 + 1)
     assert main(["depol-classical", "--steps", "201", "--mc", mc, "--out", out]) == 3
     cosine = ["dephasing-classical", "--cosine", "1:1", "--steps", "201", "--mc", mc]
     assert main([*cosine, "--out", out]) == 3
@@ -462,7 +482,7 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     [
         (["depol-spinbath", "--g", "1e308", "--steps", "5"], 3, "f_or_coherence is nan at t = 0:"),
         (["depol-spinbath", "--g", "4", "--t-max", "1e308"], 3,
-         "f_or_coherence is nan at t = 4.5000000000000002e+307:"),
+         "f_or_coherence is nan at t = 9.0000000000000005e+307:"),
         (["depol-spinbath", "--ensemble", "lorentzian", "--a", "1e308"], 3,
          "f_or_coherence is nan at t = 0:"),
         (["depol-spinbath", "--ensemble", "uniform", "--g-lo", "1", "--g-hi", "1e308"], 3,
@@ -510,28 +530,50 @@ def test_grid_cap_is_checked_before_allocating(tmp_path, monkeypatch, capsys):
         solve_amplitude(AmplitudeKernelSpec(1.0, ((1.0, 1.0),)), 1.0, GRID_CAP)
 
 
+class Summed(Exception):
+    pass
+
+
 def test_line_sum_cap_exits_3_at_once(tmp_path, monkeypatch, capsys):
-    # 1000 lines at the grid cap cost 1000 x (1,000,001 + 1000) terms, just
-    # above LINE_SUM_CAP; the amplitude sum has one line more than its modes,
-    # and is refused before its matrix is diagonalized
-    assert 999 * (GRID_CAP + 1000) <= LINE_SUM_CAP < 1000 * (GRID_CAP + 1000)
+    # a term is one (line, time, weight row), and a line costs as much as 2000
+    # terms: a sum of 1000 lines of two rows at 999,000 times is at the work
+    # budget, and one at the grid cap is above it; 999 lines fit the grid cap
+    assert work_seconds({"line": 1000, "line_term": 2 * 1000 * 999_000}) == WORK_BUDGET_S
+    assert work_seconds({"line": 999, "line_term": 2 * 999 * GRID_CAP}) <= WORK_BUDGET_S
 
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("line-sum cap checked after the diagonalization")
+    def no_sum(*args, **kwargs):
+        raise Summed
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    # the amplitude sum has one line more than its modes and four rows, and
+    # is refused before its matrix is diagonalized; a spin star of N = 1998
+    # has 1000 sectors, each a line
+    monkeypatch.setattr(np.linalg, "eigh", no_sum)
+    monkeypatch.setattr(_common, "double_angle", no_sum)
     pairs = ",".join(f"0.01:{1 + k / 1000:g}" for k in range(1000))
-    steps = ["--steps", str(GRID_CAP), "--out", str(tmp_path / "x.csv")]
+    components = json.dumps([[0.5 + k % 3, 1 + k / 1000, 1 / 1000] for k in range(1000)])
+    # (command, its lines, weight rows, and the most times within the budget)
+    commands = ((["dephasing-quantum", "--modes", pairs], 1000, 2, 999_000),
+                (["dephasing-classical", "--cosine", pairs], 1000, 2, 999_000),
+                (["amp-damping", "--modes", pairs.rsplit(",", 1)[0]], 1000, 4, 499_500),
+                (["depol-spinbath", "--ensemble", "spin-star", "--N", "1998"], 1000, 2, 999_000),
+                (["depol-spinbath", "--ensemble", "custom", "--components", components],
+                 1000, 2, 999_000))
+    out = ["--out", str(tmp_path / "x.csv")]
+    for argv, lines, rows, steps in commands:
+        assert work_seconds({"line": lines, "line_term": rows * lines * steps}) == WORK_BUDGET_S
+        with pytest.raises(Summed):
+            main([*argv, "--steps", str(steps), *out])
     capsys.readouterr()
-    for argv in (["dephasing-quantum", "--modes", pairs],
-                 ["dephasing-classical", "--cosine", pairs],
-                 ["amp-damping", "--modes", pairs.rsplit(",", 1)[0]]):
+    star = (["depol-spinbath", "--ensemble", "spin-star", "--N", "4000"], 2001, 2, None)
+    for argv, lines, rows, _ in (*commands, star):
         start = time.perf_counter()
-        assert main([*argv, *steps]) == 3, argv[0]
+        assert main([*argv, "--steps", str(GRID_CAP), *out]) == 3, argv[0]
         assert time.perf_counter() - start < 2.0, argv[0]
         err = capsys.readouterr().err
-        assert err == ("qchan: numerical failure: 1000 lines at 1000001 times cost "
-                       "1,001,001,000 terms, above the line-sum cap of 1,000,000,000\n"), err
+        seconds = work_seconds({"line": lines, "line_term": rows * lines * GRID_CAP})
+        assert err == (f"qchan: numerical failure: work units line={lines:,}, line_term="
+                       f"{rows * lines * GRID_CAP:,} would take ~{seconds:.4g} s, "
+                       f"above the budget of {WORK_BUDGET_S} s\n"), err
     assert not (tmp_path / "x.csv").exists()
 
 

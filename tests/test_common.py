@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qchan import AmplitudeKernelSpec, DomainError, ResourceError
-from qchan._common import LINE_SUM_CAP, check_line_work, check_square, double_angle, line_sums
+from qchan import _common
+from qchan._common import (NS_PER_UNIT, WORK_BUDGET_S, check_square, check_work, double_angle,
+                           line_sums)
 from qchan.damping import _solve_with_slope
 
 EPS = np.finfo(float).eps
@@ -111,10 +113,31 @@ def test_amplitude_starts_at_one_exactly(seed):
     assert u[0] == 1.0 and gamma[0] == 0.0 and slope[0] == 0.0
 
 
-def test_line_work_cap():
-    # a line costs its times plus a fixed cost of 1000 terms
-    check_line_work(LINE_SUM_CAP // 2000, 1000)
-    with pytest.raises(ResourceError, match="above the line-sum cap"):
-        check_line_work(LINE_SUM_CAP // 2000 + 1, 1000)
-    with pytest.raises(ResourceError, match="above the line-sum cap"):
-        line_sums(np.ones(LINE_SUM_CAP // 1000 + 1), [1.0, 1.0], 0.0)
+class Summed(Exception):
+    pass
+
+
+def no_sum(*args, **kwargs):
+    raise Summed
+
+
+def test_line_work_cap(monkeypatch):
+    # every kernel's work at the budget proceeds, and one unit more is refused
+    for kernel, ns in NS_PER_UNIT.items():
+        at_budget = WORK_BUDGET_S * 10**9 // ns
+        check_work(**{kernel: at_budget})
+        with pytest.raises(ResourceError, match=rf"^work units {kernel}=.* above the budget of "):
+            check_work(**{kernel: at_budget + 1})
+    # the kernels of one check share the budget
+    check_work(line=500_000, line_term=1_000_000_000)
+    with pytest.raises(ResourceError, match="line=500,000, line_term=1,000,000,001 would take"):
+        check_work(line=500_000, line_term=1_000_000_001)
+    # a term is one (line, time, weight row), and a line costs as much as 2000
+    # terms: 500,000 lines of two rows at 1000 times are at the budget, and
+    # line_sums checks before its first sum
+    monkeypatch.setattr(_common, "double_angle", no_sum)
+    times = np.linspace(0.0, 1.0, 1000)
+    with pytest.raises(Summed):
+        line_sums(np.ones(500_000), np.ones((2, 500_000)), times)
+    with pytest.raises(ResourceError, match="above the budget"):
+        line_sums(np.ones(500_001), np.ones((2, 500_001)), times)

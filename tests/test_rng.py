@@ -11,10 +11,10 @@ from qchan import (
     monte_carlo_coherence,
     monte_carlo_polarization,
 )
+from qchan._common import NS_PER_UNIT, WORK_BUDGET_S
 from qchan._rng import (
     _CHUNK,
     _DRAW,
-    MONTE_CARLO_CAP,
     monte_carlo_cost,
     monte_carlo_sums,
     realization_normals,
@@ -72,18 +72,20 @@ def no_draw(*args):
 
 
 def test_monte_carlo_cap_checked_before_any_draw():
+    # the most Monte Carlo units the work budget allows
+    budget = WORK_BUDGET_S * 1e9 / NS_PER_UNIT["monte_carlo"]
     for width, normals in ((1, 3), (400, 3), (201, 400), (5, 2)):
-        at_cap = int(MONTE_CARLO_CAP // monte_carlo_cost(1, width, normals))
+        at_budget = int(budget // monte_carlo_cost(1, width, normals))
         with pytest.raises(Drew):
-            monte_carlo_sums(at_cap, width, normals, no_draw, None)
-        with pytest.raises(ResourceError):
-            monte_carlo_sums(at_cap + 1, width, normals, no_draw, None)
+            monte_carlo_sums(at_budget, width, normals, no_draw, None)
+        with pytest.raises(ResourceError, match="above the budget"):
+            monte_carlo_sums(at_budget + 1, width, normals, no_draw, None)
 
 
 def test_monte_carlo_cap_counts_components(monkeypatch):
-    # 200 cosine components on 201 points: under the former cap of 10^9
-    # realizations x points, but 3.0e10 units of monte_carlo_cost, 30 times
-    # the cap; at ~1e-8 s a unit that is 5 minutes of work
+    # 200 cosine components on 201 points: 10^9 realizations x points, but
+    # 3.0e10 units of monte_carlo_cost; at ~1e-8 s a unit that is 5 minutes
+    # of work
     monkeypatch.setattr(dephasing, "realization_normals", no_draw)
     process = CosineSumProcess(tuple((1.0, 1.0 + 0.01 * i) for i in range(200)))
     grid = np.linspace(0.0, 10.0, 201)

@@ -332,6 +332,21 @@ TANGENT_CASES = {
     "gaussian": (GaussianCoupling(1.5, 0.7, 0.05), [(Fraction(3, 2), 1.0, _libm_gaussian(0.7, 0.05))]),
     "uniform": (UniformCoupling(1, 0.5, 1.5), [(Fraction(1), 1.0, _libm_uniform(0.5, 1.5))]),
 }
+# sharp sectors, summed as lines: fixed l = 1/2 ... 20, spin stars of N = 1 ... 60,
+# and ten custom weights of 0.1, which added in order make 1 - eps/2, not 1
+TANGENT_CASES.update(
+    {f"fixed-{k}/2": (FixedCoupling(Fraction(k, 2), 1.3), [(Fraction(k, 2), 1.0, _libm_sharp(1.3))])
+     for k in range(1, 41)}
+)
+TANGENT_CASES.update(
+    {f"spin-star-{n}": (SpinStar(n, -0.9), [(row.spin, float(row.weight), _libm_sharp(-0.9))
+                                            for row in sector_weights(n).rows])
+     for n in range(1, 61)}
+)
+TANGENT_CASES["custom-tenths"] = (
+    CustomEnsemble(tuple((0.5 + k, 0.3 * k - 1.0, 0.1) for k in range(10))),
+    [(Fraction(1, 2) + k, 0.1, _libm_sharp(0.3 * k - 1.0)) for k in range(10)],
+)
 
 
 def _libm_factor(sectors, t):
@@ -357,7 +372,13 @@ def test_tangent_envelopes_match_libm(case):
     ref, ref_slope, scale = _libm_factor(sectors, t)
     assert np.max(np.abs(f - ref)) <= 8 * EPS
     assert np.all(np.abs(df - ref_slope) <= 8 * EPS * scale)
-    assert f[0] == 1.0 and bloch_factor(ensemble, 0.0) == 1.0
+    # F(0) is the sector weights added in order, bit for bit, and gamma(0) is -0
+    total = 0.0
+    for _, q, _ in sectors:
+        total += q
+    assert f[0] == total and bloch_factor(ensemble, 0.0) == total
+    rate = decay_rate(ensemble, 0.0)
+    assert rate == 0.0 and np.signbit(rate)
     # 0-d times, through the public functions
     for i in (1, 40, 5000, -1):
         value = bloch_factor(ensemble, float(t[i]))
