@@ -29,6 +29,8 @@ python -W error -m qchan oracle --model dephasing-mode --c 1 --omega 0.5 --beta 
 python -W error -m qchan dephasing-quantum --modes 1:0.5,0.3:2 --beta 2 --out modes.csv
 python -W error -m qchan dephasing-classical --cosine 1:1,0.5:2 --out cosine.csv
 python -W error -m qchan amp-damping --modes 1:1,0.5:1.5,0.3:0.7 --out amp.csv
+# a Monte Carlo run needs no scipy: numpy draws its normals
+python -W error -c "import runpy, sys; sys.modules['scipy'] = None; sys.argv[1:] = ['reproduce', 'fig1', '--mc', '1000']; runpy.run_module('qchan', run_name='__main__', alter_sys=True)"
 
 # a command that must fail: its exit code is $1, and its stderr is left in err.txt
 expect() {

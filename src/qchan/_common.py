@@ -29,7 +29,7 @@ WORK_BUDGET_S = 10
 #   and their moments, one set per (time, distinct panel width);
 # - first_interval: its first knot interval's (time, starting piece) passes,
 #   fitted at a small tol, which refines them the most.
-NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 16, "filon": 50, "moments": 4000,
+NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 14, "filon": 50, "moments": 4000,
                "first_interval": 12_500}
 
 

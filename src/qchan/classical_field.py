@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import check_grid, check_square, check_times, rate_view, scalar_or_array
-from ._rng import monte_carlo_sums, realization_normals
+from ._rng import monte_carlo_sums
 from .errors import DomainError
 from .states import BlochVector
 
@@ -60,7 +60,8 @@ class NoiseSample:
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloEstimate:
-    """Sample mean and standard error of a scalar observable on a time grid."""
+    """Sample mean and standard error of a scalar observable on a time grid,
+    from ``realizations`` draws of the stream ``seed`` (:mod:`qchan._rng`)."""
 
     times: np.ndarray
     mean: np.ndarray
@@ -151,14 +152,17 @@ def monte_carlo_polarization(
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of f(t) by averaging s(t).s0 over realizations.
 
-    Deterministic for a fixed seed: realization ``j`` draws its field from a
-    counter-based stream keyed by (seed, j), and partial sums are combined
-    in a fixed order.
+    Deterministic for a fixed seed and numpy build: each chunk of
+    realizations draws its fields from numpy's Philox keyed by (seed,
+    chunk), and partial sums are combined in a fixed order
+    (:mod:`qchan._rng`).
     """
     times = check_grid(t_grid)
-    # the phase g t sigma |n| must be finite; |n| < 16 for any three normals drawn
+    # the phase g t sigma |n| must be finite.  numpy's ziggurat returns
+    # |z| <= r + 53 ln2 / r < 13.71 (its tail is r - ln(U)/r, r = 3.6542 and
+    # U >= 2^-53), so |n| < sqrt(3) * 13.71 < 24 for any three normals drawn
     product = noise.coupling * noise.sigma * float(times[-1])
-    if not math.isfinite(16.0 * product):
+    if not math.isfinite(24.0 * product):
         raise DomainError(
             f"coupling*sigma*t = {product} is too large: the Monte Carlo phase overflows"
         )
@@ -168,10 +172,10 @@ def monte_carlo_polarization(
         raise DomainError("axis must be a unit 3-vector")
 
     total, total_sq = monte_carlo_sums(
+        seed,
         n,
         times.size,
         3,
-        lambda start, stop: realization_normals(seed, start, stop, 3),
         lambda normals: _alignment_samples(normals, noise.sigma, noise.coupling, times, axis),
     )
     mean = total / n

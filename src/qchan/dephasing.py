@@ -32,7 +32,7 @@ from ._common import (check_grid, check_square, check_times, check_work, double_
                       scalar_or_array)
 from . import _quadrature
 from ._quadrature import chebyshev, filon, integrate_adaptive, integrated
-from ._rng import monte_carlo_sums, realization_normals
+from ._rng import monte_carlo_sums
 from .errors import DomainError, QuadratureError, UnsupportedQueryError
 from .states import QubitState
 
@@ -474,7 +474,8 @@ def correlation(process: StationaryProcess, dt):
 
 @dataclass(frozen=True, eq=False)
 class CoherenceEstimate:
-    """Monte Carlo estimate of the complex coherence factor on a time grid."""
+    """Monte Carlo estimate of the complex coherence factor on a time grid,
+    from ``realizations`` draws of the stream ``seed`` (:mod:`qchan._rng`)."""
 
     times: np.ndarray
     mean: np.ndarray
@@ -484,19 +485,18 @@ class CoherenceEstimate:
     seed: int
 
 
-def _coherence_samples(draws, sigmas, freqs, sin_t, cos_t, coupling):
+def _coherence_samples(draws, weights, table, coupling):
     """cos 2u, sin 2u and sin^2 2u at u = -g int_0^t xi for the realizations
     whose coefficient draws are the rows of ``draws``: (realizations, times)
-    arrays.  From T = tan u, cos 2u = 2/(1 + T^2) - 1 and sin 2u =
+    arrays.  ``table`` holds [sin wt | vers wt] and ``weights`` the matching
+    sigma/w twice, so int_0^t xi is one product of the table with the
+    weighted draws.  From T = tan u, cos 2u = 2/(1 + T^2) - 1 and sin 2u =
     2T/(1 + T^2), one tangent and one reciprocal per point.  The caller takes
     the sum of cos^2 as n minus that of sin^2; the other way round, the small
     sin^2 of early times would cancel away."""
-    m = len(sigmas)
-    x = sigmas * draws[:, :m]
-    y = sigmas * draws[:, m:]
     # exact per-realization integral of xi over [0, t]; matvec rounds as
-    # the per-realization product sin_t @ v does, a matrix product does not
-    integral = np.matvec(sin_t, x / freqs) + np.matvec(cos_t, y / freqs)
+    # the per-realization product table @ v does, a matrix product does not
+    integral = np.matvec(table, draws * weights)
     tan = np.tan(np.multiply(integral, -coupling, out=integral), out=integral)
     scale = np.square(tan)
     scale += 1.0
@@ -516,8 +516,10 @@ def monte_carlo_coherence(
     """Estimate E[exp(-2ig int_0^t xi)] by sampling the process coefficients.
 
     The real part converges to exp(-Gamma(t)); the imaginary part is
-    statistically zero.  Deterministic for a fixed seed (counter-based
-    per-realization streams, fixed combination order).
+    statistically zero.  Deterministic for a fixed seed and numpy build:
+    each chunk of realizations draws from numpy's Philox keyed by (seed,
+    chunk), and partial sums are combined in a fixed order
+    (:mod:`qchan._rng`).
     """
     if not isinstance(process, CosineSumProcess):
         raise DomainError("Monte Carlo coherence requires a cosine-sum process")
@@ -526,15 +528,15 @@ def monte_carlo_coherence(
     g = float(coupling)
 
     sigmas, freqs = np.array(process.components).T
-    normals = 2 * len(sigmas)
-    sin_t = np.sin(np.outer(times, freqs))
-    cos_t = 1.0 - np.cos(np.outer(times, freqs))
+    # (sin wt, vers wt) from one double angle of wt/2, side by side
+    table = np.hstack(double_angle(np.multiply.outer(times, 0.5 * freqs)))
+    weights = np.tile(sigmas / freqs, 2)
     total_re, total_im, total_sq_im = monte_carlo_sums(
+        seed,
         n,
         times.size,
-        normals,
-        lambda start, stop: realization_normals(seed, start, stop, normals),
-        lambda draws: _coherence_samples(draws, sigmas, freqs, sin_t, cos_t, g),
+        weights.size,
+        lambda draws: _coherence_samples(draws, weights, table, g),
     )
     mean = (total_re + 1j * total_im) / n
     var_re = np.maximum((n - total_sq_im) / n - mean.real**2, 0.0) * (n / (n - 1.0))

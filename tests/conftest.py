@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from qchan import AmplitudeKernelSpec, BlochVector, QubitState, state_from_bloch
 
@@ -27,13 +26,14 @@ def random_state(rng):
 
 
 @pytest.fixture
-def philox_normals():
-    """Reference draws: realization j of stream ``seed`` through numpy's own
-    Philox, one generator per realization."""
+def chunk_normals():
+    """Reference draws: chunk ``chunk`` of stream ``seed`` through numpy's
+    own Philox, keyed by the one integer seed + 2^64 chunk, and read one row
+    of ``count`` standard normals at a time."""
 
-    def draw(seed, j, count):
-        raw = np.random.Philox(key=[np.uint64(seed), np.uint64(j)]).random_raw(count)
-        return ndtri((np.right_shift(raw, np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    def draw(seed, chunk, rows, count):
+        generator = np.random.Generator(np.random.Philox(key=seed + (chunk << 64)))
+        return np.array([generator.standard_normal(count) for _ in range(rows)])
 
     return draw
 

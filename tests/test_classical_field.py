@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -111,14 +113,15 @@ def _loop_overlap(normals, sigma, coupling, times, axis):
 
 
 def _loop_polarization(draw, noise, times, n, seed, axis):
-    """Reference: one realization at a time, summed in chunks of 1024."""
+    """Reference: one realization at a time, summed in chunks of 1024, each
+    chunk drawn by ``draw``."""
     total = np.zeros_like(times)
     total_sq = np.zeros_like(times)
     for start in range(0, n, 1024):
         part = np.zeros_like(times)
         part_sq = np.zeros_like(times)
-        for j in range(start, min(start + 1024, n)):
-            fj = _loop_overlap(draw(seed, j, 3), noise.sigma, noise.coupling, times, axis)
+        for normals in draw(seed, start // 1024, min(1024, n - start), 3):
+            fj = _loop_overlap(normals, noise.sigma, noise.coupling, times, axis)
             part += fj
             part_sq += fj * fj
         total += part
@@ -130,14 +133,13 @@ def _loop_polarization(draw, noise, times, n, seed, axis):
 
 @pytest.mark.parametrize("block", ["row", "chunk"])
 @pytest.mark.parametrize("grid", [np.array([1.3]), np.linspace(0.0, 2.0, 7)], ids=["1pt", "7pt"])
-def test_monte_carlo_matches_per_realization_loop(philox_normals, monkeypatch, block, grid):
+def test_monte_carlo_matches_per_realization_loop(chunk_normals, monkeypatch, block, grid):
     noise = IsotropicGaussianNoise(1.3, 0.7)
     axis = np.array([0.6, 0.0, 0.8])
-    # single rows from one chunk per draw, or whole chunks from one draw
-    monkeypatch.setattr(_rng, "_DRAW", 1 if block == "row" else 2**20)
+    # blocks of single rows, or of whole chunks
     monkeypatch.setattr(_rng, "_BLOCK", 1 if block == "row" else _rng._CHUNK * grid.size)
     estimate = monte_carlo_polarization(noise, grid, 2100, seed=5, axis=axis)
-    mean, stderr = _loop_polarization(philox_normals, noise, grid, 2100, 5, axis)
+    mean, stderr = _loop_polarization(chunk_normals, noise, grid, 2100, 5, axis)
     # bytes, not ==: the sign of a zero must match too
     assert estimate.mean.tobytes() == mean.tobytes()
     assert estimate.stderr.tobytes() == stderr.tobytes()
@@ -147,7 +149,7 @@ def test_alignment_rows_match_per_realization_loop():
     # row by row: the sums of a run can absorb a last-digit change in one row
     grid = np.linspace(0.0, 2.0, 7)
     axis = np.array([0.6, 0.0, 0.8])
-    normals = _rng.realization_normals(5, 0, 20000, 3)
+    normals = _rng.chunk_normals(5, 0, 20000, 3)
     rows, squares = classical_field._alignment_samples(normals, 0.7, 1.3, grid, axis)
     for row, square, x in zip(rows, squares, normals):
         expected = _loop_overlap(x, 0.7, 1.3, grid, axis)
@@ -159,7 +161,7 @@ def test_alignment_rows_match_cos_sinc_formula_and_rotation():
     # sigma = 1, so the old kernel's field is n and both see the same angle
     grid = np.linspace(0.0, 2.0, 7)
     axis = np.array([0.6, 0.0, 0.8])
-    normals = _rng.realization_normals(11, 0, 20000, 3)
+    normals = _rng.chunk_normals(11, 0, 20000, 3)
     rows, _ = classical_field._alignment_samples(normals, 1.0, 1.3, grid, axis)
     gt = 1.3 * grid
     norm = np.sqrt(np.vecdot(normals, normals))[:, None]
@@ -167,7 +169,7 @@ def test_alignment_rows_match_cos_sinc_formula_and_rotation():
     overlap2 = np.vecdot(normals, axis)[:, None] ** 2
     old = np.cos(2.0 * gt * norm) + 2.0 * gt**2 * sinc_half**2 * overlap2
     # the same formula in extended precision at the same double angle; the
-    # old formula's own error reaches 1.7e-15 here, the new one's 7.4e-16
+    # old formula's own error reaches 2.0e-15 here, the new one's 8.3e-16
     wide = normals.astype(np.longdouble)
     aligned = (wide @ axis.astype(np.longdouble)) ** 2 / np.vecdot(wide, wide)
     angle = (norm * gt).astype(np.longdouble)
@@ -179,6 +181,30 @@ def test_alignment_rows_match_cos_sinc_formula_and_rotation():
         sample = NoiseSample(*n)
         rotated = [rotate_bloch(sample, 1.3, t, start).as_array() @ axis for t in grid]
         assert np.max(np.abs(row - rotated)) <= 1e-14
+
+
+def test_monte_carlo_phase_guard_holds_at_its_bound():
+    # numpy's ziggurat returns at most r + 53 ln2 / r (its tail r - ln(U)/r at
+    # the least U, 2^-53), so three normals have |n| < 24, the guard's factor
+    r = 3.6541528853610088
+    largest = r - np.log(2.0**-53) / r
+    assert 13.7 < largest < 13.71 and np.sqrt(3.0) * largest < 24.0
+    noise = IsotropicGaussianNoise(1.0, 1e150)
+    axis = np.array([0.0, 0.0, 1.0])
+    t = sys.float_info.max / 24.0 / 1e150
+    while not math.isfinite(24.0 * (1e150 * t)):
+        t = math.nextafter(t, 0.0)
+    # the last time the guard lets through: even the largest draws give finite
+    # phases, and so finite rows (warnings are errors here)
+    estimate = monte_carlo_polarization(noise, np.array([0.0, t]), 100, seed=3, axis=axis)
+    assert np.all(np.isfinite(estimate.mean)) and np.all(np.isfinite(estimate.stderr))
+    rows, squares = classical_field._alignment_samples(
+        np.full((1, 3), largest), 1e150, 1.0, np.array([t]), axis
+    )
+    assert np.isfinite(rows[0, 0]) and np.isfinite(squares[0, 0])
+    # the next time is refused before any draw
+    with pytest.raises(DomainError, match="Monte Carlo phase overflows"):
+        monte_carlo_polarization(noise, np.array([0.0, math.nextafter(t, math.inf)]), 100, seed=3)
 
 
 def test_monte_carlo_extreme_sigma_is_exact_and_finite():

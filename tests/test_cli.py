@@ -30,7 +30,7 @@ from qchan import (
     solve_amplitude,
     spin_bath,
 )
-from qchan import _common, _quadrature, cli, rates
+from qchan import _common, _quadrature, _rng, cli, rates
 from qchan._common import GRID_CAP, NS_PER_UNIT, WORK_BUDGET_S
 from qchan.cli import main, read_series_csv
 from qchan.exact import MODE_CAP
@@ -468,8 +468,7 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     modes = ",".join(["0.01:1"] * (MODE_CAP + 1))
     assert main(["oracle", "--model", "single-excitation", "--modes", modes]) == 3
     assert main(["amp-damping", "--modes", modes, "--out", out]) == 3
-    monkeypatch.setattr(classical_field, "realization_normals", no_work)
-    monkeypatch.setattr(dephasing, "realization_normals", no_work)
+    monkeypatch.setattr(_rng, "chunk_normals", no_work)
     # so is the work budget: a Monte Carlo unit costs at least a (realization, point)
     mc = str(int(WORK_BUDGET_S * 1e9 / NS_PER_UNIT["monte_carlo"]) // 201 + 1)
     assert main(["depol-classical", "--steps", "201", "--mc", mc, "--out", out]) == 3
@@ -999,19 +998,20 @@ def test_finite_differences_agree_with_analytic_rates(tmp_path, argv):
 # the qchan modules every run loads: the CLI, the pole rule and the errors
 CLI_CORE = {"qchan", "qchan.cli", "qchan._common", "qchan.errors"}
 # argv (None: import qchan.cli only) -> the qchan modules the run loads on
-# top of CLI_CORE, and whether it loads scipy (Monte Carlo normals only)
+# top of CLI_CORE; no run loads scipy
 IMPORT_SETS = {
-    "import": (None, set(), False),
-    "help": (["--help"], set(), False),
-    "analyze": (["analyze", "series.csv"], {"rates"}, False),
-    "depol-spinbath": (["depol-spinbath"], {"_csv", "spin_bath"}, False),
-    "amp-damping": (["amp-damping"], {"_csv", "channels", "damping", "states"}, False),
-    "depol-classical": (["depol-classical"], {"_csv", "_rng", "classical_field", "states"},
-                        False),
+    "import": (None, set()),
+    "help": (["--help"], set()),
+    "analyze": (["analyze", "series.csv"], {"rates"}),
+    "depol-spinbath": (["depol-spinbath"], {"_csv", "spin_bath"}),
+    "amp-damping": (["amp-damping"], {"_csv", "channels", "damping", "states"}),
+    "depol-classical": (["depol-classical"], {"_csv", "_rng", "classical_field", "states"}),
     "depol-classical-mc": (["depol-classical", "--mc", "50"],
-                           {"_csv", "_rng", "classical_field", "states"}, True),
+                           {"_csv", "_rng", "classical_field", "states"}),
+    "dephasing-classical-mc": (["dephasing-classical", "--cosine", "1:1", "--mc", "50"],
+                               {"_csv", "_quadrature", "_rng", "dephasing", "states"}),
     "reproduce-fig2": (["reproduce", "fig2"],
-                       {"_csv", "_quadrature", "_rng", "dephasing", "states"}, False),
+                       {"_csv", "_quadrature", "_rng", "dephasing", "states"}),
 }
 
 # runs ``python -m qchan`` with the given arguments (or only imports
@@ -1033,7 +1033,7 @@ print(json.dumps(sorted(sys.modules)))
 
 @pytest.mark.parametrize("case", IMPORT_SETS)
 def test_command_loads_only_its_modules(tmp_path, case):
-    argv, extra, scipy = IMPORT_SETS[case]
+    argv, extra = IMPORT_SETS[case]
     src = Path(dephasing.__file__).resolve().parents[1]
     assert main(["depol-spinbath", "--out", str(tmp_path / "series.csv")]) == 0
     result = subprocess.run(
@@ -1045,7 +1045,7 @@ def test_command_loads_only_its_modules(tmp_path, case):
         f"qchan.{name}" for name in extra
     }
     assert "numpy" in loaded
-    assert any(m.split(".")[0] == "scipy" for m in loaded) == scipy
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)
 
 
 def test_analyze_table_spells_the_rates_constants():

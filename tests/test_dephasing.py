@@ -467,12 +467,16 @@ def test_monte_carlo_coherence_deterministic():
 
 
 def _loop_coherence(draw, process, coupling, times, n, seed):
-    """Reference: one realization at a time, summed in chunks of 1024."""
+    """Reference: one realization at a time, summed in chunks of 1024, each
+    chunk drawn by ``draw``."""
     sigmas = np.array([s for s, _ in process.components])
     freqs = np.array([w for _, w in process.components])
     m = len(sigmas)
-    sin_t = np.sin(np.outer(times, freqs))
-    cos_t = 1.0 - np.cos(np.outer(times, freqs))
+    # [sin wt | vers wt], with vers wt = 2 sin^2(wt/2) from one tangent
+    half = np.tan(0.5 * np.outer(times, freqs))
+    sin_t = 2.0 * half / (1.0 + half * half)
+    table = np.hstack([sin_t, half * sin_t])
+    weights = np.concatenate([sigmas / freqs, sigmas / freqs])
     total_re = np.zeros_like(times)
     total_im = np.zeros_like(times)
     total_sq = np.zeros_like(times)
@@ -480,9 +484,8 @@ def _loop_coherence(draw, process, coupling, times, n, seed):
         part_re = np.zeros_like(times)
         part_im = np.zeros_like(times)
         part_sq = np.zeros_like(times)
-        for j in range(start, min(start + 1024, n)):
-            draws = draw(seed, j, 2 * m)
-            integral = sin_t @ (sigmas * draws[:m] / freqs) + cos_t @ (sigmas * draws[m:] / freqs)
+        for draws in draw(seed, start // 1024, min(1024, n - start), 2 * m):
+            integral = table @ (draws * weights)
             # exp(2iu) at u = -g integral, from T = tan u:
             # cos 2u = 2/(1 + T^2) - 1 and sin 2u = 2T/(1 + T^2)
             tan = np.tan(-coupling * integral)
@@ -504,14 +507,13 @@ def _loop_coherence(draw, process, coupling, times, n, seed):
 @pytest.mark.parametrize("block", ["row", "chunk"])
 @pytest.mark.parametrize("grid", [np.array([1.3]), np.linspace(0.0, 3.0, 7)], ids=["1pt", "7pt"])
 def test_monte_carlo_coherence_matches_per_realization_loop(
-    philox_normals, monkeypatch, block, grid
+    chunk_normals, monkeypatch, block, grid
 ):
     process = CosineSumProcess(((0.7, 1.3), (0.4, 2.9), (1.0, 0.5)))
-    # single rows from one chunk per draw, or whole chunks from one draw
-    monkeypatch.setattr(_rng, "_DRAW", 1 if block == "row" else 2**20)
+    # blocks of single rows, or of whole chunks
     monkeypatch.setattr(_rng, "_BLOCK", 1 if block == "row" else _rng._CHUNK * grid.size)
     estimate = monte_carlo_coherence(process, 0.8, grid, 2100, seed=9)
-    mean, err_re, err_im = _loop_coherence(philox_normals, process, 0.8, grid, 2100, 9)
+    mean, err_re, err_im = _loop_coherence(chunk_normals, process, 0.8, grid, 2100, 9)
     # bytes, not ==: the sign of a zero must match too
     assert estimate.mean.tobytes() == mean.tobytes()
     assert estimate.stderr_real.tobytes() == err_re.tobytes()
@@ -532,13 +534,12 @@ def test_coherence_rows_match_complex_exp():
     process = CosineSumProcess(((0.7, 1.3), (0.4, 2.9), (1.0, 0.5)))
     sigmas, freqs = np.array(process.components).T
     grid = np.linspace(0.0, 10.0, 41)
-    sin_t = np.sin(np.outer(grid, freqs))
-    cos_t = 1.0 - np.cos(np.outer(grid, freqs))
-    draws = _rng.realization_normals(9, 0, 20000, 6)
-    integral = np.matvec(sin_t, sigmas * draws[:, :3] / freqs) + np.matvec(
-        cos_t, sigmas * draws[:, 3:] / freqs
-    )
-    real, imag, imag2 = dephasing._coherence_samples(draws, sigmas, freqs, sin_t, cos_t, 0.8)
+    wt = np.outer(grid, freqs)
+    table = np.hstack([np.sin(wt), 1.0 - np.cos(wt)])
+    weights = np.tile(sigmas / freqs, 2)
+    draws = _rng.chunk_normals(9, 0, 20000, 6)
+    integral = np.matvec(table, draws * weights)
+    real, imag, imag2 = dephasing._coherence_samples(draws, weights, table, 0.8)
     expected = np.exp(-2.0j * 0.8 * integral)
     assert np.max(np.abs(real - expected.real)) <= 1e-15
     assert np.max(np.abs(imag - expected.imag)) <= 1e-15
