@@ -52,6 +52,17 @@ expect 3 depol-spinbath --config custom.json --steps 1000001 --out custom.csv
 printf '0 0\n1 inf\n2 1\n' > inf.txt
 expect 2 dephasing-quantum --spectral-file inf.txt --out inf.csv
 grep -q 'spectral file inf.txt:' err.txt
+# a threshold that is not finite and >= 0 is a configuration error
+expect 2 analyze ci.csv --col f --eps-abs nan
+# a non-finite error bound ends the refinement at once: this table's W/w
+# overflows next to its knot at 5e-324
+printf '0 1\n5e-324 1\n1 1\n' > tiny.txt
+SECONDS=0
+expect 3 dephasing-quantum --spectral-file tiny.txt --beta 1 --steps 5 --t-max 2 --out tiny.csv
+if [ "$SECONDS" -ge 2 ]; then
+    echo "the non-finite quadrature took ${SECONDS} s to exit" >&2
+    exit 1
+fi
 
 # every benchmark output checked against an independent reference: the
 # digamma closed form, quad_vec, the exact single-excitation block and the

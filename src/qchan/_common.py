@@ -1,6 +1,6 @@
 """Helpers shared by the model modules: the time, grid and uniform-grid
-checks, the one time grid, the one work budget, the scale check, the
-scalar-or-array return convention, the decay rate -F'/F with its pole floor,
+checks, the one time grid, the one work budget, the scalar and scale checks,
+the scalar-or-array return convention, the decay rate -F'/F with its pole floor,
 the double-angle kernel and the line-sum kernel over it."""
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ WORK_BUDGET_S = 10
 # - line, line_term: a line sum's lines, and its terms, one per (line, time,
 #   weight row);
 # - monte_carlo: the units of _rng.monte_carlo_cost;
-# - filon, moments: a tabulated density's Filon sums, one per (time, panel),
-#   and their moments, one set per (time, distinct panel width);
+# - filon, moments, miller_moments: a tabulated density's Filon sums, one per
+#   (time, panel), and their moments, one set per (time, distinct panel
+#   width), counted apart in the Miller regime (_quadrature.moment_sets);
 # - first_interval: its first knot interval's (time, starting piece) passes,
 #   fitted at a small tol, which refines them the most.
-NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 14, "filon": 50, "moments": 4000,
-               "first_interval": 12_500}
+NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 14, "filon": 50, "moments": 1000,
+               "miller_moments": 4000, "first_interval": 12_500}
 
 
 def pole_rate(factor, slope):
@@ -82,6 +83,24 @@ def check_uniform(times: np.ndarray) -> None:
     steps = np.diff(times)
     if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise DomainError("time grid must be uniform and ascending")
+
+
+def finite(name: str, value) -> float:
+    """``value`` as a float; raises :class:`DomainError` naming ``name``
+    and the value unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def positive(name: str, value) -> float:
+    """``value`` as a float; raises :class:`DomainError` naming ``name``
+    and the value unless it is finite and > 0."""
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 def check_square(name: str, value: float) -> None:

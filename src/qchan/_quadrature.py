@@ -106,68 +106,53 @@ def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
 
     ``rule(f, lo, hi)`` gives each panel [lo_i, hi_i] its estimates, its
     error bounds and the rounding floors within them, all indexed by panel
-    along axis 1.  Panels are bisected, largest error first, until the
-    summed errors of every row are <= ``tol`` or ``max_panels`` panels are
-    in use.  A floor scales with its panel's integral of |f|, so bisection
-    does not shrink their sum: if the first panels' floors of a row exceed
-    ``tol``, none is split.  Returns (lo, hi, estimates, errors) of the
-    final panels, a split's left half in its parent's place and its right
-    half appended, and ``floor``, the largest row sum of the first panels'
-    floors; the caller checks the summed errors.
+    along axis 1.  After a first pass over the edges' panels, every live
+    panel sits in one heap ordered by its largest row error (QUADPACK's
+    QAG keeps one such list), and the top panel is bisected until the
+    summed errors of every row are <= ``tol``, ``max_panels`` panels are in
+    use, or some panel's error is not finite; ties go to a first panel, then
+    to the lower index.  A floor scales with its panel's integral of |f|, so
+    bisection does not shrink their sum: if the first panels' floors of a
+    row exceed ``tol``, none is split.  Returns (lo, hi, estimates, errors)
+    of the final panels, a split's left half in its parent's place and its
+    right half appended, and ``floor``, the largest row sum of the first
+    panels' floors; the caller checks the summed errors.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly ascending with >= 2 entries")
-    # copies: a split writes its left half into them
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
+    lo, hi = edges[:-1], edges[1:]
     values, errors, floors = rule(f, lo, hi)
     total_err = errors.sum(axis=1)
     floor = floors.sum(axis=1).max()
-    if np.all(total_err <= tol) or floor > tol:
+    largest = errors.max(axis=0)
+    if np.all(total_err <= tol) or floor > tol or not np.all(np.isfinite(largest)):
         return lo, hi, values, errors, floor
 
-    # the first panels wait in a queue of decreasing largest row error, the
-    # halves in a max-heap of (-largest row error, index); a left half keeps
-    # its parent's index, a right half takes the next one from n on, and ties
-    # go to the lower index
-    n = lo.size
-    largest = errors.max(axis=0)
-    queue = np.argsort(-largest, kind="stable")
-    head = 0
-    heap = []
-    added = []  # (lo, hi, estimates, errors) of the right halves
-    # each split adds one live panel
-    while np.any(total_err > tol) and n + len(added) < max_panels:
-        first = largest[queue[head]] if head < n else 0.0
-        if heap and -heap[0][0] > first:
-            i = heapq.heappop(heap)[1]
-        elif first > 0.0:
-            i = queue[head]
-            head += 1
-        else:
-            # a largest error of 0 leaves no panel that a split can improve
-            break
-        a, b, _, old = (lo[i], hi[i], None, errors[:, i]) if i < n else added[i - n]
+    # (lo, hi, estimates, errors) of each live panel, and the heap of
+    # (-largest row error, 0 for a first panel or 1 for a half, index)
+    panels = list(zip(lo.tolist(), hi.tolist(), np.moveaxis(values, 1, 0), errors.T))
+    heap = [(-e, 0, i) for i, e in enumerate(largest.tolist())]
+    heapq.heapify(heap)
+    # a largest error of 0 leaves no panel that a split can improve
+    while heap and heap[0][0] < 0.0 and np.any(total_err > tol) and len(panels) < max_panels:
+        i = heapq.heappop(heap)[2]
+        a, b, _, old = panels[i]
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # panel no longer splittable at float resolution: it stays live
             continue
         vals, errs, _ = rule(f, np.array([a, mid]), np.array([mid, b]))
         total_err += errs.sum(axis=1) - old
-        if i < n:
-            hi[i], values[:, i], errors[:, i] = mid, vals[:, 0], errs[:, 0]
-        else:
-            added[i - n] = (a, mid, vals[:, 0], errs[:, 0])
-        heapq.heappush(heap, (-errs[:, 0].max(), i))
-        heapq.heappush(heap, (-errs[:, 1].max(), n + len(added)))
-        added.append((mid, b, vals[:, 1], errs[:, 1]))
-    if added:
-        added_lo, added_hi, added_values, added_errors = zip(*added)
-        lo, hi = np.r_[lo, added_lo], np.r_[hi, added_hi]
-        values = np.concatenate([values, *(v[:, None] for v in added_values)], axis=1)
-        errors = np.concatenate([errors, *(e[:, None] for e in added_errors)], axis=1)
-    return lo, hi, values, errors, floor
+        panels[i] = (a, mid, vals[:, 0], errs[:, 0])
+        panels.append((mid, b, vals[:, 1], errs[:, 1]))
+        largest = errs.max(axis=0)
+        if not np.all(np.isfinite(largest)):
+            break
+        heapq.heappush(heap, (-largest[0], 1, i))
+        heapq.heappush(heap, (-largest[1], 1, len(panels) - 1))
+    lo, hi, values, errors = zip(*panels)
+    return np.array(lo), np.array(hi), np.stack(values, axis=1), np.stack(errors, axis=1), floor
 
 
 # Modified moments of T_k (k <= _P) against cos(kx), sin(kx), 1 - cos(kx) on
@@ -279,6 +264,19 @@ def moments(kappa):
         if np.any(where):
             out[where] = method(flat[where])
     return out.reshape(*kappa.shape, _VERS.stop)
+
+
+def moment_sets(times, widths):
+    """(Taylor and forward, Miller) counts of the moment sets that
+    :func:`filon` computes at the ``times`` on panels of these ``widths``:
+    one per (time, distinct width), kappa = width t / 2, by one sort of the
+    times and one search per width bound."""
+    times = np.sort(times)
+    widths = np.unique(widths)
+    taylor = np.searchsorted(times, 2.0 * _TAYLOR / widths, side="right")
+    forward = np.searchsorted(times, 2.0 * _FORWARD / widths, side="right")
+    miller = int((forward - taylor).sum())
+    return times.size * widths.size - miller, miller
 
 
 def filon(times, lo, hi, coef):

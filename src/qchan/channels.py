@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import finite
 from .errors import ContractViolationError, DomainError
 from .states import IDENTITY, SIGMA_1, SIGMA_2, SIGMA_3, QubitState
 
@@ -28,9 +29,7 @@ PROBABILITY_SLACK = 1e-9
 
 
 def _clamped_probability(p, upper: float = 1.0) -> float:
-    p = float(p)
-    if not np.isfinite(p):
-        raise DomainError(f"probability must be finite, got {p}")
+    p = finite("probability", p)
     if p < -PROBABILITY_SLACK or p > upper + PROBABILITY_SLACK:
         raise DomainError(f"probability {p} outside [0, {upper}]")
     return min(max(p, 0.0), upper)
@@ -93,8 +92,7 @@ class PhaseDressing:
     generator: str
 
     def __post_init__(self):
-        if not np.isfinite(self.omega):
-            raise DomainError(f"accumulated phase must be finite, got {self.omega}")
+        object.__setattr__(self, "omega", finite("accumulated phase", self.omega))
         if self.generator not in (GENERATOR_SIGMA3_HALF, GENERATOR_EXCITED_PROJECTOR):
             raise DomainError(f"unknown phase generator {self.generator!r}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_grid, check_square, check_times, rate_view, scalar_or_array
+from ._common import check_grid, check_square, check_times, finite, positive, rate_view, scalar_or_array
 from ._rng import monte_carlo_sums
 from .errors import DomainError
 from .states import BlochVector
@@ -33,12 +33,8 @@ class IsotropicGaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if not 0 < self.coupling < math.inf:
-            raise DomainError(f"coupling must be finite and > 0, got {self.coupling}")
-        if not 0 < self.sigma < math.inf:
-            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
-        object.__setattr__(self, "coupling", float(self.coupling))
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "coupling", positive("coupling", self.coupling))
+        object.__setattr__(self, "sigma", positive("sigma", self.sigma))
         check_square("coupling*sigma", self.coupling * self.sigma)
 
 
@@ -51,8 +47,8 @@ class NoiseSample:
     xi3: float
 
     def __post_init__(self):
-        if not all(np.isfinite(x) for x in (self.xi1, self.xi2, self.xi3)):
-            raise DomainError("noise components must be finite")
+        for name in ("xi1", "xi2", "xi3"):
+            object.__setattr__(self, name, finite(name, getattr(self, name)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.xi1, self.xi2, self.xi3], dtype=float)

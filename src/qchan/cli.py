@@ -25,7 +25,7 @@ import numpy as np
 
 # each runner imports the model modules it uses, so that a command loads
 # only its own; this module needs numpy, the errors, the pole and grid rules
-from ._common import pole_rate, time_grid
+from ._common import pole_rate, positive, time_grid
 from .errors import AccuracyError, DomainError, QChanError
 
 EXIT_OK = 0
@@ -687,8 +687,8 @@ def _resolve_config(command: _Command, args: argparse.Namespace) -> dict:
             cfg[key] = value
     if "t" in cfg and not 0 <= cfg["t"] < math.inf:
         raise DomainError(f"t must be finite and >= 0, got {cfg['t']}")
-    if "t_max" in cfg and not 0 < cfg["t_max"] < math.inf:
-        raise DomainError(f"t-max must be finite and > 0, got {cfg['t_max']}")
+    if "t_max" in cfg:
+        positive("t-max", cfg["t_max"])
     if "steps" in cfg and cfg["steps"] < 5:
         raise DomainError(f"steps must be >= 5, got {cfg['steps']}")
     if "mc" in cfg and cfg["mc"] < 0:

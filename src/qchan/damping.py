@@ -28,12 +28,11 @@ p(t) = 1 - exp(-Gamma(t)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_times, check_uniform, check_work, line_sums, time_grid
+from ._common import check_times, check_uniform, check_work, finite, line_sums, positive, time_grid
 from .channels import (
     GENERATOR_EXCITED_PROJECTOR,
     PhaseDressing,
@@ -59,14 +58,12 @@ class AmplitudeKernelSpec:
     modes: tuple
 
     def __post_init__(self):
-        if not np.isfinite(self.frequency):
-            raise DomainError(f"qubit frequency must be finite, got {self.frequency}")
+        object.__setattr__(self, "frequency", finite("qubit frequency", self.frequency))
         modes = tuple((complex(c), float(w)) for (c, w) in self.modes)
         if not modes:
             raise DomainError("kernel needs at least one mode")
         if any(not np.isfinite(abs(c)) or not np.isfinite(w) for (c, w) in modes):
             raise DomainError("mode parameters must be finite")
-        object.__setattr__(self, "frequency", float(self.frequency))
         object.__setattr__(self, "modes", modes)
 
     def kernel(self, s):
@@ -184,8 +181,7 @@ def solve_amplitude(spec: AmplitudeKernelSpec, t_max: float, steps: int) -> Ampl
     budget, before any diagonalization, and above the grid cap, before any
     allocation.
     """
-    if not 0 < t_max < math.inf:
-        raise DomainError(f"t_max must be finite and > 0, got {t_max}")
+    t_max = positive("t_max", t_max)
     steps = int(steps)
     if steps < 1:
         raise DomainError(f"need at least 1 step, got {steps}")

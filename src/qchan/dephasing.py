@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import (check_grid, check_square, check_times, check_work, double_angle, line_sums,
-                      scalar_or_array)
+from ._common import (check_grid, check_square, check_times, check_work, double_angle, finite,
+                      line_sums, positive, scalar_or_array)
 from . import _quadrature
 from ._quadrature import chebyshev, filon, integrate_adaptive, integrated
 from ._rng import monte_carlo_sums
@@ -50,11 +50,9 @@ class DiscreteBosonBath:
     beta: float = math.inf
 
     def __post_init__(self):
-        modes = tuple((complex(c), float(w)) for (c, w) in self.modes)
+        modes = tuple((complex(c), positive("mode frequency", w)) for (c, w) in self.modes)
         if not modes:
             raise DomainError("bath needs at least one mode")
-        if any(not 0 < w < math.inf for (_, w) in modes):
-            raise DomainError("mode frequencies must be finite and > 0")
         if any(not np.isfinite(abs(c)) for (c, _) in modes):
             raise DomainError("mode couplings must be finite")
         for c, w in modes:
@@ -78,10 +76,8 @@ class OhmicExpDensity:
     def __post_init__(self):
         if not 0 <= self.amplitude < math.inf:
             raise DomainError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not 0 < self.cutoff_time < math.inf:
-            raise DomainError(f"cutoff_time must be finite and > 0, got {self.cutoff_time}")
         object.__setattr__(self, "amplitude", float(self.amplitude))
-        object.__setattr__(self, "cutoff_time", float(self.cutoff_time))
+        object.__setattr__(self, "cutoff_time", positive("cutoff_time", self.cutoff_time))
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -148,13 +144,10 @@ class CosineSumProcess:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple((float(s), float(w)) for (s, w) in self.components)
+        comps = tuple((positive("component amplitude", s), positive("component frequency", w))
+                      for (s, w) in self.components)
         if not comps:
             raise DomainError("process needs at least one component")
-        if any(not 0 < s < math.inf for (s, _) in comps):
-            raise DomainError("component amplitudes must be finite and > 0")
-        if any(not 0 < w < math.inf for (_, w) in comps):
-            raise DomainError("component frequencies must be finite and > 0")
         for s, w in comps:
             check_square("component amplitude", s)
             check_square("component frequency", w)
@@ -168,9 +161,7 @@ class WhiteNoiseProcess:
     intensity: float
 
     def __post_init__(self):
-        if not 0 < self.intensity < math.inf:
-            raise DomainError(f"intensity must be finite and > 0, got {self.intensity}")
-        object.__setattr__(self, "intensity", float(self.intensity))
+        object.__setattr__(self, "intensity", positive("intensity", self.intensity))
 
 
 StationaryProcess = CosineSumProcess | WhiteNoiseProcess
@@ -340,10 +331,11 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol):
     half_width = 0.5 * (knots[1] - knots[0])
     pieces = [max(1, min(math.ceil(half_width * np.max(group) / _FIRST_KAPPA), MAX_PANELS - panels))
               for group in groups]
-    # the Filon sums (and their moments, one set per distinct panel width) and
-    # the first interval's passes share the work budget, checked before either
-    check_work(filon=times.size * panels,
-               moments=times.size * (np.unique(hi - lo).size if panels else 0),
+    # the Filon sums (and their moments, one set per distinct panel width, by
+    # regime) and the first interval's passes share the work budget, checked
+    # before either
+    moments, miller = _quadrature.moment_sets(times, hi - lo) if panels else (0, 0)
+    check_work(filon=times.size * panels, moments=moments, miller_moments=miller,
                first_interval=sum(n * group.size for n, group in zip(pieces, groups)))
     if panels:
         totals[:2] = filon(times, lo, hi, coef)
@@ -557,9 +549,7 @@ def dephasing_channel_at(gamma: float, phase: float, rho: QubitState) -> QubitSt
     gamma = float(gamma)
     if not gamma >= 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    phase = float(phase)
-    if not np.isfinite(phase):
-        raise DomainError("phase must be finite")
+    phase = finite("phase", phase)
     m = rho.matrix
     factor = np.exp(-gamma) * np.exp(-1j * phase)
     out = np.array(

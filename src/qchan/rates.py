@@ -205,7 +205,11 @@ def classify(rates: RateSeries, eps_abs: float | None = None, eps_rel: float = D
       linear interpolation of the sign change, gaps shorter than 2h merged).
 
     ``eps_abs`` defaults to 1e-9 / h, tying the threshold to the grid scale.
+    A threshold that is given must be finite and >= 0.
     """
+    for name, eps in (("eps_abs", eps_abs), ("eps_rel", eps_rel)):
+        if eps is not None and not 0 <= eps < np.inf:
+            raise DomainError(f"{name} must be finite and >= 0, got {eps}")
     h = rates.step
     if eps_abs is None:
         eps_abs = 1e-9 / h

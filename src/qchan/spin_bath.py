@@ -30,12 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, inf, isfinite
+from math import comb, factorial
 from typing import Union
 
 import numpy as np
 
-from ._common import check_square, check_times, double_angle, line_sums, rate_view, scalar_or_array
+from ._common import (check_square, check_times, double_angle, finite, line_sums, positive, rate_view,
+                      scalar_or_array)
 from .errors import DomainError, ResourceError
 
 _WEIGHT_TOL = 1e-12
@@ -66,13 +67,6 @@ def _positive_spin(value) -> Fraction:
     return spin
 
 
-def _finite(name: str, value) -> float:
-    value = float(value)
-    if not isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
-    return value
-
-
 def _cos_sin(theta: np.ndarray):
     """(cos theta, sin theta) from one tangent of theta / 2."""
     sin, vers = double_angle(0.5 * theta)
@@ -94,7 +88,7 @@ class FixedCoupling:
 
     def __post_init__(self):
         object.__setattr__(self, "spin", _positive_spin(self.spin))
-        object.__setattr__(self, "coupling", _finite("coupling", self.coupling))
+        object.__setattr__(self, "coupling", finite("coupling", self.coupling))
 
     def _couplings(self):
         return ((self.spin, self.coupling, 1.0),)
@@ -110,10 +104,8 @@ class GaussianCoupling:
 
     def __post_init__(self):
         object.__setattr__(self, "spin", _positive_spin(self.spin))
-        object.__setattr__(self, "mean", _finite("mean", self.mean))
-        if not 0 < self.sigma < inf:
-            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "mean", finite("mean", self.mean))
+        object.__setattr__(self, "sigma", positive("sigma", self.sigma))
         check_square("sigma", self.sigma)
 
     def _envelope(self, m, t):
@@ -132,9 +124,7 @@ class LorentzianCoupling:
 
     def __post_init__(self):
         object.__setattr__(self, "spin", _positive_spin(self.spin))
-        if not 0 < self.half_width < inf:
-            raise DomainError(f"half_width must be finite and > 0, got {self.half_width}")
-        object.__setattr__(self, "half_width", float(self.half_width))
+        object.__setattr__(self, "half_width", positive("half_width", self.half_width))
 
     def _envelope(self, m, t):
         rate = m * self.half_width / 2.0
@@ -152,8 +142,8 @@ class UniformCoupling:
 
     def __post_init__(self):
         object.__setattr__(self, "spin", _positive_spin(self.spin))
-        object.__setattr__(self, "low", _finite("low", self.low))
-        object.__setattr__(self, "high", _finite("high", self.high))
+        object.__setattr__(self, "low", finite("low", self.low))
+        object.__setattr__(self, "high", finite("high", self.high))
         if not self.low < self.high:
             raise DomainError(f"need low < high, got [{self.low}, {self.high}]")
 
@@ -177,7 +167,7 @@ class SpinStar:
 
     def __post_init__(self):
         object.__setattr__(self, "size", _star_size(self.size))
-        object.__setattr__(self, "coupling", _finite("coupling", self.coupling))
+        object.__setattr__(self, "coupling", finite("coupling", self.coupling))
 
     def _couplings(self):
         return tuple((row.spin, self.coupling, row.weight) for row in sector_weights(self.size).rows)
@@ -195,7 +185,7 @@ class CustomEnsemble:
 
     def __post_init__(self):
         comps = tuple(
-            (_positive_spin(l), _finite("coupling", g), float(q)) for (l, g, q) in self.components
+            (_positive_spin(l), finite("coupling", g), float(q)) for (l, g, q) in self.components
         )
         if not comps:
             raise DomainError("custom ensemble needs at least one component")

@@ -302,6 +302,13 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         ["depol-classical", "--t-max", "inf", "--out", out],
         ["amp-damping", "--t-max", "inf", "--out", out],
     ]
+    # thresholds that are not finite and >= 0, on a rate that is negative on
+    # (pi, 2 pi)
+    spinbath = str(tmp_path / "spinbath.csv")
+    assert main(["depol-spinbath", "--out", spinbath]) == 0
+    for flag, value in [("--eps-abs", "nan"), ("--eps-abs", "-1"), ("--eps-abs", "inf"),
+                        ("--eps-rel", "nan"), ("--eps-rel", "-1")]:
+        commands.append(["analyze", spinbath, flag, value])
     capsys.readouterr()
     for argv in commands:
         assert main(argv) == 2, argv
@@ -309,6 +316,8 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         assert err.startswith("qchan: configuration error:") and err.count("\n") == 1, argv
         if "--t-max" in argv:
             assert "t-max must be finite and > 0" in err, argv
+        if argv[-2] in ("--eps-abs", "--eps-rel"):
+            assert f"{argv[-2][2:].replace('-', '_')} must be finite and >= 0, got " in err, argv
         # an input file that is not text, and a spectral file of any fault,
         # is named in the message
         named = [arg for arg in argv if "undecodable" in arg]
@@ -399,12 +408,16 @@ def test_tabulated_cost_cap_exits_3_before_any_sum(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
     monkeypatch.setattr(dephasing, "check_work", recording_check)
     assert main(argv) == 0
-    # 11 times on the Filon panels and their distinct widths, and on the
-    # first interval's one starting piece
+    # 11 times on the Filon panels and their distinct widths, whose moment
+    # sets count apart where kappa = width t / 2 is in Miller's regime, and on
+    # the first interval's one starting piece
     (_, (lo, hi, *_)), (first_edges, _) = passes
     assert first_edges.size == 2
-    assert units == {"filon": 11 * lo.size, "moments": 11 * np.unique(hi - lo).size,
-                     "first_interval": 11}
+    kappa = 0.5 * np.multiply.outer(np.unique(hi - lo), np.linspace(0.0, 25.0, 11))
+    miller = int(np.sum((kappa > _quadrature._TAYLOR) & (kappa <= _quadrature._FORWARD)))
+    assert 0 < miller < kappa.size
+    assert units == {"filon": 11 * lo.size, "moments": kappa.size - miller,
+                     "miller_moments": miller, "first_interval": 11}
     monkeypatch.setattr(_common, "WORK_BUDGET_S", work_seconds(units))
     assert main(argv) == 0
     passes.clear()

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import qchan
 from qchan import AmplitudeKernelSpec, DomainError, ResourceError
 from qchan import _common
 from qchan._common import (NS_PER_UNIT, WORK_BUDGET_S, check_square, check_work, double_angle,
-                           line_sums)
+                           finite, line_sums, positive)
 from qchan.damping import _solve_with_slope
 
 EPS = np.finfo(float).eps
@@ -49,6 +50,56 @@ def test_check_square_names_the_scale():
     for value in (1e155, -1e200, math.inf):
         with pytest.raises(DomainError, match="^sigma = "):
             check_square("sigma", value)
+
+
+def test_finite_and_positive_return_the_float():
+    assert finite("x", -2) == -2.0 and type(finite("x", np.float32(0.5))) is float
+    assert positive("x", "1e-300") == 1e-300  # float() takes numeric strings
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"^x must be finite, got {value}$"):
+            finite("x", value)
+    for value in (math.nan, math.inf, 0.0, -0.0, -1):
+        with pytest.raises(DomainError, match=f"^x must be finite and > 0, got {float(value)}$"):
+            positive("x", value)
+
+
+# each site that checks a scalar through finite or positive, with one bad value
+_CHECKED_SITES = [
+    (lambda: qchan.FixedCoupling(0.5, math.nan), "coupling must be finite, got nan"),
+    (lambda: qchan.GaussianCoupling(0.5, math.inf, 1.0), "mean must be finite, got inf"),
+    (lambda: qchan.GaussianCoupling(0.5, 0.0, 0.0), "sigma must be finite and > 0, got 0.0"),
+    (lambda: qchan.LorentzianCoupling(0.5, -1), "half_width must be finite and > 0, got -1.0"),
+    (lambda: qchan.UniformCoupling(0.5, -math.inf, 1.0), "low must be finite, got -inf"),
+    (lambda: qchan.UniformCoupling(0.5, 0.0, math.nan), "high must be finite, got nan"),
+    (lambda: qchan.SpinStar(3, math.inf), "coupling must be finite, got inf"),
+    (lambda: qchan.CustomEnsemble(((0.5, math.nan, 1.0),)), "coupling must be finite, got nan"),
+    (lambda: qchan.IsotropicGaussianNoise(0.0, 1.0), "coupling must be finite and > 0, got 0.0"),
+    (lambda: qchan.IsotropicGaussianNoise(1.0, math.inf), "sigma must be finite and > 0, got inf"),
+    (lambda: qchan.NoiseSample(0.0, math.nan, 0.0), "xi2 must be finite, got nan"),
+    (lambda: qchan.DiscreteBosonBath(((1.0, 2.0), (1.0, -1.0))),
+     "mode frequency must be finite and > 0, got -1.0"),
+    (lambda: qchan.OhmicExpDensity(1.0, 0.0), "cutoff_time must be finite and > 0, got 0.0"),
+    (lambda: qchan.CosineSumProcess(((math.nan, 1.0),)),
+     "component amplitude must be finite and > 0, got nan"),
+    (lambda: qchan.CosineSumProcess(((1.0, 1.0), (1.0, math.inf))),
+     "component frequency must be finite and > 0, got inf"),
+    (lambda: qchan.WhiteNoiseProcess(-2.0), "intensity must be finite and > 0, got -2.0"),
+    (lambda: qchan.dephasing_channel_at(0.0, math.inf, qchan.QubitState(np.diag([1.0, 0.0]))),
+     "phase must be finite, got inf"),
+    (lambda: AmplitudeKernelSpec(math.nan, ((1.0, 1.0),)), "qubit frequency must be finite, got nan"),
+    (lambda: qchan.solve_amplitude(AmplitudeKernelSpec(1.0, ((1.0, 1.0),)), math.inf, 10),
+     "t_max must be finite and > 0, got inf"),
+    (lambda: qchan.kraus_depolarizing(math.nan), "probability must be finite, got nan"),
+    (lambda: qchan.PhaseDressing(-math.inf, "sigma3-half"),
+     "accumulated phase must be finite, got -inf"),
+]
+
+
+@pytest.mark.parametrize("make, message", _CHECKED_SITES, ids=[m for _, m in _CHECKED_SITES])
+def test_checked_sites_name_the_value(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def _random_table(rng, rows=()):

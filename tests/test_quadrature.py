@@ -160,6 +160,49 @@ def test_unsplittable_panels_end_the_refinement():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_refinement_ties_go_to_a_first_panel_then_the_lower_index():
+    # every panel, first or half, has error 1: the first panels are split in
+    # order, then the halves by index, a left half keeping its parent's
+    def rule(f, lo, hi):
+        ones = np.ones((1, lo.size))
+        return ones, ones, 0.0 * ones
+
+    lo, hi, _, errors, _ = _quadrature.integrate_adaptive(None, [0.0, 1.0, 2.0, 3.0], 0.5, 9,
+                                                          rule=rule)
+    assert lo.tolist() == [0.0, 1.0, 2.0, 0.5, 1.5, 2.5, 0.25, 0.125, 0.0625]
+    assert hi.tolist() == [0.0625, 1.5, 2.5, 1.0, 2.0, 3.0, 0.5, 0.25, 0.125]
+    assert errors.shape == (1, 9)
+
+
+def test_a_non_finite_error_ends_the_refinement():
+    # W/w overflows next to the knot at 5e-324: the refinement stops on the
+    # first panel whose error is not finite, and the caller raises
+    table = TabulatedDensity([0.0, 5e-324, 1.0], [1.0, 1.0, 1.0])
+    calls = []
+    rule = _quadrature.chebyshev((2.0, 1.0))
+
+    def counting(f, lo, hi):
+        calls.append(lo.size)
+        return rule(f, lo, hi)
+
+    with np.errstate(all="ignore"):
+        _, _, _, errors, _ = _quadrature.integrate_adaptive(
+            dephasing._filon_weights(table, 1.0), table.frequencies[1:], 0.5e-8,
+            dephasing.MAX_PANELS - 1, rule=counting)
+    assert len(calls) <= 1000 and not np.all(np.isfinite(errors))
+    # a first pass with a NaN error is not refined at all
+    calls.clear()
+
+    def nan_first(f, lo, hi):
+        calls.append(lo.size)
+        return np.ones((1, lo.size)), np.array([[np.nan, 1.0]]), np.zeros((1, lo.size))
+
+    _quadrature.integrate_adaptive(None, [0.0, 1.0, 2.0], 0.5, 9, rule=nan_first)
+    assert calls == [2]
+    with pytest.raises(QuadratureError, match="non-finite"):
+        dephasing._continuum_and_slope(table, 1.0, np.linspace(0.0, 2.0, 6))
+
+
 def _adaptive_cases():
     """(integrand, edges, rule, tol, max_panels) of the two passes of
     :func:`dephasing._tabulated`, each of which splits: the Filon pass on a

@@ -127,6 +127,21 @@ def test_gaussian_zero_mean_is_time_dependent_markovian():
     assert verdict.kind is MarkovKind.TIME_DEPENDENT_MARKOVIAN
 
 
+def test_thresholds_must_be_finite_and_nonnegative():
+    # gamma = tan(t/2) < 0 on (pi, 2 pi): each bad threshold would give a
+    # wrong verdict (or a wrong interval) without a word
+    t = np.linspace(0.0, 10.0, 2001)
+    rates = rate_from_series(TimeSeries(t, bloch_factor(FixedCoupling(0.5, 1.0), t),
+                                        MEANING_BLOCH_FACTOR))
+    for name, value in [("eps_abs", math.nan), ("eps_abs", -1.0), ("eps_abs", math.inf),
+                        ("eps_rel", math.nan), ("eps_rel", -1.0), ("eps_rel", math.inf)]:
+        with pytest.raises(DomainError, match=f"^{name} must be finite and >= 0, got {value}$"):
+            classify(rates, **{name: value})
+    verdict = classify(rates, eps_abs=0.0, eps_rel=0.0)
+    assert verdict.kind is MarkovKind.NON_MARKOVIAN
+    assert verdict.negative_intervals[0][0] == pytest.approx(math.pi, abs=0.05)
+
+
 def test_fixed_coupling_is_non_markovian():
     ensemble = FixedCoupling(0.5, 1.0)
     t = np.linspace(0.0, 12.0, 2401)
