@@ -52,6 +52,14 @@ expect 3 depol-spinbath --config custom.json --steps 1000001 --out custom.csv
 printf '0 0\n1 inf\n2 1\n' > inf.txt
 expect 2 dephasing-quantum --spectral-file inf.txt --out inf.csv
 grep -q 'spectral file inf.txt:' err.txt
+# a spectral file is read as a plain local file: a gzip one is not decompressed
+python -c "import gzip, pathlib; pathlib.Path('j.txt.gz').write_bytes(gzip.compress(b'0 0\\n1 1\\n2 0.5\\n'))"
+expect 2 dephasing-quantum --spectral-file j.txt.gz --out gz.csv
+grep -q 'spectral file j.txt.gz:' err.txt
+# a log-spaced table: about 3 in 10 of its moment sets take the Gauss-Legendre
+# rule, the rest the Taylor series or the forward recurrence
+python -c "import numpy as np; w = np.geomspace(1e-3, 40.0, 101); np.savetxt('log.txt', np.column_stack([w, w * np.exp(-w / 3.0)]))"
+python -W error -m qchan dephasing-quantum --spectral-file log.txt --beta 1 --t-max 100 --steps 2001 --out log.csv
 # a threshold that is not finite and >= 0 is a configuration error
 expect 2 analyze ci.csv --col f --eps-abs nan
 # a non-finite error bound ends the refinement at once: this table's W/w

@@ -25,13 +25,13 @@ WORK_BUDGET_S = 10
 # - line, line_term: a line sum's lines, and its terms, one per (line, time,
 #   weight row);
 # - monte_carlo: the units of _rng.monte_carlo_cost;
-# - filon, moments, miller_moments: a tabulated density's Filon sums, one per
-#   (time, panel), and their moments, one set per (time, distinct panel
-#   width), counted apart in the Miller regime (_quadrature.moment_sets);
+# - filon, moments: a tabulated density's Filon sums, one per (time, panel),
+#   and their moments, one set per (time, distinct panel width), whichever of
+#   the three rules of _quadrature.moments computes it;
 # - first_interval: its first knot interval's (time, starting piece) passes,
 #   fitted at a small tol, which refines them the most.
-NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 14, "filon": 50, "moments": 1000,
-               "miller_moments": 4000, "first_interval": 12_500}
+NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 14, "filon": 50, "moments": 800,
+               "first_interval": 12_500}
 
 
 def pole_rate(factor, slope):

@@ -125,9 +125,12 @@ def load_tabulated(path) -> TabulatedDensity:
 
     Columns are (omega, J) separated by whitespace, ascending in omega;
     lines starting with ``#`` are comments.  Every error names the file.
+    The path is opened as a plain local file: numpy would also decompress
+    it by its suffix, or fetch a URL.
     """
     try:
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        with open(path) as handle:
+            data = np.loadtxt(handle, comments="#", ndmin=2)
         if data.shape[1] != 2:
             raise DomainError(f"expected two columns (omega, J), got {data.shape[1]}")
         return TabulatedDensity(data[:, 0], data[:, 1])
@@ -331,11 +334,11 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol):
     half_width = 0.5 * (knots[1] - knots[0])
     pieces = [max(1, min(math.ceil(half_width * np.max(group) / _FIRST_KAPPA), MAX_PANELS - panels))
               for group in groups]
-    # the Filon sums (and their moments, one set per distinct panel width, by
-    # regime) and the first interval's passes share the work budget, checked
-    # before either
-    moments, miller = _quadrature.moment_sets(times, hi - lo) if panels else (0, 0)
-    check_work(filon=times.size * panels, moments=moments, miller_moments=miller,
+    # the Filon sums (and their moments, one set per distinct panel width)
+    # and the first interval's passes share the work budget, checked before
+    # either
+    widths = np.unique(hi - lo).size if panels else 0
+    check_work(filon=times.size * panels, moments=times.size * widths,
                first_interval=sum(n * group.size for n, group in zip(pieces, groups)))
     if panels:
         totals[:2] = filon(times, lo, hi, coef)

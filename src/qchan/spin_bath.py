@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Union
 
 import numpy as np
@@ -243,12 +243,14 @@ class SectorWeightTable:
     rows: tuple
 
     def __post_init__(self):
-        total_dim = sum(r.count * (2 * r.spin + 1) for r in self.rows)
+        total_dim = sum(r.count * (int(2 * r.spin) + 1) for r in self.rows)
         if total_dim != 2**self.n_spins:
             raise DomainError(
                 f"sector dimensions sum to {total_dim}, expected 2^{self.n_spins}"
             )
-        if sum(r.weight for r in self.rows) != 1:
+        # exact integers over the weights' common denominator
+        common = lcm(*(r.weight.denominator for r in self.rows))
+        if sum(r.weight.numerator * (common // r.weight.denominator) for r in self.rows) != common:
             raise DomainError("sector weights must sum to exactly 1")
 
 
@@ -271,14 +273,16 @@ def sector_weights(n_spins: int) -> SectorWeightTable:
 
 @lru_cache(maxsize=8)
 def _sector_table(n_spins: int) -> SectorWeightTable:
-    rows = []
-    l = Fraction(n_spins, 2)
-    dim = 2**n_spins
-    while l >= 0:
-        nu = degeneracy(n_spins, l)
-        multiplicity = int(2 * l + 1)
-        rows.append(SectorWeight(l, nu, Fraction(nu * multiplicity, dim)))
-        l -= 1
+    # spin l = N/2 - k has nu = C(N, k) (N - 2k + 1) / (N - k + 1) sectors, as
+    # in degeneracy, with C(N, k + 1) = C(N, k) (N - k) / (k + 1) carried
+    # from one row to the next in exact integers
+    rows, binomial, dim = [], 1, 2**n_spins
+    for k in range(n_spins // 2 + 1):
+        multiplicity = n_spins - 2 * k + 1
+        nu = binomial * multiplicity // (n_spins - k + 1)
+        weight = Fraction(nu * multiplicity, dim)
+        rows.append(SectorWeight(Fraction(n_spins - 2 * k, 2), nu, weight))
+        binomial = binomial * (n_spins - k) // (k + 1)
     return SectorWeightTable(n_spins, tuple(rows))
 
 

@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -335,6 +337,25 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     assert '"ohmic_amplitude": 1.0' in Path(out).read_text()
 
 
+def test_spectral_file_is_read_as_a_plain_local_file(tmp_path, monkeypatch, capsys):
+    # numpy's loader would decompress a .gz path and fetch a URL; the table
+    # is read from a local file as it is, or the run exits 2 naming the path
+    def no_fetch(*args, **kwargs):
+        raise AssertionError("a spectral file must not be fetched")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+    packed = tmp_path / "j.txt.gz"
+    with gzip.open(packed, "wt") as handle:
+        handle.write("0 0\n1 1\n2 0.5\n")
+    out = str(tmp_path / "x.csv")
+    capsys.readouterr()
+    for path in (str(packed), "http://127.0.0.1:9/j.txt"):
+        assert main(["dephasing-quantum", "--spectral-file", path, "--out", out]) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith(f"qchan: configuration error: spectral file {path}:"), err
+    assert not Path(out).exists()
+
+
 @pytest.mark.parametrize(
     "argv, product",
     [
@@ -408,16 +429,13 @@ def test_tabulated_cost_cap_exits_3_before_any_sum(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
     monkeypatch.setattr(dephasing, "check_work", recording_check)
     assert main(argv) == 0
-    # 11 times on the Filon panels and their distinct widths, whose moment
-    # sets count apart where kappa = width t / 2 is in Miller's regime, and on
-    # the first interval's one starting piece
+    # 11 times on the Filon panels and on their distinct widths, one moment
+    # set each whatever its regime, and on the first interval's one starting
+    # piece
     (_, (lo, hi, *_)), (first_edges, _) = passes
     assert first_edges.size == 2
-    kappa = 0.5 * np.multiply.outer(np.unique(hi - lo), np.linspace(0.0, 25.0, 11))
-    miller = int(np.sum((kappa > _quadrature._TAYLOR) & (kappa <= _quadrature._FORWARD)))
-    assert 0 < miller < kappa.size
-    assert units == {"filon": 11 * lo.size, "moments": kappa.size - miller,
-                     "miller_moments": miller, "first_interval": 11}
+    assert units == {"filon": 11 * lo.size, "moments": 11 * np.unique(hi - lo).size,
+                     "first_interval": 11}
     monkeypatch.setattr(_common, "WORK_BUDGET_S", work_seconds(units))
     assert main(argv) == 0
     passes.clear()
@@ -474,7 +492,7 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("size cap checked too late")
 
-    monkeypatch.setattr(spin_bath, "degeneracy", no_work)
+    monkeypatch.setattr(spin_bath, "SectorWeight", no_work)
     monkeypatch.setattr(np.linalg, "eigh", no_work)
     star = ["depol-spinbath", "--ensemble", "spin-star", "--N", str(SPIN_STAR_CAP + 1)]
     assert main([*star, "--out", out]) == 3
@@ -928,8 +946,9 @@ def test_non_finite_quadrature_exits_3(tmp_path, capsys):
 
 
 def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
-    # the same table at --t-max 25 and 400: the same Filon panels, and one
-    # tangent per (time, panel)
+    # the same table at --t-max 25 and 400: the same Filon panels, one
+    # tangent per (time, panel), and _GAUSS more per moment set (time,
+    # distinct width) in the Gauss-Legendre regime, none at --t-max 25
     grid = np.linspace(0.0, 20.0, 1001)
     density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
     path = tmp_path / "table.txt"
@@ -955,7 +974,14 @@ def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
                 "--t-max", t_max, "--steps", "251", "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 0
     assert len(panels) == 2 and np.array_equal(panels[0], panels[1])
-    assert tangents == [251 * (panels[0].size // 2)] * 2
+    lo, hi = np.split(panels[0], 2)
+    expected = []
+    for t_max in (25.0, 400.0):
+        kappa = 0.5 * np.multiply.outer(np.unique(hi - lo), np.linspace(0.0, t_max, 251))
+        gauss = np.sum((kappa > _quadrature._TAYLOR) & (kappa <= _quadrature._FORWARD))
+        expected.append(251 * lo.size + _quadrature._GAUSS * int(gauss))
+    assert expected[0] == 251 * lo.size < expected[1]
+    assert tangents == expected
 
 
 def test_tabulated_rate_within_gamma_err(tmp_path):

@@ -361,9 +361,11 @@ def test_tabulated_results_do_not_depend_on_slab_size(monkeypatch):
     grid = np.linspace(0.0, 20.0, 401)
     density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
     table = TabulatedDensity(grid, density)
-    times = np.linspace(0.0, 30.0, 37)
+    # kappa = width t / 2 <= 0.75 on the first grid (Taylor moments), up to
+    # 7.5 on the second (Gauss-Legendre moments)
+    grids = [np.linspace(0.0, 30.0, 37), np.linspace(0.0, 300.0, 37)]
     # a tight tolerance, so bisections run after the first pass
-    default = dephasing._continuum_and_slope(table, 1.0, times, tol=1e-12)
+    defaults = [dephasing._continuum_and_slope(table, 1.0, times, tol=1e-12) for times in grids]
     calls = []
     integrate = dephasing.integrate_adaptive
 
@@ -376,10 +378,11 @@ def test_tabulated_results_do_not_depend_on_slab_size(monkeypatch):
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", counting)
     monkeypatch.setattr(_quadrature, "_SLAB", 1)  # one panel, one time per slab
-    single = dephasing._continuum_and_slope(table, 1.0, times, tol=1e-12)
+    for times, default in zip(grids, defaults):
+        single = dephasing._continuum_and_slope(table, 1.0, times, tol=1e-12)
+        for got, want in zip(single, default):
+            assert got.tobytes() == want.tobytes()
     assert set(calls) == {13}
-    for got, want in zip(single, default):
-        assert got.tobytes() == want.tobytes()
 
 
 def test_continuum_integrand_matches_sines():

@@ -10,7 +10,9 @@ from scipy.integrate import quad_vec
 from qchan import QuadratureError, TabulatedDensity, dephasing
 from qchan import _quadrature
 
-KAPPAS = (0.0, 1e-8, 1e-3, 0.25, 1.0, 2.5, 10.0, 30.0, 100.0, 1e3)
+# each regime's ends and inside: Taylor to 1, Gauss-Legendre to 24, then forward
+KAPPAS = (0.0, 1e-8, 1e-3, 0.25, 1.0, float(np.nextafter(1.0, 2.0)), 1.5, 2.5, 5.0, 10.0, 17.0,
+          24.0, 30.0, 100.0, 1e3)
 
 
 def mpmath_moments(k, kappa):

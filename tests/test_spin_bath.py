@@ -257,29 +257,33 @@ def test_spin_star_cap_fails_before_table_work(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("sector table built above the cap")
 
-    monkeypatch.setattr(spin_bath, "degeneracy", no_table)
+    monkeypatch.setattr(spin_bath, "SectorWeight", no_table)
     with pytest.raises(ResourceError):
         SpinStar(SPIN_STAR_CAP + 1, 1.0)
     with pytest.raises(ResourceError):
         sector_weights(SPIN_STAR_CAP + 1)
 
 
-def test_spin_star_factor_and_rate_share_one_table(monkeypatch):
-    calls = []
-    original = spin_bath.degeneracy
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(spin_bath, "degeneracy", counted)
+def test_spin_star_factor_and_rate_share_one_table():
     spin_bath._sector_table.cache_clear()
     star = SpinStar(7, 1.0)
     t = np.linspace(0.0, 1.0, 11)
     bloch_factor(star, t)
     decay_rate(star, t)
-    assert len(calls) == 4  # l = 7/2, 5/2, 3/2, 1/2, built once
     assert sector_weights(7) is sector_weights(7)
+    info = spin_bath._sector_table.cache_info()
+    assert info.misses == 1 and info.hits >= 2  # built once
+    assert [r.spin for r in sector_weights(7).rows] == [Fraction(k, 2) for k in (7, 5, 3, 1)]
+
+
+def test_sector_table_rows_match_degeneracy():
+    # the table's carried binomials against the one-sector formula
+    for n in range(1, 65):
+        rows = sector_weights(n).rows
+        assert [r.spin for r in rows] == [Fraction(n - 2 * k, 2) for k in range(n // 2 + 1)]
+        for r in rows:
+            assert r.count == degeneracy(n, r.spin), (n, r.spin)
+            assert r.weight == Fraction(r.count * int(2 * r.spin + 1), 2**n), (n, r.spin)
 
 
 # ------------------------------------------------- tangent envelopes vs libm
