@@ -60,6 +60,10 @@ grep -q 'spectral file j.txt.gz:' err.txt
 # rule, the rest the Taylor series or the forward recurrence
 python -c "import numpy as np; w = np.geomspace(1e-3, 40.0, 101); np.savetxt('log.txt', np.column_stack([w, w * np.exp(-w / 3.0)]))"
 python -W error -m qchan dephasing-quantum --spectral-file log.txt --beta 1 --t-max 100 --steps 2001 --out log.csv
+# a coarse table with J(0) > 0: its first knot interval's singular part is a
+# closed form, so 200,001 times up to t = 400 fit the work budget
+python -c "import numpy as np; w = np.linspace(0.0, 20.0, 21); np.savetxt('coarse.txt', np.column_stack([w, 0.5 + 8 * np.pi * w * np.exp(-w)]))"
+python -W error -m qchan dephasing-quantum --spectral-file coarse.txt --beta 1 --t-max 400 --steps 200001 --out coarse.csv
 # a threshold that is not finite and >= 0 is a configuration error
 expect 2 analyze ci.csv --col f --eps-abs nan
 # a non-finite error bound ends the refinement at once: this table's W/w

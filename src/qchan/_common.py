@@ -27,11 +27,9 @@ WORK_BUDGET_S = 10
 # - monte_carlo: the units of _rng.monte_carlo_cost;
 # - filon, moments: a tabulated density's Filon sums, one per (time, panel),
 #   and their moments, one set per (time, distinct panel width), whichever of
-#   the three rules of _quadrature.moments computes it;
-# - first_interval: its first knot interval's (time, starting piece) passes,
-#   fitted at a small tol, which refines them the most.
-NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 14, "filon": 50, "moments": 800,
-               "first_interval": 12_500}
+#   the three rules of _quadrature.moments computes it, plus one set per
+#   (time, end) for the Si and Cin of a first knot interval in closed form.
+NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 14, "filon": 50, "moments": 800}
 
 
 def pole_rate(factor, slope):

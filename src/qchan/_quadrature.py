@@ -1,4 +1,4 @@
-"""Adaptive panel quadrature: one driver, one panel rule, and Filon sums.
+"""Adaptive panel quadrature: one driver, one panel rule, Filon sums, Si and Cin.
 
 :func:`integrate_adaptive` keeps a list of panels, each with the estimates
 and the error bounds a panel rule gives it, and bisects the panel with the
@@ -9,10 +9,12 @@ the panel budget is spent.  It returns the panels; the caller combines them.
 Chebyshev points of each panel, none of which is a panel end.  Its
 estimates are the interpolants' Chebyshev coefficients, and its errors bound
 the integral of |f - P_p f| by the trailing coefficients.
-:func:`integrated` integrates the interpolants over their panels, and
-:func:`filon` integrates them exactly against 1 - cos(wt) and sin(wt)
-through modified moments (Piessens & Branders, Math. Comp. 1975), so that
-bound holds for every t at once: the panels do not depend on the times.
+:func:`filon` integrates the interpolants exactly against 1 - cos(wt) and
+sin(wt) through modified moments (Piessens & Branders, Math. Comp. 1975), so
+that bound holds for every t at once: the panels do not depend on the times.
+
+:func:`si_cin` gives Si(x) and Cin(x) = int_0^x (1 - cos s)/s ds (Abramowitz
+& Stegun 5.2), the integrals of the parts singular at w = 0.
 
 The rule evaluates panels in slabs of about 2^16 values, and :func:`filon`
 sums in slabs of as many (time, panel) moments, so memory stays bounded
@@ -90,17 +92,6 @@ def chebyshev(scale):
     return rule
 
 
-def integrated(rule):
-    """A :func:`chebyshev` ``rule`` whose estimates are the integrals of the
-    interpolants over their panels, (rows, panels): 1/13 the coefficients' size."""
-
-    def panel_integrals(f, lo, hi):
-        coef, errors, floors = rule(f, lo, hi)
-        return 0.5 * (hi - lo) * np.einsum("rpk,k->rp", coef, _t_integrals(_K.size)), errors, floors
-
-    return panel_integrals
-
-
 def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
     """Adaptive quadrature of ``f`` over the panels defined by ``edges``.
 
@@ -129,30 +120,33 @@ def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
     if np.all(total_err <= tol) or floor > tol or not np.all(np.isfinite(largest)):
         return lo, hi, values, errors, floor
 
-    # (lo, hi, estimates, errors) of each live panel, and the heap of
-    # (-largest row error, 0 for a first panel or 1 for a half, index)
-    panels = list(zip(lo.tolist(), hi.tolist(), np.moveaxis(values, 1, 0), errors.T))
+    # the live panels are the first n of (lo, hi, values, errors); the heap
+    # holds (-largest row error, 0 for a first panel or 1 for a half, index)
+    n = lo.size
     heap = [(-e, 0, i) for i, e in enumerate(largest.tolist())]
     heapq.heapify(heap)
     # a largest error of 0 leaves no panel that a split can improve
-    while heap and heap[0][0] < 0.0 and np.any(total_err > tol) and len(panels) < max_panels:
+    while heap and heap[0][0] < 0.0 and np.any(total_err > tol) and n < max_panels:
         i = heapq.heappop(heap)[2]
-        a, b, _, old = panels[i]
+        a, b = lo[i], hi[i]
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # panel no longer splittable at float resolution: it stays live
             continue
         vals, errs, _ = rule(f, np.array([a, mid]), np.array([mid, b]))
-        total_err += errs.sum(axis=1) - old
-        panels[i] = (a, mid, vals[:, 0], errs[:, 0])
-        panels.append((mid, b, vals[:, 1], errs[:, 1]))
+        total_err += errs.sum(axis=1) - errors[:, i]
+        if n == lo.size:  # full: double them, the first time off the caller's edges
+            lo, hi = np.tile(lo, 2), np.tile(hi, 2)
+            values, errors = np.concatenate([values, values], 1), np.concatenate([errors, errors], 1)
+        lo[[i, n]], hi[[i, n]] = (a, mid), (mid, b)
+        values[:, [i, n]], errors[:, [i, n]] = vals, errs
+        n += 1
         largest = errs.max(axis=0)
         if not np.all(np.isfinite(largest)):
             break
         heapq.heappush(heap, (-largest[0], 1, i))
-        heapq.heappush(heap, (-largest[1], 1, len(panels) - 1))
-    lo, hi, values, errors = zip(*panels)
-    return np.array(lo), np.array(hi), np.stack(values, axis=1), np.stack(errors, axis=1), floor
+        heapq.heappush(heap, (-largest[1], 1, n - 1))
+    return lo[:n], hi[:n], values[:, :n], errors[:, :n], floor
 
 
 # Modified moments of T_k (k <= _P) against cos(kx), sin(kx), 1 - cos(kx) on
@@ -326,3 +320,39 @@ def filon(times, lo, hi, coef):
                 rows[:, 0] = np.add.reduce(rows[:, : b - a + 1], axis=1)
         value[t0 : t0 + t.size], slope[t0 : t0 + t.size] = rows[:, 0]
     return value, slope
+
+
+# Si and Cin: the _GAUSS-point rule on [0, 1] up to _SI_SWITCH (its error
+# grows with x through the rounding of its nodes and of x u, to 5 eps on Si
+# at 40); above it _SI_TERMS terms of the continued fraction of
+# e^z E1(z) at z = ix (A&S 5.1.22), summed from its tail.  _UNIT_W holds the
+# rule's weights (w_j T_0) over 1/u at the nodes u = (1 + x_j)/2.
+_SI_SWITCH = 8.0
+_SI_MAX = 1.852  # Si(x) <= Si(pi) = 1.85194
+_SI_TERMS = 24
+_UNIT_X = 0.5 * (1.0 + _GAUSS_X)
+_UNIT_W = _GAUSS_EVEN[:, 0] / (1.0 + _GAUSS_X)
+
+
+def si_cin(x):
+    """(Si(x), Cin(x)) at the 1-d ``x`` >= 0, as rows: int_0^1 sin(xu)/u du
+    and int_0^1 vers(xu)/u du, vers = 1 - cos, each within ~1e-15
+    relative; Cin keeps its relative accuracy as x -> 0.  The x are taken in
+    slabs of about ``_SLAB`` node values."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((2, x.size))
+    step = max(1, _SLAB // _GAUSS)
+    for start in range(0, x.size, step):
+        part = x[start : start + step]
+        si, cin = out[:, start : start + step]
+        near = part <= _SI_SWITCH
+        # einsum sums the nodes in one order whatever the number of x
+        sin, vers = double_angle(0.5 * np.multiply.outer(part[near], _UNIT_X))
+        si[near], cin[near] = np.einsum("nj,j->n", sin, _UNIT_W), np.einsum("nj,j->n", vers, _UNIT_W)
+        far, tail = part[~near], 0.0
+        for k in range(_SI_TERMS, 0, -1):
+            tail = k * k / (1j * far + (2 * k + 1) - tail)
+        sin, vers = double_angle(0.5 * far)
+        e1 = ((1.0 - vers) - 1j * sin) / (1j * far + 1.0 - tail)  # -Ci + i (Si - pi/2)
+        si[~near], cin[~near] = 0.5 * np.pi + e1.imag, np.euler_gamma + np.log(far) + e1.real
+    return out

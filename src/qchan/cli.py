@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from typing import Callable, NamedTuple
@@ -25,8 +26,8 @@ import numpy as np
 
 # each runner imports the model modules it uses, so that a command loads
 # only its own; this module needs numpy, the errors, the pole and grid rules
-from ._common import pole_rate, positive, time_grid
-from .errors import AccuracyError, DomainError, QChanError
+from ._common import GRID_CAP, pole_rate, positive, time_grid
+from .errors import AccuracyError, DomainError, QChanError, ResourceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -323,6 +324,12 @@ _COLUMNS = {
 }
 
 
+# The widest data row a command writes, of which analyze reads GRID_CAP at
+# most: the 10 columns of dephasing-classical --mc, each at most 24 characters
+# ('%.17g' of -1.2345678901234567e-308), 9 commas and a CRLF.
+ROW_BYTES = 10 * 24 + 9 + 2
+
+
 # np.loadtxt opens a path by its suffix (gzip, bz2, lzma) or fetches it as a
 # URL; such a path is read by the line filter, which opens it as text
 _NOT_PLAIN = re.compile(r"\.(?:gz|bz2|xz|lzma)\Z|://")
@@ -348,6 +355,10 @@ def read_series_csv(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
                 skip += 1
             header = line.rstrip("\n").split(",")
             body = fh.tell()
+            size = os.fstat(fh.fileno()).st_size - body
+            if size > GRID_CAP * ROW_BYTES:
+                raise ResourceError(f"{path} holds {size:,} bytes of rows, above the "
+                                    f"{GRID_CAP:,} rows of {ROW_BYTES} bytes that analyze reads")
             rows_follow = not _skipped(fh.readline())
             named = "t" in header and column in header
             cols = (header.index("t"), header.index(column)) if named else None

@@ -9,7 +9,8 @@ Three routes to Gamma(t) are provided:
 
 * a discrete sum over bath modes, weighted by the thermal coth factor,
 * an integral over a spectral density J(omega): a digamma closed form for
-  the Ohmic density, adaptive quadrature for a tabulated one,
+  the Ohmic density; for a tabulated one, adaptive Filon quadrature with
+  the part singular at omega = 0 in closed form,
 * closed forms for classical Gaussian stationary processes (cosine sums
   and white noise), plus a Monte Carlo estimator that validates them.
 
@@ -30,8 +31,7 @@ import numpy as np
 
 from ._common import (check_grid, check_square, check_times, check_work, double_angle, finite,
                       line_sums, positive, scalar_or_array)
-from . import _quadrature
-from ._quadrature import chebyshev, filon, integrate_adaptive, integrated
+from ._quadrature import _ROUNDING, _SI_MAX, chebyshev, filon, integrate_adaptive, si_cin
 from ._rng import monte_carlo_sums
 from .errors import DomainError, QuadratureError, UnsupportedQueryError
 from .states import QubitState
@@ -177,6 +177,23 @@ def _coth(x):
     return np.where(x < 1e-4, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))
 
 
+# x coth x - 1 = x^2 P(x^2) / S(x^2), with P and S the series of
+# (x cosh x - sinh x) / x^3 and sinh(x) / x: positive terms that fall as
+# 1/(2k + 1)!, 10 of which reach an ulp below x = 1 (highest power first)
+_REST_P = [2 * k / math.factorial(2 * k + 1) for k in range(10, 0, -1)]
+_REST_S = [1 / math.factorial(2 * k + 1) for k in range(10, -1, -1)]
+
+
+def _coth_rest(x):
+    """r(x) = coth(x) - 1/x for x >= 0, as an array, from sums of positive
+    terms: below 1 x P(x^2) / S(x^2); above it (1 - 1/x) + 2 e^-2x / (1 - e^-2x),
+    1 at x = inf, where 1 / tanh(x) - 1/x would lose 2 bits next to 1."""
+    x = np.asarray(x, dtype=float)
+    s, y = np.minimum(x, 1.0), np.maximum(x, 1.0)
+    return np.where(x < 1.0, s * np.polyval(_REST_P, s * s) / np.polyval(_REST_S, s * s),
+                    (1.0 - 1.0 / y) + 2.0 * np.exp(-2.0 * y) / -np.expm1(-2.0 * y))
+
+
 def _discrete_and_slope(bath: DiscreteBosonBath, t):
     """(Gamma, Gamma') of a finite mode list at any array of times ``t``, with
 
@@ -207,39 +224,25 @@ def gamma_discrete(bath: DiscreteBosonBath, t):
     return scalar_or_array(_discrete_and_slope(bath, t)[0], t)
 
 
-def _thermal_weight(density: TabulatedDensity, beta: float, w):
-    """W(w) = J(w) coth(beta w/2) / (8 pi) at nodes w > 0 (see :func:`_coth`)."""
-    return density(w) * _coth(0.5 * beta * w) / (8.0 * np.pi)
-
-
-def _continuum_integrand(density: TabulatedDensity, beta: float, times: np.ndarray):
-    """Integrands of Gamma and Gamma' at the ``times`` as 2 len(times) rows,
-    the Gamma rows first: the t-independent weight W(w), computed once per
-    node, times 2 sin^2(x) / w and sin(2x) with x = wt/2, both from one
-    tangent per (time, node)."""
-
-    def integrand(w):
-        weight = _thermal_weight(density, beta, w)
-        rows = np.empty((2 * times.size, w.size))
-        value, slope = rows[: times.size], rows[times.size :]
-        # in place, in the rows: the tangent is the cost, and a
-        # (times, nodes) temporary would add to it
-        np.multiply.outer(times, w, out=value)
-        double_angle(np.multiply(value, 0.5, out=value), sin2x=slope, vers=value)
-        np.multiply(slope, weight, out=slope)
-        np.multiply(value, weight / w, out=value)
-        return rows
-
-    return integrand
-
-
-def _filon_weights(density: TabulatedDensity, beta: float):
+def _filon_weights(density: TabulatedDensity, beta: float, end: float = 0.0, j1: float = 0.0):
     """The non-oscillatory factors of the Gamma and Gamma' integrands as two
-    rows, (W(w) / w, W(w)): smooth on every knot interval away from w = 0."""
+    rows, (W(w) / w, W(w)), smooth on every knot interval away from w = 0.
+    Below ``end``, on a first knot interval whose singular part
+    :func:`_tabulated` integrates in closed form, they lose that part: with
+    J = J0 + J1 w there (``j1`` = J1) and r = r(beta w/2)
+    (:func:`_coth_rest`), they are (J r / (8 pi w), J r / (8 pi) +
+    J1 / (4 pi beta)), and (J1 / (8 pi), W) at beta = inf."""
 
     def weights(w):
-        weight = _thermal_weight(density, beta, w)
-        return np.stack([weight / w, weight])
+        weight = density(w) * _coth(0.5 * beta * w) / (8.0 * np.pi)
+        rows = np.stack([weight / w, weight])
+        near = w < end
+        if math.isinf(beta):
+            rows[0, near] = j1 / (8.0 * np.pi)
+        else:
+            rest = density(w[near]) * _coth_rest(0.5 * beta * w[near]) / (8.0 * np.pi)
+            rows[:, near] = rest / w[near], rest + j1 / (4.0 * np.pi * beta)
+        return rows
 
     return weights
 
@@ -293,14 +296,6 @@ def _ohmic_and_slope(density: OhmicExpDensity, beta: float, t: np.ndarray):
     return value, density.amplitude * slope / (8.0 * math.pi)
 
 
-# The first knot interval's pass takes the times in groups whose two
-# integrand rows per time fill about one slab per panel.
-_FIRST_GROUP = _quadrature._SLAB // (2 * _quadrature._CHEB_X.size)
-# Its first panels have kappa = h max(t) / 2 at most this: the trailing Chebyshev
-# coefficients of exp(i kappa x) bound nothing until they decay, for k > kappa.
-_FIRST_KAPPA = 0.5 * _quadrature._P
-
-
 # a knot interval too narrow for the nodes gives inf or NaN: a QuadratureError
 @np.errstate(all="ignore")
 def _tabulated(density: TabulatedDensity, beta: float, times, tol):
@@ -308,66 +303,66 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol):
     1-d ``times``.
 
     Gamma = int (W/w)(1 - cos wt) and Gamma' = int W sin wt with
-    W = J coth(beta w/2) / (8 pi).  From the second knot on, W and W/w are
-    smooth on every knot interval: their Chebyshev interpolants are refined
-    to tol/2 by a bound that holds for every t, then integrated exactly
-    against the oscillators (:func:`_quadrature.filon`).  On the first knot
-    interval W/w ~ 1/w at finite beta and only 1 - cos wt cancels it, so
-    the same rule integrates the full integrands there, to tol/2, at nodes
-    other than w = 0, from panels that resolve the largest time
-    (``_FIRST_KAPPA``).  ``MAX_PANELS`` bounds the Filon panels plus these.
+    W = J coth(beta w/2) / (8 pi).  W and W/w are smooth on every knot
+    interval but near w = 0, where W/w ~ 1/w^2 at finite beta.  On the first
+    knot interval [a, b], J = J0 + J1 w, and the parts singular at w = 0,
+    p / w^2 + q / w in W/w and p / w in W, integrate over [0, b] to
+    F(b) = (p (t Si(bt) - vers(bt)/b) + q Cin(bt), p Si(bt))
+    (:func:`_quadrature.si_cin`), with p = J0 / (4 pi beta) and
+    q = J1 / (4 pi beta), or p = 0 and q = J0 / (8 pi) at beta = inf.  When
+    a = 0, or when F(b) - F(a) has the smaller rounding floor, that closed
+    form is taken and what is left is smooth (:func:`_filon_weights`).  One
+    pass over all knots refines the Chebyshev interpolants of the smooth
+    factors by a bound that holds for every t, to ``tol`` less the closed
+    form's floor, then integrates them exactly against the oscillators
+    (:func:`_quadrature.filon`).  ``MAX_PANELS`` bounds its panels.
     """
-    knots = density.frequencies
+    knots, values = density.frequencies, density.values
+    a, b = knots[0], knots[1]
+    j1 = (values[1] - values[0]) / (b - a)
+    j0 = values[0] - j1 * a
+    p = j0 / (4.0 * np.pi * beta)
+    q = j0 / (8.0 * np.pi) if math.isinf(beta) else j1 / (4.0 * np.pi * beta)
+    # F(b) - F(a), F(0) = 0, rounds as a panel does (bounded with
+    # Si <= _SI_MAX and Cin(x) <= 1 + log(1 + x)), and cancels as a t grows;
+    # the panels' floor on p / w^2 grows as 1/a, to ~_ROUNDING J(a) / (pi beta a)
+    ends = [end for end in (b, a) if end > 0.0]
+    bound = _ROUNDING * len(ends) * np.stack([
+        abs(p) * _SI_MAX * times + abs(q) * (1.0 + np.log1p(b * times)),
+        np.full(times.size, abs(p) * _SI_MAX),
+    ])
+    closed_floor = np.max(bound, initial=0.0)
+    if a > 0.0 and closed_floor >= _ROUNDING * values[0] / (np.pi * beta * a):
+        ends, bound, closed_floor = [], np.zeros_like(bound), 0.0
+    # |1 - cos wt| <= 2 and |sin wt| <= 1 scale the bounds of the two rows
+    lo, hi, coef, errors, floor = integrate_adaptive(
+        _filon_weights(density, beta, b if ends else 0.0, j1), knots, tol - closed_floor,
+        MAX_PANELS, rule=chebyshev((2.0, 1.0)),
+    )
+    floor += closed_floor
+    # the Filon sums, their moment sets (one per (time, distinct panel width))
+    # and Si and Cin (one set per time and end) share the budget, checked
+    # before any
+    check_work(filon=times.size * lo.size, moments=times.size * (np.unique(hi - lo).size + len(ends)))
     totals = np.zeros((4, times.size))  # Gamma, Gamma', their error estimates
-    panels = first_panels = floor = 0
-    if knots.size > 2:
-        # |1 - cos wt| <= 2 and |sin wt| <= 1 scale the bounds of (W/w, W)
-        lo, hi, coef, errors, floor = integrate_adaptive(
-            _filon_weights(density, beta), knots[1:], tol / 2, MAX_PANELS - 1,
-            rule=chebyshev((2.0, 1.0)),
-        )
-        panels = lo.size
-    # the first knot interval takes the times in groups, each starting on
-    # pieces that resolve its largest time
-    starts = range(0, times.size, _FIRST_GROUP)
-    groups = [times[start : start + _FIRST_GROUP] for start in starts]
-    half_width = 0.5 * (knots[1] - knots[0])
-    pieces = [max(1, min(math.ceil(half_width * np.max(group) / _FIRST_KAPPA), MAX_PANELS - panels))
-              for group in groups]
-    # the Filon sums (and their moments, one set per distinct panel width)
-    # and the first interval's passes share the work budget, checked before
-    # either
-    widths = np.unique(hi - lo).size if panels else 0
-    check_work(filon=times.size * panels, moments=times.size * widths,
-               first_interval=sum(n * group.size for n, group in zip(pieces, groups)))
-    if panels:
-        totals[:2] = filon(times, lo, hi, coef)
-        # both integrands vanish at t = 0, and so does the bound's part there
-        totals[2:] = np.where(times > 0.0, errors.sum(axis=1)[:, None], 0.0)
-    for start, group, n in zip(starts, groups, pieces):
-        lo, hi, values, errors, first_floor = integrate_adaptive(
-            _continuum_integrand(density, beta, group),
-            np.linspace(knots[0], knots[1], n + 1), tol / 2,
-            MAX_PANELS - panels, rule=integrated(chebyshev(np.ones(2 * group.size))),
-        )
-        first_panels = max(first_panels, lo.size)
-        floor = max(floor, first_floor)
-        # rows: Gamma, then Gamma', at each time of the group
-        sums = np.concatenate([values, errors]).sum(axis=1)
-        totals[:, start : start + group.size] += sums.reshape(4, group.size)
+    totals[:2] = filon(times, lo, hi, coef)
+    for end, sign in zip(ends, (1.0, -1.0)):
+        si, cin = si_cin(end * times)
+        totals[0] += sign * (p * (times * si - double_angle(0.5 * end * times)[1] / end) + q * cin)
+        totals[1] += sign * p * si
+    # both integrands vanish at t = 0, and so does the bound's part there
+    totals[2:] = np.where(times > 0.0, errors.sum(axis=1)[:, None] + bound, 0.0)
     if not np.all(np.isfinite(totals)):
-        raise QuadratureError(
-            f"quadrature gave a non-finite Gamma or Gamma' after {panels + first_panels} panels"
-        )
+        raise QuadratureError(f"quadrature gave a non-finite Gamma or Gamma' after {lo.size} panels")
     worst = np.max(totals[2:], initial=0.0)
     if worst > tol:
         message = (f"quadrature error estimate {worst:.3e} above tolerance {tol:.3e} "
-                   f"after {panels + first_panels} panels")
-        if 2 * floor > tol:
-            # each pass has tol/2, and stops at once if its rounding floors
-            # exceed that: no panel budget would help
+                   f"after {lo.size} panels")
+        if floor > tol:
+            # the pass stops at once if its rounding floors and the closed
+            # form's exceed tol: no panel budget would help
             message = (f"quadrature tolerance {tol:.3e} lies below its rounding floor "
-                       f"{2 * floor:.3e} (error estimate {worst:.3e})")
+                       f"{floor:.3e} (error estimate {worst:.3e})")
         raise QuadratureError(message, estimate=totals[0, 0], error=totals[2, 0])
     return tuple(totals)
 
@@ -412,9 +407,10 @@ def gamma_continuum(density: SpectralDensity, beta: float, t, tol: float = 1e-8)
 
     whose psi terms vanish at beta = inf.  A tabulated density is
     integrated by Filon-Chebyshev product integration on panels that do not
-    depend on t, and by the same Chebyshev rule on the first knot interval
-    (see :func:`_tabulated`); Gamma and Gamma' share the panels, and ``tol`` and
-    ``MAX_PANELS`` bound that quadrature: both values have an estimated
+    depend on t, but for the part of the first knot interval singular at
+    w = 0, which has a closed form in Si and Cin (see :func:`_tabulated`);
+    Gamma and Gamma' share the panels, and ``tol`` and ``MAX_PANELS``
+    bound that quadrature: both values have an estimated
     error <= ``tol``.  Non-convergence raises :class:`QuadratureError`
     carrying the partial estimate of Gamma.  ``t`` may be a scalar or an
     array of times, which share one quadrature pass.

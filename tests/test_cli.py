@@ -151,6 +151,38 @@ def test_analyze_roundtrip_matches_library(tmp_path):
     )
 
 
+def test_analyze_widest_row_is_row_bytes(tmp_path):
+    out = tmp_path / "mc.csv"
+    assert main(["dephasing-classical", "--cosine", "1:1", "--mc", "10", "--steps", "5",
+                 "--out", str(out)]) == 0
+    header = [line for line in out.read_text().splitlines() if not line.startswith("#")][0]
+    assert len(header.split(",")) == 10
+    widest = "-1.2345678901234567e-308"
+    assert len("%.17g" % -1.2345678901234567e-308) == len(widest) == 24
+    assert len(",".join([widest] * 10) + "\r\n") == cli.ROW_BYTES
+
+
+@pytest.mark.parametrize("comment", [False, True], ids=["plain", "comment-row"])
+def test_analyze_refuses_a_file_above_the_grid_cap(tmp_path, capsys, monkeypatch, comment):
+    # a sparse file, one byte above GRID_CAP rows of ROW_BYTES after its
+    # header: refused before any row is read, by np.loadtxt or, with a #
+    # row among the rows, by the line filter
+    path = tmp_path / "big.csv"
+    head = "# qchan\nt,f_or_coherence\n"
+    path.write_text(head + "0,1\n" + ("# note\n" if comment else "") + "1,0.5\n")
+    os.truncate(path, len(head) + GRID_CAP * cli.ROW_BYTES + 1)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("the size is checked before any row is read")
+
+    monkeypatch.setattr(np, "loadtxt", no_read)
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--col", "f"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"qchan: numerical failure: {path} holds "), err
+    assert f"above the {GRID_CAP:,} rows of {cli.ROW_BYTES} bytes" in err
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sigma": 2.0, "t-max": 2.0, "steps": 25}))
@@ -429,29 +461,29 @@ def test_tabulated_cost_cap_exits_3_before_any_sum(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
     monkeypatch.setattr(dephasing, "check_work", recording_check)
     assert main(argv) == 0
-    # 11 times on the Filon panels and on their distinct widths, one moment
-    # set each whatever its regime, and on the first interval's one starting
-    # piece
-    (_, (lo, hi, *_)), (first_edges, _) = passes
-    assert first_edges.size == 2
-    assert units == {"filon": 11 * lo.size, "moments": 11 * np.unique(hi - lo).size,
-                     "first_interval": 11}
+    # 11 times on the Filon panels over all the knots, and on their distinct
+    # widths plus the first knot interval's Si and Cin, one moment set each
+    # whatever its regime
+    ((edges, (lo, hi, *_)),) = passes
+    assert np.array_equal(edges, grid)
+    assert units == {"filon": 11 * lo.size, "moments": 11 * (np.unique(hi - lo).size + 1)}
     monkeypatch.setattr(_common, "WORK_BUDGET_S", work_seconds(units))
     assert main(argv) == 0
     passes.clear()
     (tmp_path / "x.csv").unlink()
 
     def no_sum(*args):
-        raise AssertionError("the budget must be checked before the Filon sums")
+        raise AssertionError("the budget must be checked before the Filon sums and Si, Cin")
 
     # one Filon unit over the budget
     monkeypatch.setattr(dephasing, "filon", no_sum)
+    monkeypatch.setattr(dephasing, "si_cin", no_sum)
     monkeypatch.setattr(_common, "WORK_BUDGET_S", work_seconds({**units, "filon": units["filon"] - 1}))
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("qchan: numerical failure: work units filon=") and "above the budget" in err, err
-    assert len(passes) == 1  # the Filon panels only: no first-interval pass
+    assert len(passes) == 1  # the panels only
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -478,9 +510,9 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
          "--tol", "1e-30", "--t-max", "40", "--steps", "6", "--out", out]
     )
     assert code == 3
-    # the rounding floors alone exceed 1e-30, so each pass stops after its
+    # the rounding floors alone exceed 1e-30, so the pass stops after its
     # first rule call instead of bisecting to 50000 panels, and says so
-    assert len(calls) == 2
+    assert len(calls) == 1
     err = capsys.readouterr().err
     floor = re.fullmatch(
         r"qchan: numerical failure: quadrature tolerance 1\.000e-30 lies below its rounding "
@@ -912,8 +944,8 @@ def test_quadrature_budget_failure_exits_3(tmp_path, capsys, monkeypatch):
     np.savetxt(path, np.column_stack([grid, 8.0 * math.pi * grid * np.exp(-grid)]))
     integrate = dephasing.integrate_adaptive
 
-    # one split per pass; 1e-13 lies above the rounding floors, but the
-    # Filon pass needs 4 splits to reach it
+    # one split; 1e-13 lies above the rounding floors, but the pass needs 3
+    # splits to reach it
     def small_budget(f, edges, tol, max_panels, **kwargs):
         return integrate(f, edges, tol, len(edges), **kwargs)
 
@@ -924,8 +956,8 @@ def test_quadrature_budget_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("qchan: numerical failure: quadrature error estimate"), err
-    # 400 Filon panels and 2 on the first knot interval
-    assert err.rstrip().endswith("above tolerance 1.000e-13 after 402 panels"), err
+    # the 400 knot intervals and one split
+    assert err.rstrip().endswith("above tolerance 1.000e-13 after 401 panels"), err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -945,10 +977,23 @@ def test_non_finite_quadrature_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_first_knot_just_above_zero_exits_0(tmp_path):
+    # J = 1 at a first knot 1e-8 and beta = 1: the panels' rounding floor on
+    # W/w ~ J / (4 pi beta w^2) there would be ~3e-7, above --tol, so the
+    # singular part of [1e-8, 1] is taken in closed form
+    path = tmp_path / "near_zero.txt"
+    path.write_text("1e-8 1\n1 1\n2 0.5\n")
+    argv = ["dephasing-quantum", "--spectral-file", str(path), "--beta", "1",
+            "--steps", "201", "--t-max", "10", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0
+
+
 def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
     # the same table at --t-max 25 and 400: the same Filon panels, one
     # tangent per (time, panel), and _GAUSS more per moment set (time,
-    # distinct width) in the Gauss-Legendre regime, none at --t-max 25
+    # distinct width) in the Gauss-Legendre regime, none at --t-max 25; the
+    # first knot interval's Si and Cin take _GAUSS per time up to
+    # _SI_SWITCH, one above it
     grid = np.linspace(0.0, 20.0, 1001)
     density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
     path = tmp_path / "table.txt"
@@ -958,8 +1003,8 @@ def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
 
     def recording(f, edges, *args, **kwargs):
         result = integrate(f, edges, *args, **kwargs)
-        if np.array_equal(edges, grid[1:]):  # the Filon pass
-            panels.append(np.concatenate(result[:2]))
+        assert np.array_equal(edges, grid)  # the one pass, over all the knots
+        panels.append(np.concatenate(result[:2]))
         return result
 
     def counting(x, **kwargs):
@@ -979,8 +1024,10 @@ def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
     for t_max in (25.0, 400.0):
         kappa = 0.5 * np.multiply.outer(np.unique(hi - lo), np.linspace(0.0, t_max, 251))
         gauss = np.sum((kappa > _quadrature._TAYLOR) & (kappa <= _quadrature._FORWARD))
-        expected.append(251 * lo.size + _quadrature._GAUSS * int(gauss))
-    assert expected[0] == 251 * lo.size < expected[1]
+        x = grid[1] * np.linspace(0.0, t_max, 251)
+        closed = _quadrature._GAUSS * np.sum(x <= _quadrature._SI_SWITCH) + np.sum(x > _quadrature._SI_SWITCH)
+        expected.append(251 * lo.size + _quadrature._GAUSS * int(gauss) + int(closed))
+    assert expected[0] == 251 * lo.size + 251 * _quadrature._GAUSS < expected[1]
     assert tangents == expected
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -65,6 +66,20 @@ def fig2_single_mode_bath():
     # frequency 1/(2 tau), combined weight |c|^2 coth / omega^2 = 4 at beta = inf
     omega = 0.5
     return DiscreteBosonBath(((2.0 * omega, omega),), beta=math.inf)
+
+
+def test_coth_rest_matches_mpmath():
+    # r(x) = coth x - 1/x on both sides of its switch at 1, down to 1e-300
+    xs = np.array([1e-300, 1e-8, 0.5, float(np.nextafter(1.0, 0.0)), 1.0,
+                   float(np.nextafter(1.0, 2.0)), 1.2, 3.0, 20.0, 400.0])
+    got = dephasing._coth_rest(np.concatenate([[0.0, math.inf], xs]))
+    assert got[0] == 0.0 and got[1] == 1.0
+    eps = np.finfo(float).eps
+    with mpmath.workdps(60):
+        for x, r in zip(xs, got[2:]):
+            # its series x/3 - x^3/45 below 1e-20, where coth x - 1/x cancels
+            exact = x / 3 - mpmath.mpf(x) ** 3 / 45 if x < 1e-20 else mpmath.coth(x) - 1 / mpmath.mpf(x)
+            assert abs(r - exact) <= 4.0 * eps * exact, x
 
 
 def test_discrete_zero_time():
@@ -256,8 +271,8 @@ def test_quadrature_budget_error_carries_estimate(monkeypatch):
 
 
 def test_tabulated_times_match_single_times_and_quad_vec(monkeypatch):
-    # all 37 times share one Filon pass and one pass on the first knot
-    # interval; a shuffled copy gives the same values
+    # all 37 times share one Filon pass over all the knots; a shuffled copy
+    # gives the same values
     grid = np.linspace(0.0, 20.0, 401)
     density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
     table = TabulatedDensity(grid, density)
@@ -272,7 +287,7 @@ def test_tabulated_times_match_single_times_and_quad_vec(monkeypatch):
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
     value, slope, value_err, slope_err = dephasing._tabulated(table, 1.0, times, tol)
-    assert len(passes) == 2 and np.array_equal(passes[0], grid[1:])
+    assert len(passes) == 1 and np.array_equal(passes[0], grid)
     assert np.all(value_err <= tol) and np.all(slope_err <= tol)
     shuffled = np.random.default_rng(5).permutation(37)
     for got, want in zip(dephasing._continuum_and_slope(table, 1.0, times[shuffled], tol),
@@ -351,7 +366,7 @@ def test_quadrature_slabs_bound_integrand_size(monkeypatch):
         tracemalloc.stop()
     assert max(sizes) <= _quadrature._SLAB and max(tangents) <= _quadrature._SLAB
     assert peak <= 200 * _quadrature._SLAB  # 13 MB: 25 slabs of doubles
-    # the first knot interval takes the 20001 times in groups
+    # a table of two knot intervals at the 20001 times
     sizes.clear()
     dephasing._continuum_and_slope(TabulatedDensity(grid[:3], FIG2_DENSITY(grid[:3])), 1.0, times)
     assert max(sizes) <= _quadrature._SLAB
@@ -383,21 +398,6 @@ def test_tabulated_results_do_not_depend_on_slab_size(monkeypatch):
         for got, want in zip(single, default):
             assert got.tobytes() == want.tobytes()
     assert set(calls) == {13}
-
-
-def test_continuum_integrand_matches_sines():
-    grid = np.linspace(0.0, 20.0, 401)
-    table = TabulatedDensity(grid, grid * np.exp(-grid / 3.0))
-    times = np.linspace(0.0, 30.0, 37)
-    w = np.random.default_rng(4).uniform(0.5, 20.0, 3000)
-    rows = dephasing._continuum_integrand(table, 1.0, times)(w)
-    weight = table(w) / np.tanh(0.5 * w) / (8.0 * math.pi)
-    phase = np.outer(times, w)
-    value = weight / w * 2.0 * np.sin(0.5 * phase) ** 2
-    slope = weight * np.sin(phase)
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(rows[:37] - value) <= 8.0 * eps * np.abs(value))
-    assert np.all(np.abs(rows[37:] - slope) <= 8.0 * eps * np.abs(slope))
 
 
 def test_quadrature_error_carries_partial_gamma(monkeypatch):

@@ -47,6 +47,26 @@ def test_chebyshev_moments_match_mpmath():
             assert abs(sin - mpmath_moments(k, kappa)[0]) <= 1e-15, (kappa, k)
 
 
+def test_si_cin_match_mpmath():
+    # both sides of the switch from the Gauss-Legendre rule to the continued
+    # fraction, and Cin's relative accuracy as x -> 0
+    switch = _quadrature._SI_SWITCH
+    xs = np.array([1e-150, 1e-8, 1e-3, 0.5, 1.0, 7.9, float(np.nextafter(switch, 0.0)), switch,
+                   float(np.nextafter(switch, 9.0)), 8.5, 20.0, 39.9, 40.0, 40.5, 100.0, 1e3,
+                   1e6, 1e15])
+    si, cin = _quadrature.si_cin(np.concatenate([[0.0], xs]))
+    assert si[0] == 0.0 and cin[0] == 0.0
+    with mpmath.workdps(60):
+        for x, s, c in zip(xs, si[1:], cin[1:]):
+            exact_si = mpmath.si(x)
+            # Cin(x) = sum_k (-1)^(k+1) x^2k / (2k (2k)!), by its series below 1
+            exact_cin = (mpmath.nsum(lambda k: (-1) ** (k + 1) * mpmath.mpf(x) ** (2 * k)
+                                     / (2 * k * mpmath.factorial(2 * k)), [1, mpmath.inf])
+                         if x < 1.0 else mpmath.euler + mpmath.log(x) - mpmath.ci(x))
+            assert abs(s - exact_si) <= 1e-15 * abs(exact_si), x
+            assert abs(c - exact_cin) <= 1e-15 * abs(exact_cin), x
+
+
 def test_chebyshev_rule_is_exact_to_its_degree():
     # a polynomial of degree _P - 2: coefficients exact, error bound at rounding
     coef = np.random.default_rng(2).normal(size=_quadrature._K.size)
@@ -111,6 +131,61 @@ def _assert_estimates_bound_quad_vec(knots, values, beta, times):
     assert value[0] == 0.0 and slope[0] == 0.0
     assert np.all(np.abs(slope - ref_slope) <= slope_err + ref_err)
     assert np.all(np.abs(value - ref_value) <= value_err + ref_err)
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, math.inf])
+@pytest.mark.parametrize("j0", [0.0, 0.7])
+def test_wide_first_interval_estimates_bound_quad_vec(j0, beta):
+    # a first knot interval [0, 5] from w = 0, integrated partly in closed
+    # form: b t = 5, 35, 150 and 1000 take both of Si and Cin's methods
+    knots, values = np.array([0.0, 5.0, 6.0, 8.0]), np.array([j0, 1.0, 0.5, 0.2])
+    _assert_estimates_bound_quad_vec(knots, values, beta, np.array([0.0, 1.0, 7.0, 30.0, 200.0]))
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, math.inf])
+@pytest.mark.parametrize("start", [1e-8, 0.3])
+def test_table_above_zero_estimates_bound_quad_vec(start, beta):
+    # from 0.3 every knot interval is a Filon interval; from 1e-8 at finite
+    # beta the panels' rounding floor on J / (4 pi beta w^2) next to 1e-8
+    # would be ~3e-7, and [1e-8, 1]'s singular part is taken in closed form
+    knots, values = np.array([start, 1.0, 2.5]), np.array([0.8, 1.2, 0.4])
+    _assert_estimates_bound_quad_vec(knots, values, beta, np.array([0.0, 0.5, 9.0, 120.0]))
+
+
+def test_first_interval_far_from_zero_stays_with_filon():
+    # J = w - 20 on [20, 21]: the closed form's p = J0 / (4 pi beta) would be
+    # -159 at beta = 0.01, and F(b) - F(a) at t = 2000 would cancel to a
+    # rounding bound of ~1.3e-8, while the panels' floor there is ~0
+    _assert_estimates_bound_quad_vec(np.array([20.0, 21.0, 22.5]), np.array([0.0, 1.0, 0.4]), 0.01,
+                                     np.array([0.0, 3.0, 2000.0]))
+
+
+def test_closed_form_estimate_covers_its_rounding():
+    # J = 1 on [0, 1] at beta = 1: Gamma(300) ~ 37 is nearly all closed
+    # form, whose rounding (3e-15) the Filon bound (2e-16) does not see
+    table = TabulatedDensity([0.0, 1.0], [1.0, 1.0])
+    value, _, value_err, _ = dephasing._tabulated(table, 1.0, np.array([300.0]), 1e-8)
+    with mpmath.workdps(30):
+        t = mpmath.mpf(300)
+        exact = mpmath.quad(lambda w: mpmath.coth(w / 2) * (1 - mpmath.cos(w * t)) / (8 * mpmath.pi * w),
+                            mpmath.linspace(0, 1, 100))
+    assert abs(value[0] - exact) <= value_err[0]
+
+
+@pytest.mark.parametrize(("j0", "tol"), [(0.5, 1e-12), (10.0, 1e-11), (2.0, 1e-12)])
+def test_closed_form_floor_is_set_aside_before_the_pass(j0, tol):
+    # J(0) > 0 at 2001 times to 400: the closed form's rounding floor grows
+    # with t, so the pass refines to tol less its bound; where that bound
+    # tops tol, the error names the floor
+    grid = np.linspace(0.0, 20.0, 21)
+    table = TabulatedDensity(grid, j0 + 8.0 * math.pi * grid * np.exp(-grid))
+    times = np.linspace(0.0, 400.0, 2001)
+    if j0 == 2.0:
+        with pytest.raises(QuadratureError, match="lies below its rounding floor"):
+            dephasing._tabulated(table, 1.0, times, tol)
+        return
+    _, _, value_err, slope_err = dephasing._tabulated(table, 1.0, times, tol)
+    assert np.max(value_err) <= tol and np.max(slope_err) <= tol
 
 
 def test_first_interval_estimate_bounds_an_unresolved_oscillation():
@@ -205,24 +280,29 @@ def test_a_non_finite_error_ends_the_refinement():
         dephasing._continuum_and_slope(table, 1.0, np.linspace(0.0, 2.0, 6))
 
 
+def _closed_form_weights(table, beta):
+    # the Filon weights of dephasing._tabulated on a table from w = 0, whose
+    # first knot interval's singular part is taken in closed form
+    knots, values = table.frequencies, table.values
+    return dephasing._filon_weights(table, beta, knots[1], (values[1] - values[0]) / knots[1])
+
+
 def _adaptive_cases():
-    """(integrand, edges, rule, tol, max_panels) of the two passes of
-    :func:`dephasing._tabulated`, each of which splits: the Filon pass on a
-    401-knot table at tol 1e-12, and the first knot interval of the fig2
-    density on 21 knots at 201 times and tol 1e-10."""
+    """(integrand, edges, rule, tol, max_panels) of the Filon pass of
+    :func:`dephasing._tabulated`, each of which splits: a 401-knot table at
+    beta = 1 and tol 1e-12, and a 21-knot table with J(0) > 0 at beta = 5 and
+    tol 1e-10, whose first knot interval [0, 2] splits."""
     grid = np.linspace(0.0, 20.0, 401)
     density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
-    filon_pass = (dephasing._filon_weights(TabulatedDensity(grid, density), 1.0), grid[1:],
+    filon_pass = (_closed_form_weights(TabulatedDensity(grid, density), 1.0), grid,
                   _quadrature.chebyshev((2.0, 1.0)))
     wide = np.linspace(0.0, 40.0, 21)
-    times = np.linspace(0.0, 40.0, 201)
-    table = TabulatedDensity(wide, 8.0 * math.pi * wide * np.exp(-wide))
-    first_pass = (dephasing._continuum_integrand(table, 1.0, times), wide[:2],
-                  _quadrature.integrated(_quadrature.chebyshev(np.ones(2 * times.size))))
+    table = TabulatedDensity(wide, 0.5 + 8.0 * math.pi * wide * np.exp(-wide))
+    first_pass = (_closed_form_weights(table, 5.0), wide, _quadrature.chebyshev((2.0, 1.0)))
     return {
-        "filon-splits": (*filon_pass, 0.5e-12, 50000),
-        "first-interval-splits": (*first_pass, 0.5e-10, 50000),
-        "budget": (*filon_pass, 0.5e-12, grid.size),  # two of the three splits
+        "filon-splits": (*filon_pass, 1e-12, 50000),
+        "first-interval-splits": (*first_pass, 1e-10, 50000),
+        "budget": (*filon_pass, 1e-12, grid.size + 1),  # two of the three splits
     }
 
 
@@ -246,6 +326,8 @@ def test_adaptive_panels_tile_the_edges(case):
     lo, hi, estimates, errors, _ = _quadrature.integrate_adaptive(f, edges, tol, max_panels,
                                                                   rule=recording)
     assert lo.size > edges.size - 1  # some panel was split
+    if case == "first-interval-splits":
+        assert np.sum(hi <= edges[1]) > 1
     order = np.argsort(lo)
     assert lo[order][0] == edges[0] and hi[order][-1] == edges[-1]
     assert np.array_equal(lo[order][1:], hi[order][:-1])  # no gap, no overlap
