@@ -60,6 +60,11 @@ grep -q 'spectral file j.txt.gz:' err.txt
 # rule, the rest the Taylor series or the forward recurrence
 python -c "import numpy as np; w = np.geomspace(1e-3, 40.0, 101); np.savetxt('log.txt', np.column_stack([w, w * np.exp(-w / 3.0)]))"
 python -W error -m qchan dephasing-quantum --spectral-file log.txt --beta 1 --t-max 100 --steps 2001 --out log.csv
+# a uniform table: its 10 float panel widths differ only by the knots'
+# rounding and form at most 2 width classes, and up to t = 1000 its kappas
+# reach the Taylor series, the Gauss-Legendre rule and the forward recurrence
+python -c "import numpy as np; w = np.linspace(0.0, 40.0, 401); np.savetxt('uniform.txt', np.column_stack([w, 8 * np.pi * w * np.exp(-w)]))"
+python -W error -m qchan dephasing-quantum --spectral-file uniform.txt --beta inf --t-max 1000 --steps 20001 --out uniform.csv
 # a coarse table with J(0) > 0: its first knot interval's singular part is a
 # closed form, so 200,001 times up to t = 400 fit the work budget
 python -c "import numpy as np; w = np.linspace(0.0, 20.0, 21); np.savetxt('coarse.txt', np.column_stack([w, 0.5 + 8 * np.pi * w * np.exp(-w)]))"

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from ._common import double_angle
+from ._common import check_work, double_angle
 
 # values per slab (integrand values, or (time, panel) moments in filon)
 _SLAB = 2**16
@@ -51,6 +51,8 @@ _TO_COEF[0] *= 0.5
 # einsum sums over k with these in one order whatever the slab's shape; an
 # axis reduction need not
 _ONES = np.ones(_K.size)
+# |1 - cos wt| <= 2 and |sin wt| <= 1 scale the bounds of the two rows
+_SCALE = np.array([[2.0], [1.0]])
 
 
 def _t_integrals(n: int) -> np.ndarray:
@@ -61,43 +63,37 @@ def _t_integrals(n: int) -> np.ndarray:
     return out
 
 
-def chebyshev(scale):
-    """The Chebyshev panel rule for a smooth integrand ``f`` of
-    len(``scale``) rows.  Estimates: the coefficients of the rows'
-    degree-_P interpolants, (rows, panels, _P + 1).  Errors, (rows,
-    panels): ``scale`` times bounds on the integrals of |f - P f| from the
-    two trailing coefficients, plus a rounding floor.  Floors, (rows,
-    panels): that floor, also times ``scale``."""
-    scale = np.asarray(scale, dtype=float)[:, None]
-
-    def estimates(f, lo, hi):
-        half = 0.5 * (hi - lo)
-        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _CHEB_X
-        values = f(nodes.ravel()).reshape(scale.size, *nodes.shape)
-        # einsum sums each panel's values in one order whatever the slab's
-        # shape, so results do not depend on the slab size; a matrix product's
-        # BLAS kernel, and with it the rounding, changes with the shape
-        coef = np.einsum("rpj,kj->rpk", values, _TO_COEF)
-        # int |g - P g| <= 2 (b - a) sum_{k > p} |c_k|, and the sum is at most
-        # |c_{p-1}| / 2 while the coefficients decay at least as 2^-k
-        floors = scale * (_ROUNDING * 2.0 * half * np.einsum("rpk,k->rp", np.abs(coef), _ONES))
-        errors = scale * (2.0 * half * (np.abs(coef[:, :, -1]) + np.abs(coef[:, :, -2])))
-        return coef, errors + floors, floors
-
-    def rule(f, lo, hi):
-        step = max(1, _SLAB // (scale.size * _K.size))
-        slabs = [estimates(f, lo[i : i + step], hi[i : i + step]) for i in range(0, lo.size, step)]
+def chebyshev(f, lo, hi):
+    """The Chebyshev panel rule for a smooth integrand ``f`` of two rows,
+    the factors of :func:`filon`'s 1 - cos and sin.  Estimates: the
+    coefficients of the rows' degree-_P interpolants, (2, panels, _P + 1).
+    Errors, (2, panels): ``_SCALE`` times bounds on the integrals of |f - P f|
+    from the two trailing coefficients, plus a rounding floor.  Floors,
+    (2, panels): that floor, also times ``_SCALE``."""
+    step = max(1, _SLAB // (_SCALE.size * _K.size))
+    if lo.size > step:
+        slabs = [chebyshev(f, lo[i : i + step], hi[i : i + step]) for i in range(0, lo.size, step)]
         return tuple(np.concatenate(parts, axis=1) for parts in zip(*slabs))
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _CHEB_X
+    values = f(nodes.ravel()).reshape(_SCALE.size, *nodes.shape)
+    # einsum sums each panel's values in one order whatever the slab's
+    # shape, so results do not depend on the slab size; a matrix product's
+    # BLAS kernel, and with it the rounding, changes with the shape
+    coef = np.einsum("rpj,kj->rpk", values, _TO_COEF)
+    # int |g - P g| <= 2 (b - a) sum_{k > p} |c_k|, and the sum is at most
+    # |c_{p-1}| / 2 while the coefficients decay at least as 2^-k
+    floors = _SCALE * (_ROUNDING * 2.0 * half * np.einsum("rpk,k->rp", np.abs(coef), _ONES))
+    errors = _SCALE * (2.0 * half * (np.abs(coef[:, :, -1]) + np.abs(coef[:, :, -2])))
+    return coef, errors + floors, floors
 
-    return rule
 
-
-def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule):
+def integrate_adaptive(f, edges, tol: float, max_panels: int, *, rule=chebyshev):
     """Adaptive quadrature of ``f`` over the panels defined by ``edges``.
 
-    ``rule(f, lo, hi)`` gives each panel [lo_i, hi_i] its estimates, its
-    error bounds and the rounding floors within them, all indexed by panel
-    along axis 1.  After a first pass over the edges' panels, every live
+    ``rule(f, lo, hi)``, :func:`chebyshev` unless a test passes another,
+    gives each panel [lo_i, hi_i] its estimates, its error bounds and the
+    rounding floors within them, all indexed by panel along axis 1.  After a first pass over the edges' panels, every live
     panel sits in one heap ordered by its largest row error (QUADPACK's
     QAG keeps one such list), and the top panel is bisected until the
     summed errors of every row are <= ``tol``, ``max_panels`` panels are in
@@ -220,8 +216,12 @@ def _moments_taylor(kappa):
 
 
 def _moments_gauss(kappa):
-    # sin(kappa x) and 1 - cos(kappa x) at the nodes from one tangent each;
-    # einsum sums the nodes in one order whatever the number of kappas
+    # sin(kappa x) and 1 - cos(kappa x) at the nodes from one tangent each,
+    # in slabs of about _SLAB node values; einsum sums the nodes in one order
+    # whatever the number of kappas
+    step = max(1, _SLAB // _GAUSS)
+    if kappa.size > step:
+        return np.vstack([_moments_gauss(kappa[i : i + step]) for i in range(0, kappa.size, step)])
     sin, vers = double_angle(0.5 * np.multiply.outer(kappa, _GAUSS_X))
     return np.hstack([np.einsum("nj,jk->nk", 1.0 - vers, _GAUSS_EVEN),
                       np.einsum("nj,jk->nk", sin, _GAUSS_ODD),
@@ -262,7 +262,7 @@ def moments(kappa):
     return out.reshape(*kappa.shape, _VERS.stop)
 
 
-def filon(times, lo, hi, coef):
+def filon(times, lo, hi, coef, more_sets=0):
     """(int v (1 - cos wt) dw, int w sin(wt) dw) at the ``times``, summed
     over panels [lo_i, hi_i] on which v and w are the interpolants with the
     :func:`chebyshev` coefficients ``coef``.
@@ -271,18 +271,24 @@ def filon(times, lo, hi, coef):
     splits as 1 - cos(mt + kx) = (1 - cos mt) + cos mt (1 - cos kx)
     + sin mt sin kx, k = ht/2, so small t keeps its relative accuracy, and
     each (time, panel) costs one tangent of mt/2.  Moments are computed once
-    per (time, distinct width): panels are taken in order of width, in slabs
-    of about ``_SLAB`` moments, and each time's sum runs over them in that
-    order whatever the slab size.
+    per (time, width class): widths in one bin of 2 eps times the largest
+    knot, the rounding the knots carry, share their mean, so k errs by no
+    more than the rounding of the largest phase mt.  Panels are taken in
+    order of width, in slabs of about ``_SLAB`` moments, and each time's sum
+    runs over them in that order whatever the slab size.  Before any sum,
+    the (time, panel) sums and the moment sets, with ``more_sets`` per time
+    that the caller computes, are charged to the work budget.
     """
     times = np.asarray(times, dtype=float)
     # panels in order of width, the input order within a width; first[c] is
-    # the first panel of the c-th distinct width
+    # the first panel of the c-th width class
     width = hi - lo
     order = np.argsort(width, kind="stable")
     width = width[order]
-    first = np.flatnonzero(np.r_[True, width[1:] != width[:-1], True])
-    widths = width[first[:-1]]
+    key = np.floor(width / np.max(hi) / (2.0 * np.finfo(float).eps))
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
+    widths = np.add.reduceat(width, first[:-1]) / np.diff(first)
+    check_work(filon=times.size * lo.size, moments=times.size * (widths.size + more_sets))
     width_of = np.repeat(np.arange(widths.size), np.diff(first))
     mid = (0.5 * (lo + hi))[order]
     # (panels, k) coefficients times h/2, in order of width

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import (check_grid, check_square, check_times, check_work, double_angle, finite,
-                      line_sums, positive, scalar_or_array)
-from ._quadrature import _ROUNDING, _SI_MAX, chebyshev, filon, integrate_adaptive, si_cin
+from ._common import (check_grid, check_square, check_times, double_angle, finite, line_sums,
+                      positive, scalar_or_array)
+from ._quadrature import _ROUNDING, _SI_MAX, filon, integrate_adaptive, si_cin
 from ._rng import monte_carlo_sums
 from .errors import DomainError, QuadratureError, UnsupportedQueryError
 from .states import QubitState
@@ -334,18 +334,13 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol):
     closed_floor = np.max(bound, initial=0.0)
     if a > 0.0 and closed_floor >= _ROUNDING * values[0] / (np.pi * beta * a):
         ends, bound, closed_floor = [], np.zeros_like(bound), 0.0
-    # |1 - cos wt| <= 2 and |sin wt| <= 1 scale the bounds of the two rows
-    lo, hi, coef, errors, floor = integrate_adaptive(
-        _filon_weights(density, beta, b if ends else 0.0, j1), knots, tol - closed_floor,
-        MAX_PANELS, rule=chebyshev((2.0, 1.0)),
-    )
+    weights = _filon_weights(density, beta, b if ends else 0.0, j1)
+    lo, hi, coef, errors, floor = integrate_adaptive(weights, knots, tol - closed_floor, MAX_PANELS)
     floor += closed_floor
-    # the Filon sums, their moment sets (one per (time, distinct panel width))
-    # and Si and Cin (one set per time and end) share the budget, checked
-    # before any
-    check_work(filon=times.size * lo.size, moments=times.size * (np.unique(hi - lo).size + len(ends)))
     totals = np.zeros((4, times.size))  # Gamma, Gamma', their error estimates
-    totals[:2] = filon(times, lo, hi, coef)
+    # filon charges the budget before any sum, with Si and Cin as one set per
+    # time and end
+    totals[:2] = filon(times, lo, hi, coef, len(ends))
     for end, sign in zip(ends, (1.0, -1.0)):
         si, cin = si_cin(end * times)
         totals[0] += sign * (p * (times * si - double_angle(0.5 * end * times)[1] / end) + q * cin)

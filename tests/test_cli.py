@@ -46,6 +46,14 @@ def work_seconds(units):
     return sum(NS_PER_UNIT[kernel] * count for kernel, count in units.items()) / 1e9
 
 
+def class_widths(lo, hi):
+    """The width of each class of Filon panels, narrowest first: widths in
+    one bin of 2 eps times the largest knot share their mean."""
+    width = np.sort(hi - lo)
+    key = np.floor(width / hi.max() / (2.0 * np.finfo(float).eps))
+    return np.array([np.mean(width[key == k]) for k in np.unique(key)])
+
+
 def run(args, cwd=None, monkeypatch=None):
     return main(shlex.split(args))
 
@@ -448,7 +456,7 @@ def test_tabulated_cost_cap_exits_3_before_any_sum(tmp_path, monkeypatch, capsys
     argv = ["dephasing-quantum", "--spectral-file", str(path), "--beta", "1", "--t-max", "25",
             "--steps", "11", "--out", str(tmp_path / "x.csv")]
     passes, units = [], {}
-    integrate, check_work = dephasing.integrate_adaptive, dephasing.check_work
+    integrate, check_work = dephasing.integrate_adaptive, _quadrature.check_work
 
     def recording(f, edges, *args, **kwargs):
         passes.append((edges, integrate(f, edges, *args, **kwargs)))
@@ -459,24 +467,27 @@ def test_tabulated_cost_cap_exits_3_before_any_sum(tmp_path, monkeypatch, capsys
         check_work(**work)
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
-    monkeypatch.setattr(dephasing, "check_work", recording_check)
+    monkeypatch.setattr(_quadrature, "check_work", recording_check)
     assert main(argv) == 0
-    # 11 times on the Filon panels over all the knots, and on their distinct
-    # widths plus the first knot interval's Si and Cin, one moment set each
-    # whatever its regime
+    # 11 times on the Filon panels over all the knots, and on their width
+    # classes plus the first knot interval's Si and Cin, one moment set each
+    # whatever its regime: the 12 float widths of the panels (the knots' 10
+    # and the halves of the first knot interval) form 3 classes
     ((edges, (lo, hi, *_)),) = passes
     assert np.array_equal(edges, grid)
-    assert units == {"filon": 11 * lo.size, "moments": 11 * (np.unique(hi - lo).size + 1)}
+    assert np.unique(hi - lo).size == 12 and class_widths(lo, hi).size == 3
+    assert units == {"filon": 11 * lo.size, "moments": 11 * (3 + 1)}
     monkeypatch.setattr(_common, "WORK_BUDGET_S", work_seconds(units))
     assert main(argv) == 0
     passes.clear()
     (tmp_path / "x.csv").unlink()
 
     def no_sum(*args):
-        raise AssertionError("the budget must be checked before the Filon sums and Si, Cin")
+        raise AssertionError("the budget must be checked before any moment set or sum")
 
     # one Filon unit over the budget
-    monkeypatch.setattr(dephasing, "filon", no_sum)
+    monkeypatch.setattr(_quadrature, "moments", no_sum)
+    monkeypatch.setattr(_quadrature, "double_angle", no_sum)
     monkeypatch.setattr(dephasing, "si_cin", no_sum)
     monkeypatch.setattr(_common, "WORK_BUDGET_S", work_seconds({**units, "filon": units["filon"] - 1}))
     capsys.readouterr()
@@ -485,6 +496,53 @@ def test_tabulated_cost_cap_exits_3_before_any_sum(tmp_path, monkeypatch, capsys
     assert err.startswith("qchan: numerical failure: work units filon=") and "above the budget" in err, err
     assert len(passes) == 1  # the panels only
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("table", ["uniform", "log", "splits"])
+def test_moment_sets_charged_are_the_sets_computed(table, monkeypatch):
+    # filon charges one moment set per (time, width class) and the caller's
+    # Si and Cin sets; every charged set is computed, and no other
+    grid = {"uniform": np.linspace(0.0, 40.0, 401), "splits": np.linspace(0.0, 40.0, 21),
+            "log": np.r_[0.0, np.geomspace(1e-3, 40.0, 100)]}[table]
+    # J(0) > 0 makes the first knot interval of the coarse table split
+    density = dephasing.TabulatedDensity(grid, 8.0 * math.pi * grid * np.exp(-grid)
+                                         + (0.5 if table == "splits" else 0.0))
+    beta, tol = {"uniform": (math.inf, 1e-8), "log": (1.0, 1e-8), "splits": (5.0, 1e-10)}[table]
+    times = np.linspace(0.0, 40.0, 201)
+    charged, kappas, closed, passes = [], [], [], []
+    integrate, check_work = dephasing.integrate_adaptive, _quadrature.check_work
+    moments, si_cin = _quadrature.moments, dephasing.si_cin
+
+    def recording(f, edges, *args, **kwargs):
+        passes.append(integrate(f, edges, *args, **kwargs))
+        return passes[-1]
+
+    def recording_check(**work):
+        charged.append(work["moments"])
+        check_work(**work)
+
+    def counting_moments(kappa):
+        kappas.append(np.size(kappa))
+        return moments(kappa)
+
+    def counting_si_cin(x):
+        closed.append(np.size(x))
+        return si_cin(x)
+
+    monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
+    monkeypatch.setattr(_quadrature, "check_work", recording_check)
+    monkeypatch.setattr(_quadrature, "moments", counting_moments)
+    monkeypatch.setattr(dephasing, "si_cin", counting_si_cin)
+    dephasing._continuum_and_slope(density, beta, times, tol)
+    ((lo, hi, *_),) = passes
+    assert len(charged) == 1 and sum(closed) == times.size
+    assert charged[0] - sum(closed) == sum(kappas) == times.size * class_widths(lo, hi).size
+    if table == "uniform":  # the knots' 10 float widths, at most 2 classes
+        assert np.unique(hi - lo).size == 10 and class_widths(lo, hi).size <= 2
+    elif table == "log":  # every width its own class
+        assert class_widths(lo, hi).size == np.unique(hi - lo).size == lo.size
+    else:
+        assert lo.size > grid.size - 1  # some panel was split
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -991,7 +1049,7 @@ def test_first_knot_just_above_zero_exits_0(tmp_path):
 def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
     # the same table at --t-max 25 and 400: the same Filon panels, one
     # tangent per (time, panel), and _GAUSS more per moment set (time,
-    # distinct width) in the Gauss-Legendre regime, none at --t-max 25; the
+    # width class) in the Gauss-Legendre regime, none at --t-max 25; the
     # first knot interval's Si and Cin take _GAUSS per time up to
     # _SI_SWITCH, one above it
     grid = np.linspace(0.0, 20.0, 1001)
@@ -1022,7 +1080,7 @@ def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
     lo, hi = np.split(panels[0], 2)
     expected = []
     for t_max in (25.0, 400.0):
-        kappa = 0.5 * np.multiply.outer(np.unique(hi - lo), np.linspace(0.0, t_max, 251))
+        kappa = 0.5 * np.multiply.outer(class_widths(lo, hi), np.linspace(0.0, t_max, 251))
         gauss = np.sum((kappa > _quadrature._TAYLOR) & (kappa <= _quadrature._FORWARD))
         x = grid[1] * np.linspace(0.0, t_max, 251)
         closed = _quadrature._GAUSS * np.sum(x <= _quadrature._SI_SWITCH) + np.sum(x > _quadrature._SI_SWITCH)

@@ -366,10 +366,12 @@ def test_quadrature_slabs_bound_integrand_size(monkeypatch):
         tracemalloc.stop()
     assert max(sizes) <= _quadrature._SLAB and max(tangents) <= _quadrature._SLAB
     assert peak <= 200 * _quadrature._SLAB  # 13 MB: 25 slabs of doubles
-    # a table of two knot intervals at the 20001 times
+    # a table of two knot intervals at the 20001 times, whose moments take
+    # the Gauss-Legendre rule in slabs too
     sizes.clear()
+    tangents.clear()
     dephasing._continuum_and_slope(TabulatedDensity(grid[:3], FIG2_DENSITY(grid[:3])), 1.0, times)
-    assert max(sizes) <= _quadrature._SLAB
+    assert max(sizes) <= _quadrature._SLAB and max(tangents) <= _quadrature._SLAB
 
 
 def test_tabulated_results_do_not_depend_on_slab_size(monkeypatch):

@@ -72,7 +72,7 @@ def test_chebyshev_rule_is_exact_to_its_degree():
     coef = np.random.default_rng(2).normal(size=_quadrature._K.size)
     coef[-2:] = 0.0
     poly = np.polynomial.Chebyshev(coef, domain=[2.0, 3.0])
-    got, errors, _ = _quadrature.chebyshev((2.0, 1.0))(
+    got, errors, _ = _quadrature.chebyshev(
         lambda w: np.stack([poly(w), 2.0 * poly(w)]), np.array([2.0]), np.array([3.0])
     )
     assert np.max(np.abs(got[:, 0].ravel() - np.concatenate([coef, 2.0 * coef]))) <= 1e-13
@@ -206,7 +206,7 @@ def test_filon_sums_match_quad_vec_on_a_polynomial():
     lo, hi = np.array([0.5, 1.0, 1.5]), np.array([1.0, 1.5, 2.5])
     v = np.polynomial.Polynomial([0.3, -0.2, 0.1, 0.05])
     w = np.polynomial.Polynomial([1.0, 0.5, -0.25])
-    coef, _, _ = _quadrature.chebyshev((2.0, 1.0))(lambda x: np.stack([v(x), w(x)]), lo, hi)
+    coef, _, _ = _quadrature.chebyshev(lambda x: np.stack([v(x), w(x)]), lo, hi)
     times = np.array([0.0, 1e-6, 0.3, 7.0, 60.0, 900.0])
     value, slope = _quadrature.filon(times, lo, hi, coef)
     ref, err = quad_vec(
@@ -256,7 +256,7 @@ def test_a_non_finite_error_ends_the_refinement():
     # first panel whose error is not finite, and the caller raises
     table = TabulatedDensity([0.0, 5e-324, 1.0], [1.0, 1.0, 1.0])
     calls = []
-    rule = _quadrature.chebyshev((2.0, 1.0))
+    rule = _quadrature.chebyshev
 
     def counting(f, lo, hi):
         calls.append(lo.size)
@@ -295,10 +295,10 @@ def _adaptive_cases():
     grid = np.linspace(0.0, 20.0, 401)
     density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
     filon_pass = (_closed_form_weights(TabulatedDensity(grid, density), 1.0), grid,
-                  _quadrature.chebyshev((2.0, 1.0)))
+                  _quadrature.chebyshev)
     wide = np.linspace(0.0, 40.0, 21)
     table = TabulatedDensity(wide, 0.5 + 8.0 * math.pi * wide * np.exp(-wide))
-    first_pass = (_closed_form_weights(table, 5.0), wide, _quadrature.chebyshev((2.0, 1.0)))
+    first_pass = (_closed_form_weights(table, 5.0), wide, _quadrature.chebyshev)
     return {
         "filon-splits": (*filon_pass, 1e-12, 50000),
         "first-interval-splits": (*first_pass, 1e-10, 50000),
