@@ -29,6 +29,11 @@ python -W error -m qchan oracle --model dephasing-mode --c 1 --omega 0.5 --beta 
 python -W error -m qchan dephasing-quantum --modes 1:0.5,0.3:2 --beta 2 --out modes.csv
 python -W error -m qchan dephasing-classical --cosine 1:1,0.5:2 --out cosine.csv
 python -W error -m qchan amp-damping --modes 1:1,0.5:1.5,0.3:0.7 --out amp.csv
+# --weight already holds coth(beta omega / 2): a single mode's rows do not
+# depend on beta, also where coth overflows
+python -W error -m qchan dephasing-quantum --single-mode --beta inf --out single_inf.csv
+python -W error -m qchan dephasing-quantum --single-mode --beta 1e-320 --out single_hot.csv
+diff <(grep -v '^#' single_inf.csv) <(grep -v '^#' single_hot.csv)
 # a Monte Carlo run needs no scipy: numpy draws its normals
 python -W error -c "import runpy, sys; sys.modules['scipy'] = None; sys.argv[1:] = ['reproduce', 'fig1', '--mc', '1000']; runpy.run_module('qchan', run_name='__main__', alter_sys=True)"
 
@@ -56,13 +61,13 @@ grep -q 'spectral file inf.txt:' err.txt
 python -c "import gzip, pathlib; pathlib.Path('j.txt.gz').write_bytes(gzip.compress(b'0 0\\n1 1\\n2 0.5\\n'))"
 expect 2 dephasing-quantum --spectral-file j.txt.gz --out gz.csv
 grep -q 'spectral file j.txt.gz:' err.txt
-# a log-spaced table: about 3 in 10 of its moment sets take the Gauss-Legendre
-# rule, the rest the Taylor series or the forward recurrence
+# a log-spaced table: about 9 in 10 of its moment sets take the Gauss-Legendre
+# rule (kappa <= 24), the rest the forward recurrence
 python -c "import numpy as np; w = np.geomspace(1e-3, 40.0, 101); np.savetxt('log.txt', np.column_stack([w, w * np.exp(-w / 3.0)]))"
 python -W error -m qchan dephasing-quantum --spectral-file log.txt --beta 1 --t-max 100 --steps 2001 --out log.csv
 # a uniform table: its 10 float panel widths differ only by the knots'
-# rounding and form at most 2 width classes, and up to t = 1000 its kappas
-# reach the Taylor series, the Gauss-Legendre rule and the forward recurrence
+# rounding and form at most 2 width classes, and up to t = 1000 about half
+# its moment sets take the Gauss-Legendre rule, half the forward recurrence
 python -c "import numpy as np; w = np.linspace(0.0, 40.0, 401); np.savetxt('uniform.txt', np.column_stack([w, 8 * np.pi * w * np.exp(-w)]))"
 python -W error -m qchan dephasing-quantum --spectral-file uniform.txt --beta inf --t-max 1000 --steps 20001 --out uniform.csv
 # a coarse table with J(0) > 0: its first knot interval's singular part is a

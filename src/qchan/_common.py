@@ -27,7 +27,7 @@ WORK_BUDGET_S = 10
 # - monte_carlo: the units of _rng.monte_carlo_cost;
 # - filon, moments: a tabulated density's Filon sums, one per (time, panel),
 #   and their moments, one set per (time, width class), whichever of the
-#   three rules of _quadrature.moments computes it, plus one set per (time,
+#   two rules of _quadrature.moments computes it, plus one set per (time,
 #   end) for the Si and Cin of a first knot interval in closed form;
 #   _quadrature.filon charges both.
 NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 14, "filon": 50, "moments": 800}

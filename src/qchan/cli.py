@@ -246,9 +246,9 @@ def _dephasing_exponent(cfg: dict, times: np.ndarray):
         omega, weight = cfg["omega"], cfg["weight"]
         if not omega > 0 or not weight > 0:
             raise DomainError("single mode needs omega > 0 and weight > 0")
-        # weight is the combined factor |c|^2 coth(beta omega/2) / omega^2
-        coupling = omega * math.sqrt(weight / float(dephasing._coth(0.5 * beta * omega)))
-        bath = dephasing.DiscreteBosonBath(((coupling, omega),), beta)
+        # weight is the combined factor |c|^2 coth(beta omega/2) / omega^2, so
+        # beta is already in it: the mode at zero temperature, coth = 1
+        bath = dephasing.DiscreteBosonBath(((omega * math.sqrt(weight), omega),))
         return (*dephasing._discrete_and_slope(bath, times), None)
     if cfg["modes"] is not None:
         bath = dephasing.DiscreteBosonBath(_parse_pairs(cfg["modes"], "mode"), beta)

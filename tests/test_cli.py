@@ -941,6 +941,20 @@ def test_fig2_ohmic_zero_temperature_rate(tmp_path):
     assert np.all(np.abs(gamma - 0.5 * np.sin(0.5 * times)) <= 1e-12)
 
 
+def test_single_mode_weight_holds_at_any_beta(tmp_path):
+    # --weight already holds coth(beta omega / 2), so beta leaves the rows
+    # unchanged: Gamma = 1 - cos(t / 2) also where coth overflows
+    rows = {}
+    for beta in ("inf", "1", "1e-320"):
+        out = tmp_path / f"single_{beta}.csv"
+        assert main(["dephasing-quantum", "--single-mode", "--beta", beta, "--steps", "201",
+                     "--out", str(out)]) == 0
+        rows[beta] = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows["1"] == rows["inf"] and rows["1e-320"] == rows["inf"]
+    times, coherence = read_series_csv(tmp_path / "single_inf.csv", "f_or_coherence")
+    assert np.allclose(-np.log(coherence), 1.0 - np.cos(0.5 * times), rtol=1e-12, atol=1e-15)
+
+
 def _coth(x):
     return 1.0 / math.tanh(x)
 
@@ -1048,10 +1062,10 @@ def test_first_knot_just_above_zero_exits_0(tmp_path):
 
 def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
     # the same table at --t-max 25 and 400: the same Filon panels, one
-    # tangent per (time, panel), and _GAUSS more per moment set (time,
-    # width class) in the Gauss-Legendre regime, none at --t-max 25; the
-    # first knot interval's Si and Cin take _GAUSS per time up to
-    # _SI_SWITCH, one above it
+    # tangent per (time, panel), and one per positive Gauss-Legendre node
+    # per moment set (time, width class) with kappa <= _FORWARD, which is
+    # every set here at both --t-max; the first knot interval's Si and Cin
+    # take _GAUSS per time up to _SI_SWITCH, one above it
     grid = np.linspace(0.0, 20.0, 1001)
     density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
     path = tmp_path / "table.txt"
@@ -1081,11 +1095,11 @@ def test_filon_work_does_not_grow_with_t(tmp_path, monkeypatch):
     expected = []
     for t_max in (25.0, 400.0):
         kappa = 0.5 * np.multiply.outer(class_widths(lo, hi), np.linspace(0.0, t_max, 251))
-        gauss = np.sum((kappa > _quadrature._TAYLOR) & (kappa <= _quadrature._FORWARD))
+        gauss = np.sum(kappa <= _quadrature._FORWARD)
         x = grid[1] * np.linspace(0.0, t_max, 251)
         closed = _quadrature._GAUSS * np.sum(x <= _quadrature._SI_SWITCH) + np.sum(x > _quadrature._SI_SWITCH)
-        expected.append(251 * lo.size + _quadrature._GAUSS * int(gauss) + int(closed))
-    assert expected[0] == 251 * lo.size + 251 * _quadrature._GAUSS < expected[1]
+        expected.append(251 * lo.size + _quadrature._HALF_X.size * int(gauss) + int(closed))
+    assert expected[0] == expected[1] == 251 * (lo.size + _quadrature._HALF_X.size + _quadrature._GAUSS)
     assert tangents == expected
 
 

@@ -378,8 +378,9 @@ def test_tabulated_results_do_not_depend_on_slab_size(monkeypatch):
     grid = np.linspace(0.0, 20.0, 401)
     density = grid * np.exp(-grid / 3.0) * (1.5 + np.exp(-((grid - 5.0) ** 2)))
     table = TabulatedDensity(grid, density)
-    # kappa = width t / 2 <= 0.75 on the first grid (Taylor moments), up to
-    # 7.5 on the second (Gauss-Legendre moments)
+    # kappa = width t / 2 <= 0.75 on the first grid, up to 7.5 on the second:
+    # both within the Gauss-Legendre rule, the first where its 1 - cos
+    # moments must keep their relative accuracy
     grids = [np.linspace(0.0, 30.0, 37), np.linspace(0.0, 300.0, 37)]
     # a tight tolerance, so bisections run after the first pass
     defaults = [dephasing._continuum_and_slope(table, 1.0, times, tol=1e-12) for times in grids]

@@ -10,7 +10,8 @@ from scipy.integrate import quad_vec
 from qchan import QuadratureError, TabulatedDensity, dephasing
 from qchan import _quadrature
 
-# each regime's ends and inside: Taylor to 1, Gauss-Legendre to 24, then forward
+# each regime's ends and inside: Gauss-Legendre to 24, with small kappas for the
+# 1 - cos moments' relative accuracy, then forward
 KAPPAS = (0.0, 1e-8, 1e-3, 0.25, 1.0, float(np.nextafter(1.0, 2.0)), 1.5, 2.5, 5.0, 10.0, 17.0,
           24.0, 30.0, 100.0, 1e3)
 
@@ -45,6 +46,20 @@ def test_chebyshev_moments_match_mpmath():
                 assert abs(vers - exact_vers) <= 1e-14 * abs(exact_vers), (kappa, k)
         for k, sin in zip(odd, row[_quadrature._SIN]):
             assert abs(sin - mpmath_moments(k, kappa)[0]) <= 1e-15, (kappa, k)
+
+
+def test_half_gauss_rule_premise():
+    # the rule sums its positive nodes with doubled weights: that is the full
+    # rule only if the nodes and the weighted T_k are even or odd as floats
+    x = _quadrature._GAUSS_X
+    assert _quadrature._GAUSS % 2 == 0 and _quadrature._HALF_X.size == _quadrature._GAUSS // 2
+    assert np.array_equal(-_quadrature._HALF_X[::-1], x[x < 0])
+    assert np.array_equal(_quadrature._GAUSS_EVEN[::-1], _quadrature._GAUSS_EVEN)
+    assert np.array_equal(-_quadrature._GAUSS_ODD[::-1], _quadrature._GAUSS_ODD)
+    # and at kappa = 0 the moments are exactly (int T_k, 0, 0)
+    row = _quadrature.moments(0.0)
+    assert np.array_equal(row[_quadrature._COS], _quadrature._t_integrals(_quadrature._K.size)[::2])
+    assert np.all(row[_quadrature._SIN] == 0.0) and np.all(row[_quadrature._VERS] == 0.0)
 
 
 def test_si_cin_match_mpmath():
