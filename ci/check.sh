@@ -37,6 +37,11 @@ diff <(grep -v '^#' single_inf.csv) <(grep -v '^#' single_hot.csv)
 # a Monte Carlo run needs no scipy: numpy draws its normals
 python -W error -c "import runpy, sys; sys.modules['scipy'] = None; sys.argv[1:] = ['reproduce', 'fig1', '--mc', '1000']; runpy.run_module('qchan', run_name='__main__', alter_sys=True)"
 
+# JSON written one slab at a time is json.dumps of the whole payload, with
+# the poles' NaN gamma as null
+python -W error -m qchan depol-spinbath --t-max 12.566370614359172 --steps 5 --format json --out poles.json
+python -c "import json; text = open('poles.json').read(); assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + '\n' and 'null' in text"
+
 # a command that must fail: its exit code is $1, and its stderr is left in err.txt
 expect() {
     local want=$1 got=0
@@ -74,6 +79,15 @@ python -W error -m qchan dephasing-quantum --spectral-file uniform.txt --beta in
 # closed form, so 200,001 times up to t = 400 fit the work budget
 python -c "import numpy as np; w = np.linspace(0.0, 20.0, 21); np.savetxt('coarse.txt', np.column_stack([w, 0.5 + 8 * np.pi * w * np.exp(-w)]))"
 python -W error -m qchan dephasing-quantum --spectral-file coarse.txt --beta 1 --t-max 400 --steps 200001 --out coarse.csv
+# a table's first pass and its least Filon sums are charged before the pass:
+# 1,000,001 knots at 251 times exit 3 without a panel (the pass took ~5 s)
+python -c "import numpy as np; w = np.linspace(0.0, 40.0, 1000001); np.savetxt('large.txt', np.column_stack([w, 8 * np.pi * w * np.exp(-w)]))"
+SECONDS=0
+expect 3 dephasing-quantum --spectral-file large.txt --out large.csv
+if [ "$SECONDS" -ge 2 ]; then
+    echo "the 1,000,001-knot table took ${SECONDS} s to exit" >&2
+    exit 1
+fi
 # a threshold that is not finite and >= 0 is a configuration error
 expect 2 analyze ci.csv --col f --eps-abs nan
 # a non-finite error bound ends the refinement at once: this table's W/w

@@ -25,12 +25,15 @@ WORK_BUDGET_S = 10
 # - line, line_term: a line sum's lines, and its terms, one per (line, time,
 #   weight row);
 # - monte_carlo: the units of _rng.monte_carlo_cost;
+# - panel: a tabulated density's first pass, one per knot interval (~3 us
+#   at 100,001 knots, ~5 us at 1,000,001), charged before the pass;
 # - filon, moments: a tabulated density's Filon sums, one per (time, panel),
 #   and their moments, one set per (time, width class), whichever of the
-#   two rules of _quadrature.moments computes it, plus one set per (time,
-#   end) for the Si and Cin of a first knot interval in closed form;
-#   _quadrature.filon charges both.
-NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 14, "filon": 50, "moments": 800}
+#   two rules of _quadrature.moments computes it (~0.3-0.5 us a set), plus
+#   one set per (time, end) for the Si and Cin of a first knot interval in
+#   closed form; _quadrature.filon charges both.
+NS_PER_UNIT = {"line": 10_000, "line_term": 5, "monte_carlo": 14, "panel": 6_000, "filon": 50,
+               "moments": 550}
 
 
 def pole_rate(factor, slope):

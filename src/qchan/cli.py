@@ -91,34 +91,24 @@ def _config_echo(cfg: dict) -> str:
     return json.dumps(clean, sort_keys=True, allow_nan=False)
 
 
-# json's spellings of the floats whose repr is not JSON; NaN cells are null
-_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _json_chunks(command: str, cfg: dict, columns: dict):
     """The bytes of ``json.dumps(payload, sort_keys=True, indent=1)`` for
     the payload {"columns": ..., "meta": ...}, with NaN cells as null, a
-    slab of one column at a time: json writes a finite float as its repr."""
+    slab of one column at a time: json's C encoder writes its cells (a
+    float as its repr, +-inf as +-Infinity), and each bare NaN becomes null."""
     from ._csv import SLAB_ROWS
 
     yield b'{\n "columns": {'
     for index, name in enumerate(sorted(columns)):
         values = columns[name]
-        yield f'{"," if index else ""}\n  {json.dumps(name)}: ['.encode()
         if name == "flags":
-            spellings = [json.dumps(text) for text in values[0]]
-            values = values[1]
-        else:
-            values = np.asarray(values, dtype=float)
+            values = np.array(values[0])[values[1]]
+        yield f'{"," if index else ""}\n  {json.dumps(name)}: ['.encode()
         for start in range(0, len(values), SLAB_ROWS):
-            slab = values[start : start + SLAB_ROWS]
-            if name == "flags":
-                cells = list(map(spellings.__getitem__, slab.tolist()))
-            else:
-                cells = list(map(float.__repr__, slab.tolist()))
-                for i in np.flatnonzero(~np.isfinite(slab)).tolist():
-                    cells[i] = _JSON_NON_FINITE[cells[i]]
-            yield (("," if start else "") + "\n   " + ",\n   ".join(cells)).encode()
+            cells = json.dumps(values[start : start + SLAB_ROWS].tolist(), separators=(",\n   ", ""))
+            if name != "flags":
+                cells = cells.replace("NaN", "null")
+            yield (("," if start else "") + "\n   " + cells[1:-1]).encode()
         yield b"\n  ]"
     meta = {"meta": {"command": command, "config": json.loads(_config_echo(cfg))}}
     # the meta entry, one level in: json.dumps without its outer braces
@@ -243,9 +233,7 @@ def _dephasing_exponent(cfg: dict, times: np.ndarray):
             "or --spectral-file"
         )
     if cfg["single_mode"] is not None:
-        omega, weight = cfg["omega"], cfg["weight"]
-        if not omega > 0 or not weight > 0:
-            raise DomainError("single mode needs omega > 0 and weight > 0")
+        omega, weight = cfg["omega"], positive("weight", cfg["weight"])
         # weight is the combined factor |c|^2 coth(beta omega/2) / omega^2, so
         # beta is already in it: the mode at zero temperature, coth = 1
         bath = dephasing.DiscreteBosonBath(((omega * math.sqrt(weight), omega),))
@@ -283,8 +271,6 @@ def _run_dephasing_classical(cfg: dict) -> None:
     exponent, slope = dephasing._classical_and_slope(process, coupling, times)
     columns = _columns(times, np.exp(-exponent), slope, exponent=exponent)
     if cfg["mc"] > 0:
-        if not isinstance(process, dephasing.CosineSumProcess):
-            raise DomainError("Monte Carlo validation needs a cosine process")
         estimate = dephasing.monte_carlo_coherence(
             process, coupling, times, cfg["mc"], cfg["seed"]
         )

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import (check_grid, check_square, check_times, double_angle, finite, line_sums,
-                      positive, scalar_or_array)
+from ._common import (check_grid, check_square, check_times, check_work, double_angle, finite,
+                      line_sums, positive, scalar_or_array)
 from ._quadrature import _ROUNDING, _SI_MAX, filon, integrate_adaptive, si_cin
 from ._rng import monte_carlo_sums
 from .errors import DomainError, QuadratureError, UnsupportedQueryError
@@ -315,9 +315,13 @@ def _tabulated(density: TabulatedDensity, beta: float, times, tol):
     pass over all knots refines the Chebyshev interpolants of the smooth
     factors by a bound that holds for every t, to ``tol`` less the closed
     form's floor, then integrates them exactly against the oscillators
-    (:func:`_quadrature.filon`).  ``MAX_PANELS`` bounds its panels.
+    (:func:`_quadrature.filon`).  The pass starts with one panel per knot
+    interval and bisects up to ``MAX_PANELS`` in all; those first panels and
+    one Filon sum per (time, knot interval), the least work, are charged to
+    the budget before it.
     """
     knots, values = density.frequencies, density.values
+    check_work(panel=knots.size - 1, filon=times.size * (knots.size - 1))
     a, b = knots[0], knots[1]
     j1 = (values[1] - values[0]) / (b - a)
     j0 = values[0] - j1 * a

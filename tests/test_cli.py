@@ -377,6 +377,57 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     assert '"ohmic_amplitude": 1.0' in Path(out).read_text()
 
 
+# refusals that no other test reaches: each exits 2 with one line, and the
+# models make the checks of the last four themselves
+REFUSALS = [
+    ("dephasing-quantum --single-mode --beta 0", "beta must be > 0, got 0.0"),
+    ("dephasing-quantum --single-mode --beta -1", "beta must be > 0, got -1.0"),
+    ("dephasing-quantum --modes 1", "malformed mode entry '1'; expected 'x:y'"),
+    ("dephasing-quantum --modes a:b", "non-numeric mode entry 'a:b'"),
+    ("oracle --model spin-bath --bloch 1,0",
+     "--bloch must be three comma-separated numbers, got '1,0'"),
+    ("oracle --model noise-rotation --xi a,b,c", "non-numeric --xi 'a,b,c'"),
+    ("depol-spinbath --ensemble custom", "custom ensemble requires --components"),
+    ("dephasing-classical", "pick exactly one of --white-noise or --cosine"),
+    ("dephasing-classical --white-noise --cosine 1:1",
+     "pick exactly one of --white-noise or --cosine"),
+    ("analyze no_t.csv",
+     "no_t.csv lacks a 't' or 'f_or_coherence' column (header: ['x', 'f_or_coherence'])"),
+    ("depol-classical --config missing.json",
+     "cannot read config file missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    ("depol-classical --config array.json", "config file array.json must hold a JSON object"),
+    ("dephasing-quantum --config single.json",
+     "config key 'single-mode' in single.json must be true or false, got 1"),
+    ("depol-spinbath --config ensemble.json",
+     "config key 'ensemble' in ensemble.json must be one of fixed, gaussian, lorentzian, "
+     "uniform, spin-star, custom, got 'nope'"),
+    ("dephasing-quantum --spectral-file j.txt --tol 0", "tol must be > 0, got 0.0"),
+    ("dephasing-quantum --single-mode --weight 0", "weight must be finite and > 0, got 0.0"),
+    ("dephasing-quantum --single-mode --weight inf", "weight must be finite and > 0, got inf"),
+    ("dephasing-quantum --single-mode --omega 0",
+     "mode frequency must be finite and > 0, got 0.0"),
+    ("dephasing-classical --white-noise --mc 10",
+     "Monte Carlo coherence requires a cosine-sum process"),
+]
+
+
+@pytest.mark.parametrize("args, message", REFUSALS, ids=[a for a, _ in REFUSALS])
+def test_refusals_exit_2_with_their_message(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    Path("no_t.csv").write_text("x,f_or_coherence\n0,1\n1,0.5\n")
+    Path("array.json").write_text("[1]")
+    Path("single.json").write_text(json.dumps({"single-mode": 1}))
+    Path("ensemble.json").write_text(json.dumps({"ensemble": "nope"}))
+    Path("j.txt").write_text("0 0\n1 1\n2 0.5\n")
+    argv = shlex.split(args)
+    if argv[0] not in ("analyze", "oracle"):
+        argv += ["--out", "x.csv"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"qchan: configuration error: {message}\n"
+    assert not Path("x.csv").exists()
+
+
 def test_spectral_file_is_read_as_a_plain_local_file(tmp_path, monkeypatch, capsys):
     # numpy's loader would decompress a .gz path and fetch a URL; the table
     # is read from a local file as it is, or the run exits 2 naming the path
@@ -468,6 +519,10 @@ def test_tabulated_cost_cap_exits_3_before_any_sum(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(dephasing, "integrate_adaptive", recording)
     monkeypatch.setattr(_quadrature, "check_work", recording_check)
+    # the first pass's panels are charged before it, and tested on their own
+    # (test_large_table_is_refused_before_the_first_pass); free here, the
+    # check before the pass stays below filon's own
+    monkeypatch.setitem(NS_PER_UNIT, "panel", 0)
     assert main(argv) == 0
     # 11 times on the Filon panels over all the knots, and on their width
     # classes plus the first knot interval's Si and Cin, one moment set each
@@ -496,6 +551,28 @@ def test_tabulated_cost_cap_exits_3_before_any_sum(tmp_path, monkeypatch, capsys
     assert err.startswith("qchan: numerical failure: work units filon=") and "above the budget" in err, err
     assert len(passes) == 1  # the panels only
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_large_table_is_refused_before_the_first_pass(tmp_path, monkeypatch):
+    # a table's first pass and its least Filon sums, one per (time, knot
+    # interval), are charged before the pass: 1,000,001 knots at 251 times
+    # are refused without a panel, where the pass alone took seconds
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the first pass must not start")
+
+    grid = np.linspace(0.0, 40.0, 1_000_001)
+    density = dephasing.TabulatedDensity(grid, 8.0 * math.pi * grid * np.exp(-grid))
+    with monkeypatch.context() as patch:
+        patch.setattr(dephasing, "integrate_adaptive", no_pass)
+        with pytest.raises(ResourceError, match=r"^work units panel=1,000,000, filon=251,000,000 "):
+            dephasing.gamma_continuum(density, 1.0, np.linspace(0.0, 25.0, 251))
+    # 100,001 knots at 5 times fit the budget
+    path = tmp_path / "table.txt"
+    np.savetxt(path, np.column_stack([grid[::10], density.values[::10]]))
+    out = tmp_path / "x.csv"
+    assert main(["dephasing-quantum", "--spectral-file", str(path), "--steps", "5",
+                 "--out", str(out)]) == 0
+    assert len(read_series_csv(str(out), "gamma")[0]) == 5
 
 
 @pytest.mark.parametrize("table", ["uniform", "log", "splits"])

@@ -196,6 +196,14 @@ def test_ohmic_closed_form_skips_quadrature(monkeypatch):
         assert gamma_continuum(FIG2_DENSITY, beta, 5.0, tol=1e-30) > 0.0
 
 
+@pytest.mark.parametrize("density", [FIG2_DENSITY, TabulatedDensity([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])],
+                         ids=["ohmic", "tabulated"])
+def test_continuum_refuses_zero_beta(density):
+    # the command line refuses this beta before a model sees it
+    with pytest.raises(DomainError, match=r"^beta must be > 0 \(or inf\), got 0.0$"):
+        gamma_continuum(density, 0.0, 1.0)
+
+
 def test_digamma_trigamma_real_axis():
     x = np.concatenate([np.linspace(1.0, 11.0, 1001), [0.25, 0.5, 30.0, 1e3]])
     value, slope = dephasing._digamma_trigamma(x)
